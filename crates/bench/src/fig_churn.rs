@@ -96,7 +96,8 @@ fn burst_config(system: SystemConfig, probe_frames: usize, horizon_ms: f64) -> C
     let rules = HealthRules::new(WINDOW_MS).with_mtp_p95_ceiling_ms(policy.mtp_p95_slo_ms);
     let mut config = ChurnConfig::new(system, vec![heavy(), heavy()], trace, horizon_ms, SEED)
         .with_fairness(FairnessPolicy::Weighted)
-        .with_admission(policy);
+        .with_admission(policy)
+        .with_stats_window_ms(WINDOW_MS);
     config.telemetry = config.telemetry.with_health(rules);
     config.server_units = 8;
     config.link_streams = 2;
@@ -109,7 +110,7 @@ fn burst_report(preset: NetworkPreset, probe_frames: usize, horizon_ms: f64) -> 
     let summary = ChurnFleet::run(burst_config(system, probe_frames, horizon_ms));
     let mut out = String::new();
     let mut t = TextTable::new(vec!["window", "live", "frames", "p95 MTP"]);
-    for (start, frames, p95) in summary.windowed_p95(WINDOW_MS) {
+    for &(start, frames, p95) in &summary.windows {
         t.row(vec![
             format!("{:.0}-{:.0} ms", start, start + WINDOW_MS),
             format!("{}", summary.live_at(start + 0.5 * WINDOW_MS)),
@@ -176,9 +177,12 @@ fn sweep_row(
     config.server_units = 8;
     config.link_streams = 4;
     let summary = ChurnFleet::run(config);
-    let p95 =
-        qvr::core::metrics::SortedSamples::new(summary.samples.iter().map(|(_, m)| *m).collect())
-            .p95();
+    let mtps = summary
+        .tenants
+        .iter()
+        .flat_map(|t| t.summary.frames.iter().map(|f| f.mtp_ms))
+        .collect();
+    let p95 = qvr::core::metrics::SortedSamples::new(mtps).p95();
     (summary, p95)
 }
 
@@ -284,9 +288,9 @@ mod tests {
         );
         // And the tail spikes during the burst relative to the pre-burst
         // window, visible in the windowed series.
-        let windows = summary.windowed_p95(WINDOW_MS);
         let p95_at = |t: f64| {
-            windows
+            summary
+                .windows
                 .iter()
                 .rfind(|(s, _, _)| *s <= t)
                 .map(|(_, _, p)| *p)

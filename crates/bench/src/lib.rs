@@ -28,7 +28,6 @@ pub mod fig_rate;
 pub mod fig_sched;
 pub mod fig_shard;
 pub mod overhead;
-pub mod perf;
 pub mod table1;
 pub mod table4;
 

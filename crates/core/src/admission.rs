@@ -38,7 +38,6 @@
 
 use crate::clock::SteppingPolicy;
 use crate::fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec};
-use crate::metrics::{RunSummary, SortedSamples};
 use crate::sched::ServerPolicy;
 use crate::schemes::SystemConfig;
 use crate::telemetry::TelemetryConfig;
@@ -114,20 +113,17 @@ impl AdmissionPolicy {
     /// constituency for this decision) inside the SLO. Pool utilization is
     /// always fleet-wide. Falls back to the fleet-wide
     /// [`AdmissionPolicy::accepts`] when the mask selects nobody.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask length doesn't match the probe's session count.
     #[must_use]
     pub fn accepts_constituency(&self, summary: &FleetSummary, constituency: &[bool]) -> bool {
-        let members: Vec<&RunSummary> = summary
-            .sessions
-            .iter()
-            .zip(constituency)
-            .filter_map(|(s, keep)| keep.then_some(s))
-            .collect();
-        if members.is_empty() {
+        if !constituency.contains(&true) {
             return self.accepts(summary);
         }
-        let (p95, fps_floor) = constituency_metrics(&members);
-        p95 <= self.mtp_p95_slo_ms
-            && fps_floor >= self.min_fps_floor
+        summary.mtp_p95_over(constituency) <= self.mtp_p95_slo_ms
+            && summary.fps_floor_over(constituency) >= self.min_fps_floor
             && summary.server_utilization <= self.max_server_utilization
     }
 
@@ -139,21 +135,6 @@ impl AdmissionPolicy {
             && self.min_fps_floor >= other.min_fps_floor
             && self.max_server_utilization <= other.max_server_utilization
     }
-}
-
-/// p95 MTP and FPS floor over a set of per-session summaries.
-fn constituency_metrics(members: &[&RunSummary]) -> (f64, f64) {
-    let mtps = SortedSamples::new(
-        members
-            .iter()
-            .flat_map(|s| s.frames.iter().map(|f| f.mtp_ms))
-            .collect(),
-    );
-    let fps_floor = members
-        .iter()
-        .map(|s| s.fps())
-        .fold(f64::INFINITY, f64::min);
-    (mtps.p95(), fps_floor)
 }
 
 /// The controller's verdict on one offered session.
@@ -538,16 +519,13 @@ impl AdmissionController {
     #[must_use]
     pub fn protected_metrics(&self) -> Option<(f64, f64)> {
         let probe = self.last_accepted_probe.as_ref()?;
-        let members: Vec<&RunSummary> = probe
-            .sessions
-            .iter()
-            .zip(&self.protected)
-            .filter_map(|(s, keep)| keep.then_some(s))
-            .collect();
-        if members.is_empty() {
+        if !self.protected.contains(&true) {
             return None;
         }
-        Some(constituency_metrics(&members))
+        Some((
+            probe.mtp_p95_over(&self.protected),
+            probe.fps_floor_over(&self.protected),
+        ))
     }
 
     /// The policy in force.

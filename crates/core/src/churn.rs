@@ -35,7 +35,7 @@
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
 use crate::clock::FleetClock;
 use crate::fleet::{session_seed, SessionSpec};
-use crate::metrics::{RunSummary, SortedSamples};
+use crate::metrics::RunSummary;
 use crate::sched::ServerPolicy;
 use crate::schemes::{ServerPool, SystemConfig};
 use crate::session::Session;
@@ -234,9 +234,8 @@ pub struct ChurnConfig {
     pub health_degrade: bool,
     /// Which built-in telemetry sinks stream this run's frame events
     /// (default-on). With [`TelemetryConfig::window_ms`] set, the MTP
-    /// timeline streams through a [`crate::telemetry::WindowedStatsSink`] at O(window) live
-    /// memory and [`ChurnSummary::samples`] stays empty — the scalable
-    /// replacement for the per-run series.
+    /// timeline streams through a [`crate::telemetry::WindowedStatsSink`]
+    /// at O(window) live memory into [`ChurnSummary::windows`].
     pub telemetry: TelemetryConfig,
 }
 
@@ -271,9 +270,9 @@ impl ChurnConfig {
         }
     }
 
-    /// Returns a copy that streams its MTP timeline through a
-    /// [`crate::telemetry::WindowedStatsSink`] at this bucket width instead of retaining the
-    /// O(run) sample series.
+    /// Returns a copy that streams its windowed-p95 MTP timeline
+    /// ([`ChurnSummary::windows`]) through a
+    /// [`crate::telemetry::WindowedStatsSink`] at this bucket width.
     #[must_use]
     pub fn with_stats_window_ms(mut self, window_ms: f64) -> Self {
         self.telemetry = self.telemetry.with_window_ms(window_ms);
@@ -371,16 +370,13 @@ pub struct ChurnSummary {
     /// Every tenant that ever joined, in departure order (survivors last,
     /// in arrival-ordinal order).
     pub tenants: Vec<TenantRecord>,
-    /// `(display_end_ms, mtp_ms)` for every frame displayed, in step order
-    /// (the raw series behind [`ChurnSummary::windowed_p95`]). **Empty**
-    /// when the run streamed its timeline instead
-    /// ([`ChurnConfig::with_stats_window_ms`]) — read
-    /// [`ChurnSummary::windows`] there.
-    pub samples: Vec<(f64, f64)>,
-    /// The streamed windowed-p95 timeline `(start_ms, frames, p95_ms)`
-    /// when stats streaming was configured; empty otherwise. Same bucket
-    /// convention (and bit-identical values) as
-    /// [`ChurnSummary::windowed_p95`] over the retained series.
+    /// The streamed windowed-p95 MTP timeline `(start_ms, frames,
+    /// p95_ms)` when stats streaming was configured
+    /// ([`ChurnConfig::with_stats_window_ms`]); empty otherwise. This is
+    /// the series that shows tails spiking at join bursts and recovering
+    /// after reclaim. Buckets are half-open — bucket `k` covers
+    /// `[k·window, (k+1)·window)`, a frame past the horizon included — and
+    /// only buckets with at least one displayed frame appear.
     pub windows: Vec<(f64, usize, f64)>,
     /// Largest raw-sample count the streaming stats sink ever held live
     /// (0 when streaming was off) — the O(window) memory bound the
@@ -435,47 +431,6 @@ impl ChurnSummary {
         self.occupancy.iter().map(|(_, n)| *n).max().unwrap_or(0)
     }
 
-    /// p95 motion-to-photon latency per fixed window of virtual time:
-    /// `(window_start_ms, frames, p95_ms)` for each window with at least
-    /// one displayed frame. This is the series that shows tails spiking at
-    /// join bursts and recovering after reclaim.
-    ///
-    /// Buckets are uniformly **half-open**: bucket `k` covers
-    /// `[k·window, (k+1)·window)`, so a sample at an interior boundary
-    /// `k·window` belongs to bucket `k`, and a sample at or past
-    /// `horizon_ms` (a final frame can overshoot the horizon) gets the
-    /// bucket its time actually falls in — an earlier version clamped it
-    /// *down* into the last pre-horizon bucket, treating the horizon
-    /// boundary differently from every interior one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_ms` is not positive-finite.
-    #[must_use]
-    pub fn windowed_p95(&self, window_ms: f64) -> Vec<(f64, usize, f64)> {
-        assert!(
-            window_ms.is_finite() && window_ms > 0.0,
-            "window must be positive"
-        );
-        let buckets = qvr_sim::checked::ceil_index(self.horizon_ms / window_ms).max(1);
-        let mut per: Vec<Vec<f64>> = vec![Vec::new(); buckets];
-        for (t, mtp) in &self.samples {
-            let b = qvr_sim::checked::floor_index(t / window_ms);
-            if b >= per.len() {
-                per.resize(b + 1, Vec::new());
-            }
-            per[b].push(*mtp);
-        }
-        per.into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(b, v)| {
-                let n = v.len();
-                (b as f64 * window_ms, n, SortedSamples::new(v).p95())
-            })
-            .collect()
-    }
-
     /// Live session count at a virtual time (0 before the first join).
     #[must_use]
     pub fn live_at(&self, t_ms: f64) -> usize {
@@ -499,7 +454,7 @@ impl fmt::Display for ChurnSummary {
             self.rejected,
             self.degraded,
             self.upgrades,
-            self.samples.len(),
+            self.tenants.iter().map(|t| t.summary.len()).sum::<usize>(),
         )
     }
 }
@@ -561,12 +516,8 @@ pub struct ChurnFleet {
     /// The measured-load handle placement directives read
     /// (`sinks.load()`, kept here so joins can reset recycled slots).
     load: LoadTracker,
-    /// Whether the MTP timeline streams through the windowed sink (the
-    /// sample series then stays empty).
-    stream_stats: bool,
     // --- outputs under construction ---
     finished: Vec<TenantRecord>,
-    samples: Vec<(f64, f64)>,
     occupancy: Vec<(f64, usize)>,
     rejected: usize,
     degraded: usize,
@@ -629,7 +580,6 @@ impl ChurnFleet {
             false, // churn has its own summary shape; no aggregate stream
         );
         let load = sinks.load();
-        let stream_stats = config.telemetry.window_ms.is_some();
         ChurnFleet {
             system: config.system,
             seed: config.seed,
@@ -652,9 +602,7 @@ impl ChurnFleet {
             pending,
             sinks,
             load,
-            stream_stats,
             finished: Vec::new(),
-            samples: Vec::new(),
             occupancy: Vec::new(),
             rejected: 0,
             degraded: 0,
@@ -722,9 +670,6 @@ impl ChurnFleet {
         let event = tenant.session.step();
         self.sinks.emit(&event);
         let t = event.end_ms;
-        if !self.stream_stats {
-            self.samples.push((t, event.mtp_ms));
-        }
         if t < self.horizon_ms {
             self.clock.schedule(slot, t);
         }
@@ -743,7 +688,7 @@ impl ChurnFleet {
                 }
             }
         }
-        if self.stream_stats || self.sinks.health.is_some() {
+        if self.sinks.windowed.is_some() || self.sinks.health.is_some() {
             // Close streamed stat buckets (and health windows) no future
             // sample can reach: a future frame ends after its session's
             // clock (≥ the heap frontier), and a future *joiner*'s first
@@ -918,7 +863,7 @@ impl ChurnFleet {
         // The leaver may have simulated slightly past the event time
         // before the global frontier caught up and fired the leave; its
         // residency closes at its actual last display so resident_fps and
-        // the sample timeline stay consistent with the recorded frames.
+        // the streamed timeline stay consistent with the recorded frames.
         let left_ms = at_ms.max(tenant.session.last_display_end());
         self.finished.push(TenantRecord {
             ordinal,
@@ -983,7 +928,6 @@ impl ChurnFleet {
         let incidents = self.sinks.health_finish();
         ChurnSummary {
             tenants,
-            samples: self.samples,
             windows,
             peak_open_samples,
             incidents,
@@ -1017,7 +961,7 @@ impl ChurnFleet {
     /// Panics if any frame event has already streamed.
     pub fn enable_cell_sinks(&mut self) {
         assert!(
-            self.samples.is_empty() && self.engine.task_count() == 0,
+            self.engine.task_count() == 0,
             "cell sinks must be enabled before the first frame"
         );
         self.sinks.aggregate = Some(AggregateSink::new());
@@ -1233,90 +1177,6 @@ mod tests {
             max < 6.0 * min.max(1e-9),
             "slot reuse must not leak busy time across tenants: {radios:?}"
         );
-    }
-
-    #[test]
-    fn windowed_p95_buckets_are_uniformly_half_open() {
-        // Interval convention: bucket k covers [k·w, (k+1)·w). A sample at
-        // an interior boundary k·w lands in bucket k, and a sample at
-        // exactly the horizon (or past it — final frames can overshoot)
-        // lands in the bucket its time falls in, never clamped down.
-        let summary = ChurnSummary {
-            tenants: Vec::new(),
-            samples: vec![
-                (0.0, 10.0),   // bucket 0 start
-                (99.9, 11.0),  // bucket 0 interior
-                (100.0, 20.0), // interior boundary → bucket 1, not 0
-                (300.0, 30.0), // exactly the horizon → bucket 3, not 2
-                (310.0, 31.0), // overshoot past the horizon → bucket 3
-            ],
-            windows: Vec::new(),
-            peak_open_samples: 0,
-            incidents: Vec::new(),
-            energy: FleetEnergy::default(),
-            occupancy: Vec::new(),
-            rejected: 0,
-            degraded: 0,
-            upgrades: 0,
-            dropped_leaves: 0,
-            horizon_ms: 300.0,
-            peak_live_per_resource: 0,
-            retired_tasks: 0,
-            total_tasks: 0,
-        };
-        let windows = summary.windowed_p95(100.0);
-        let starts: Vec<f64> = windows.iter().map(|(s, _, _)| *s).collect();
-        assert_eq!(starts, vec![0.0, 100.0, 300.0], "bucket 2 is empty");
-        let counts: Vec<usize> = windows.iter().map(|(_, n, _)| *n).collect();
-        assert_eq!(counts, vec![2, 1, 2]);
-        let (_, _, p95_boundary) = windows[1];
-        assert_eq!(
-            p95_boundary, 20.0,
-            "the interior-boundary sample belongs to its own bucket"
-        );
-    }
-
-    #[test]
-    fn streamed_windows_match_the_retained_series_bit_for_bit() {
-        // The WindowedStatsSink replaces the O(run) sample series: the same
-        // churn run with streaming on must produce exactly the timeline the
-        // retained series derives post hoc, while holding no sample vector
-        // and only O(window) live stats memory.
-        let window_ms = 120.0;
-        let make = || {
-            let trace = ChurnTrace::script(vec![
-                ChurnEvent::join(150.0, spec()),
-                ChurnEvent::leave(420.0, 0),
-                ChurnEvent::join(500.0, spec()),
-            ]);
-            ChurnConfig::new(
-                SystemConfig::default(),
-                vec![spec(), spec()],
-                trace,
-                900.0,
-                19,
-            )
-        };
-        let retained = ChurnFleet::run(make());
-        let streamed = ChurnFleet::run(make().with_stats_window_ms(window_ms));
-        assert!(streamed.samples.is_empty(), "streaming retains no series");
-        assert!(!retained.samples.is_empty());
-        let post_hoc = retained.windowed_p95(window_ms);
-        assert_eq!(
-            streamed.windows, post_hoc,
-            "streamed timeline must match the post-hoc derivation exactly"
-        );
-        assert!(streamed.peak_open_samples > 0);
-        assert!(
-            streamed.peak_open_samples < retained.samples.len(),
-            "live stats memory must undercut the retained series: {} vs {}",
-            streamed.peak_open_samples,
-            retained.samples.len()
-        );
-        // Everything else about the run is unaffected by how stats stream.
-        assert_eq!(streamed.tenants, retained.tenants);
-        assert_eq!(streamed.occupancy, retained.occupancy);
-        assert_eq!(streamed.energy, retained.energy);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //!
 //! # Tenancy semantics
 //!
-//! A [`FleetConfig`] with one session, a 1-unit server and a private
-//! channel is the **dedicated** (classic single-user) setup: the whole MCM
-//! array gangs up on each frame (analytic acceleration) and recorded chain
-//! latencies are contention-free nominal costs. Everything else is
-//! **multi-tenant**: each frame renders on one least-loaded GPU unit at
-//! single-GPU speed, and recorded latencies include queueing behind other
-//! tenants. [`crate::schemes::SchemeKind::run`] delegates to a dedicated
-//! 1-session fleet, reproducing the original single-user numbers exactly.
+//! Every fleet is **multi-tenant**: each frame renders on one least-loaded
+//! GPU unit at single-GPU speed, and recorded latencies include queueing
+//! behind other tenants — even for a 1-session fleet on a 1-unit pool.
+//! The classic **dedicated** single-user setup, where the whole MCM array
+//! gangs up on each frame (analytic acceleration) and recorded chain
+//! latencies are contention-free nominal costs, is not a fleet at all:
+//! it is [`crate::schemes::SchemeKind::run`], a private session stepped to
+//! the end.
 
 use crate::clock::{FleetClock, SteppingPolicy};
 use crate::metrics::{RunSummary, SortedSamples};
@@ -99,7 +99,7 @@ pub struct FleetConfig {
     /// How the shared server pool places tenants' remote chains on GPU
     /// units, by tenant class ([`SchemeKind::tenant_class`]).
     /// [`ServerPolicy::LeastLoaded`] (the default) is bit-pinned by the
-    /// fig_fleet goldens; ignored in dedicated single-tenant mode.
+    /// fig_fleet goldens.
     pub server_policy: ServerPolicy,
     /// How sessions advance through simulated time.
     /// [`SteppingPolicy::RoundRobin`] (the default) is bit-pinned by the
@@ -164,17 +164,21 @@ impl FleetConfig {
         self
     }
 
-    /// Whether this config degenerates to the classic dedicated single-user
-    /// setup (see the module docs' tenancy semantics).
+    /// Whether this config has the classic dedicated single-user shape:
+    /// one session, a 1-unit server and a private channel. A [`Fleet`]
+    /// still runs it as a 1-unit multi-tenant fleet (see the module docs'
+    /// tenancy semantics); the dedicated run itself is
+    /// [`SchemeKind::run`].
     #[must_use]
     pub fn is_dedicated(&self) -> bool {
         self.sessions.len() == 1 && self.server_units <= 1 && !self.shared_network
     }
 }
 
-/// Derives session `idx`'s seed from the fleet seed (identity for 0, so a
-/// dedicated 1-session fleet reproduces the classic single-run streams).
-/// Churn fleets reuse it with the session's arrival ordinal as `idx`.
+/// Derives session `idx`'s seed from the fleet seed (identity for 0, so
+/// session 0 draws the same streams as a single-user run on the fleet
+/// seed). Churn fleets reuse it with the session's arrival ordinal as
+/// `idx`.
 pub(crate) fn session_seed(seed: u64, idx: usize) -> u64 {
     seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -188,9 +192,6 @@ pub struct Fleet {
     frames: usize,
     rounds_done: usize,
     shared_network: bool,
-    /// Classic dedicated single-user setup: telemetry still streams, but
-    /// the summary keeps the engine-makespan span semantics (see finish).
-    dedicated: bool,
     stepping: SteppingPolicy,
     /// The virtual-time event queue ([`SteppingPolicy::VirtualTime`] only).
     clock: FleetClock,
@@ -222,35 +223,12 @@ impl Fleet {
             config.server_units > 0,
             "the server pool needs at least one unit"
         );
-        if config.is_dedicated() {
-            let spec = &config.sessions[0];
-            let mut session = Session::private(
-                spec.scheme,
-                &config.system,
-                spec.profile.clone(),
-                config.seed,
-            );
-            session.reserve_frames(config.frames);
-            let server = session.server();
-            return Fleet {
-                engine: session.engine(),
-                server,
-                sessions: vec![session],
-                frames: config.frames,
-                rounds_done: 0,
-                shared_network: false,
-                dedicated: true,
-                stepping: config.stepping,
-                clock: Self::primed_clock(config.stepping, 1),
-                retire_window_ms: config.retire_window_ms,
-                sinks: Self::sinks_for(&config, server.units()),
-                event_buf: Vec::with_capacity(1),
-            };
-        }
         config.server_policy.validate(config.server_units);
         let engine = SharedEngine::new();
         let server = ServerPool::on(&engine, config.server_units);
-        let sinks = Self::sinks_for(&config, config.server_units);
+        // The aggregate stream always runs: it *is* the summary.
+        let sinks =
+            SinkSet::from_config(&config.telemetry, &config.system, config.server_units, true);
         let load = sinks.load();
         let shared_channel = if config.shared_network {
             let ch = SharedChannel::new(NetworkChannel::new(config.system.network, config.seed));
@@ -308,27 +286,12 @@ impl Fleet {
             frames: config.frames,
             rounds_done: 0,
             shared_network: config.shared_network,
-            dedicated: false,
             stepping: config.stepping,
             clock: Self::primed_clock(config.stepping, n),
             retire_window_ms: config.retire_window_ms,
             sinks,
             event_buf: Vec::with_capacity(n),
         }
-    }
-
-    /// The default-on sink fan-out a fleet streams its frame events
-    /// through. Multi-tenant fleets run the aggregate stream (it *is* the
-    /// summary); the dedicated single-user degenerate skips it — its
-    /// summary keeps the post-hoc path (engine-makespan span semantics),
-    /// so streaming aggregates there would be paid for and thrown away.
-    fn sinks_for(config: &FleetConfig, units: usize) -> SinkSet {
-        SinkSet::from_config(
-            &config.telemetry,
-            &config.system,
-            units,
-            !config.is_dedicated(),
-        )
     }
 
     /// A clock with every slot runnable at virtual time 0 (so the first
@@ -485,16 +448,8 @@ impl Fleet {
         self.engine.clone()
     }
 
-    /// Steps all remaining rounds and finalises. The summary's aggregates
-    /// are the product of the built-in telemetry sinks: percentiles and FPS
-    /// statistics stream out of the [`crate::telemetry::AggregateSink`] (bit-identical to the
-    /// post-hoc re-walk, as `tests/telemetry.rs` pins), fleet energy out of
-    /// the [`crate::telemetry::EnergyMeter`], and the windowed timeline out of the
-    /// [`crate::telemetry::WindowedStatsSink`]. The degenerate dedicated single-user fleet
-    /// keeps the classic post-hoc path — its per-session span is the
-    /// engine makespan, which no event stream observes.
-    #[must_use]
-    pub fn finish(mut self) -> FleetSummary {
+    /// Steps every session to its frame budget.
+    fn step_to_end(&mut self) {
         match self.stepping {
             SteppingPolicy::RoundRobin => {
                 while self.rounds_done < self.frames {
@@ -503,53 +458,45 @@ impl Fleet {
             }
             SteppingPolicy::VirtualTime => while self.step_next().is_some() {},
         }
+    }
+
+    /// Steps all remaining rounds and finalises. The summary's aggregates
+    /// are the product of the built-in telemetry sinks: percentiles and FPS
+    /// statistics stream out of the [`crate::telemetry::AggregateSink`],
+    /// fleet energy out of the [`crate::telemetry::EnergyMeter`], and the
+    /// windowed timeline out of the [`crate::telemetry::WindowedStatsSink`].
+    #[must_use]
+    pub fn finish(mut self) -> FleetSummary {
+        self.step_to_end();
         let server_utilization = self.server.utilization(&self.engine);
         let makespan_ms = self.engine.makespan();
-        let server_units = self.server.units();
-        let summaries: Vec<RunSummary> = self.sessions.into_iter().map(Session::finish).collect();
+        let sessions: Vec<RunSummary> = self.sessions.into_iter().map(Session::finish).collect();
         let energy = self.sinks.energy_finalize(
             makespan_ms,
-            client_energy_mj(summaries.iter().map(|s| &s.energy)),
+            client_energy_mj(sessions.iter().map(|s| &s.energy)),
         );
         let (windows, _) = self.sinks.windowed_finish();
-        let mut summary = if self.dedicated {
-            FleetSummary::aggregate(
-                summaries,
-                makespan_ms,
-                server_utilization,
-                server_units,
-                self.shared_network,
-            )
-        } else {
-            let aggregate = self.sinks.aggregate.as_ref().expect("fleets always stream");
-            let (mtp_p50_ms, mtp_p95_ms, mtp_p99_ms) = aggregate.mtp_percentiles();
-            let (fps_floor, mean_fps) = aggregate.fps_stats();
-            FleetSummary {
-                sessions: summaries,
-                makespan_ms,
-                mtp_p50_ms,
-                mtp_p95_ms,
-                mtp_p99_ms,
-                fps_floor,
-                mean_fps,
-                server_utilization,
-                server_units,
-                shared_network: self.shared_network,
-                energy: FleetEnergy::default(),
-                windows: Vec::new(),
-                exposition: None,
-                incidents: Vec::new(),
-                trace: None,
-                peak_live_tasks: 0,
-            }
-        };
-        summary.energy = energy;
-        summary.windows = windows;
-        summary.exposition = self.sinks.metrics_exposition();
-        summary.incidents = self.sinks.health_finish();
-        summary.trace = self.sinks.trace.take();
-        summary.peak_live_tasks = self.engine.max_live_intervals();
-        summary
+        let aggregate = self.sinks.aggregate.as_ref().expect("fleets always stream");
+        let (mtp_p50_ms, mtp_p95_ms, mtp_p99_ms) = aggregate.mtp_percentiles();
+        let (fps_floor, mean_fps) = aggregate.fps_stats();
+        FleetSummary {
+            sessions,
+            makespan_ms,
+            mtp_p50_ms,
+            mtp_p95_ms,
+            mtp_p99_ms,
+            fps_floor,
+            mean_fps,
+            server_utilization,
+            server_units: self.server.units(),
+            shared_network: self.shared_network,
+            energy,
+            windows,
+            exposition: self.sinks.metrics_exposition(),
+            incidents: self.sinks.health_finish(),
+            trace: self.sinks.trace.take(),
+            peak_live_tasks: self.engine.max_live_intervals(),
+        }
     }
 
     /// Builds, runs, and finalises one fleet.
@@ -563,22 +510,9 @@ impl Fleet {
     /// raw sink states (aggregate, deferred windowed, finalised energy, a
     /// load-EWMA snapshot) plus scalar schedule facts — never the
     /// per-session frame histories, which die with the cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a dedicated single-user fleet (cells are multi-tenant by
-    /// construction — the degenerate mode has no aggregate stream).
     #[must_use]
     pub(crate) fn finish_cell(mut self, cell: usize) -> crate::shard::CellSummary {
-        assert!(!self.dedicated, "shard cells are multi-tenant fleets");
-        match self.stepping {
-            SteppingPolicy::RoundRobin => {
-                while self.rounds_done < self.frames {
-                    self.step_round();
-                }
-            }
-            SteppingPolicy::VirtualTime => while self.step_next().is_some() {},
-        }
+        self.step_to_end();
         let makespan_ms = self.engine.makespan();
         let server_units = self.server.units();
         let server_busy_ms = self.engine.pool_busy_ms(self.server.rgpu());
@@ -617,37 +551,6 @@ impl Fleet {
     #[must_use]
     pub fn run_many(configs: Vec<FleetConfig>) -> Vec<FleetSummary> {
         qvr_sim::parallel_map(&configs, |config| Fleet::run(config.clone()))
-    }
-
-    /// The classic single-user run as a degenerate fleet: one session,
-    /// dedicated server, private channel.
-    #[must_use]
-    pub(crate) fn solo(
-        scheme: SchemeKind,
-        config: &SystemConfig,
-        profile: AppProfile,
-        frames: usize,
-        seed: u64,
-    ) -> RunSummary {
-        let fleet = FleetConfig {
-            system: *config,
-            sessions: vec![SessionSpec::new(scheme, profile)],
-            frames,
-            seed,
-            server_units: 1,
-            shared_network: false,
-            link_streams: 1,
-            fairness: FairnessPolicy::EqualShare,
-            server_policy: ServerPolicy::default(),
-            stepping: SteppingPolicy::RoundRobin,
-            retire_window_ms: None,
-            telemetry: TelemetryConfig::default(),
-        };
-        Fleet::run(fleet)
-            .sessions
-            .into_iter()
-            .next()
-            .expect("one session")
     }
 }
 
@@ -697,19 +600,31 @@ pub struct FleetSummary {
     /// [`crate::obs::TraceSink::chrome_trace_json`].
     pub trace: Option<crate::obs::TraceSink>,
     /// Peak live task intervals the engine retained at any point — the
-    /// schedule-state footprint the perf harness gauges (equals total
+    /// schedule-state footprint the benchmark gauges (equals total
     /// submitted tasks when windowed retirement is off; 0 on post-hoc
     /// re-aggregations, which have no engine).
     pub peak_live_tasks: usize,
 }
 
 impl FleetSummary {
-    fn aggregate(
+    /// Re-aggregates a summary from per-session summaries plus carried-over
+    /// schedule-level fields (percentiles, FPS floor, and mean FPS are
+    /// recomputed exactly from the sessions' frames). The building block of
+    /// admission control's incremental probing.
+    ///
+    /// `energy` carries the probed run's *infrastructure* energy (server
+    /// pool + access point — schedule-level, like makespan); its headset
+    /// share is recomputed from `sessions`' own breakdowns, so the result
+    /// never silently reports zero (or a stale roster's) client energy.
+    /// Pass [`FleetEnergy::default`] when the source run had no meter.
+    #[must_use]
+    pub fn from_sessions(
         sessions: Vec<RunSummary>,
         makespan_ms: f64,
         server_utilization: f64,
         server_units: usize,
         shared_network: bool,
+        energy: FleetEnergy,
     ) -> Self {
         // One sort serves all three percentile queries.
         let mtps = SortedSamples::new(
@@ -733,6 +648,10 @@ impl FleetSummary {
         } else {
             fps.iter().sum::<f64>() / fps.len() as f64
         };
+        let energy = FleetEnergy {
+            client_mj: client_energy_mj(sessions.iter().map(|s| &s.energy)),
+            ..energy
+        };
         FleetSummary {
             mtp_p50_ms: mtps.p50(),
             mtp_p95_ms: mtps.p95(),
@@ -748,7 +667,7 @@ impl FleetSummary {
             server_utilization,
             server_units,
             shared_network,
-            energy: FleetEnergy::default(),
+            energy,
             windows: Vec::new(),
             exposition: None,
             incidents: Vec::new(),
@@ -767,39 +686,6 @@ impl FleetSummary {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
-    }
-
-    /// Re-aggregates a summary from per-session summaries plus carried-over
-    /// schedule-level fields (percentiles, FPS floor, and mean FPS are
-    /// recomputed exactly from the sessions' frames). The building block of
-    /// admission control's incremental probing.
-    ///
-    /// `energy` carries the probed run's *infrastructure* energy (server
-    /// pool + access point — schedule-level, like makespan); its headset
-    /// share is recomputed from `sessions`' own breakdowns, so the result
-    /// never silently reports zero (or a stale roster's) client energy.
-    /// Pass [`FleetEnergy::default`] when the source run had no meter.
-    #[must_use]
-    pub fn from_sessions(
-        sessions: Vec<RunSummary>,
-        makespan_ms: f64,
-        server_utilization: f64,
-        server_units: usize,
-        shared_network: bool,
-        energy: FleetEnergy,
-    ) -> Self {
-        let mut summary = FleetSummary::aggregate(
-            sessions,
-            makespan_ms,
-            server_utilization,
-            server_units,
-            shared_network,
-        );
-        summary.energy = FleetEnergy {
-            client_mj: client_energy_mj(summary.sessions.iter().map(|s| &s.energy)),
-            ..energy
-        };
-        summary
     }
 
     /// Re-aggregates this summary with session `idx` dropped — the
@@ -822,21 +708,19 @@ impl FleetSummary {
             .filter(|(i, _)| *i != idx)
             .map(|(_, s)| s.clone())
             .collect();
-        let mut summary = FleetSummary::aggregate(
+        // Schedule-level telemetry products carry over like makespan: they
+        // describe the run that was actually simulated. The headset share
+        // is per-session, though — `from_sessions` re-sums it over the
+        // survivors so the leaver's client energy doesn't linger in the
+        // total.
+        let mut summary = FleetSummary::from_sessions(
             sessions,
             self.makespan_ms,
             self.server_utilization,
             self.server_units,
             self.shared_network,
+            self.energy,
         );
-        // Schedule-level telemetry products carry over like makespan: they
-        // describe the run that was actually simulated. The headset share
-        // is per-session, though — re-sum it over the survivors so the
-        // leaver's client energy doesn't linger in the total.
-        summary.energy = FleetEnergy {
-            client_mj: client_energy_mj(summary.sessions.iter().map(|s| &s.energy)),
-            ..self.energy
-        };
         summary.windows = self.windows.clone();
         summary.exposition = self.exposition.clone();
         summary.incidents = self.incidents.clone();
@@ -1112,6 +996,14 @@ mod tests {
             telemetry: TelemetryConfig::default(),
         };
         assert!(f.is_dedicated());
+        // The fleet runs the dedicated shape as a 1-unit multi-tenant
+        // fleet; the contention-free single-user run is `SchemeKind::run`.
+        let s = Fleet::run(f);
+        assert_eq!(s.server_units, 1);
+        assert_ne!(
+            s.sessions[0],
+            SchemeKind::Qvr.run(&cfg(), Benchmark::Doom3H.profile(), 10, 1)
+        );
         let uniform = FleetConfig::uniform(
             cfg(),
             SchemeKind::Qvr,

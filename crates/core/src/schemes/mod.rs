@@ -397,11 +397,9 @@ impl SchemeKind {
         Session::private(*self, config, profile, seed)
     }
 
-    /// Runs `frames` frames of an app under this scheme.
-    ///
-    /// Delegates to a single-session fleet with private resources (one
-    /// engine, one channel, a dedicated server) — the classic one-user
-    /// evaluation as a degenerate fleet.
+    /// Runs `frames` frames of an app under this scheme: the classic
+    /// one-user evaluation, a private [`SchemeKind::session`] stepped
+    /// `frames` times.
     #[must_use]
     pub fn run(
         &self,
@@ -410,7 +408,12 @@ impl SchemeKind {
         frames: usize,
         seed: u64,
     ) -> RunSummary {
-        crate::fleet::Fleet::solo(*self, config, profile, frames, seed)
+        let mut session = self.session(config, profile, seed);
+        session.reserve_frames(frames);
+        for _ in 0..frames {
+            session.step();
+        }
+        session.finish()
     }
 }
 

@@ -198,18 +198,6 @@ impl Session {
         self.rig.gate_at(t_ms);
     }
 
-    /// A handle to the engine this session submits into.
-    #[must_use]
-    pub(crate) fn engine(&self) -> SharedEngine {
-        self.rig.engine.clone()
-    }
-
-    /// The server pool this session renders on.
-    #[must_use]
-    pub(crate) fn server(&self) -> ServerPool {
-        self.rig.server()
-    }
-
     /// Finalises the session into a per-session summary (latency, FPS,
     /// transmitted bytes, energy of this user's own hardware).
     #[must_use]

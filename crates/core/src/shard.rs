@@ -93,9 +93,7 @@ impl ShardConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cells` or `cell_capacity` is zero, or if the template
-    /// degenerates to the dedicated single-user mode (cells are
-    /// multi-tenant fleets).
+    /// Panics if `cells` or `cell_capacity` is zero.
     #[must_use]
     pub fn new(
         template: FleetConfig,
@@ -105,11 +103,6 @@ impl ShardConfig {
     ) -> Self {
         assert!(cells > 0, "a shard needs at least one cell");
         assert!(cell_capacity > 0, "cells need at least one slot");
-        assert!(
-            template.shared_network || template.server_units > 1,
-            "shard cells are multi-tenant fleets; the dedicated single-user \
-             template shape has no aggregate stream to merge"
-        );
         ShardConfig {
             template,
             cells,

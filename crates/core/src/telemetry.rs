@@ -20,12 +20,13 @@
 //! sinks attached for tests or tooling:
 //!
 //! * [`AggregateSink`] — streams the aggregates `FleetSummary` used to
-//!   re-derive post hoc (MTP percentile samples, per-slot FPS spans).
-//!   Bit-identical to the post-hoc path by construction
-//!   (`tests/telemetry.rs` pins this on the fig_fleet golden configs).
-//! * [`WindowedStatsSink`] — streaming half-open-bucket p95 timeline,
-//!   replacing `ChurnSummary`'s per-run sample series at O(window) live
-//!   memory (closed buckets collapse to `(start, frames, p95)`).
+//!   re-derive post hoc (MTP percentile samples, per-slot FPS spans). Every
+//!   fleet's summary comes from it, bit-identical to the post-hoc
+//!   re-aggregation (`tests/telemetry.rs` pins this on the fig_fleet
+//!   golden configs).
+//! * [`WindowedStatsSink`] — streaming half-open-bucket p95 timeline at
+//!   O(window) live memory (closed buckets collapse to `(start, frames,
+//!   p95)`); the only source of `ChurnSummary`'s windowed timeline.
 //! * [`EnergyMeter`] — closes the fleet energy loop: per-stage server busy
 //!   ms × [`qvr_energy::ServerPowerModel`], link activity ×
 //!   [`qvr_energy::ApPowerModel`], summed headset energy; reported as
@@ -181,8 +182,7 @@ pub trait TelemetrySink: std::fmt::Debug {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Bucket width for the streaming windowed-p95 sink, ms; `None` (the
-    /// default) disables it. A churn fleet with a width set streams its
-    /// MTP timeline instead of retaining the O(run) sample series.
+    /// default) disables it (and with it the summary's windowed timeline).
     pub window_ms: Option<f64>,
     /// Whether the energy meter runs (default `true`).
     pub energy: bool,
@@ -367,9 +367,9 @@ impl TelemetrySink for AggregateSink {
 }
 
 /// Streaming windowed-p95 timeline over half-open virtual-time buckets
-/// `[k·w, (k+1)·w)` — the same bucket convention as
-/// [`crate::churn::ChurnSummary::windowed_p95`], but with bounded live
-/// memory: raw samples are held only for *open* buckets, and a bucket
+/// `[k·w, (k+1)·w)` (a sample at an interior boundary `k·w` belongs to
+/// bucket `k`) with bounded live memory: raw samples are held only for
+/// *open* buckets, and a bucket
 /// closes to a `(start_ms, frames, p95)` triple once the caller's
 /// [`WindowedStatsSink::close_before`] frontier guarantees no earlier
 /// sample can still arrive. Fleets drive the frontier from their virtual
@@ -502,7 +502,7 @@ impl WindowedStatsSink {
     /// Closes every bucket that ends at or before `t_ms` (callers pass a
     /// frontier no future sample can precede — a fleet's minimum virtual
     /// clock). Closed buckets collapse to their `(start, frames, p95)`
-    /// triple; empty buckets are skipped, as in the post-hoc series.
+    /// triple; empty buckets are skipped.
     /// No-op in deferred mode (shard cells stay mergeable until finish).
     pub fn close_before(&mut self, t_ms: f64) {
         if self.defer {
@@ -832,9 +832,8 @@ impl SinkSet {
     /// in one and silently miss the other: the energy meter (unless
     /// disabled), the windowed sink (when a width is set), the load
     /// tracker (always), and — when `aggregate` is requested (closed
-    /// fleets, whose `FleetSummary` is the stream's product; dedicated
-    /// single-user fleets and churn keep their own summary paths) — the
-    /// aggregate sink.
+    /// fleets, whose `FleetSummary` is the stream's product; churn has its
+    /// own summary shape) — the aggregate sink.
     #[must_use]
     pub fn from_config(
         telemetry: &TelemetryConfig,
@@ -1043,8 +1042,10 @@ mod tests {
 
     #[test]
     fn windowed_sink_matches_the_bucket_convention() {
-        // Mirror of the ChurnSummary::windowed_p95 boundary test: buckets
-        // are uniformly half-open, boundary samples go *up*.
+        // Buckets are uniformly half-open: a sample at an interior
+        // boundary goes *up*, and samples at a run's horizon (300) or
+        // past it (a final frame can overshoot) land in the bucket their
+        // time falls in, never clamped down.
         let mut w = WindowedStatsSink::new(100.0);
         for (t, mtp) in [
             (0.0, 10.0),

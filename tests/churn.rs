@@ -307,13 +307,9 @@ fn churn_bounded_memory_64_sessions_retains_o_window_tasks() {
     config.link_streams = 8;
     let summary = ChurnFleet::run(config);
     assert_eq!(summary.len(), n + n / 4, "everyone joined");
-    // Streaming replaced the retained series: no per-run sample vector,
-    // and the sink's live footprint is a couple of windows of in-flight
-    // frames — it scales with (sessions × window), never the horizon.
-    assert!(
-        summary.samples.is_empty(),
-        "streaming keeps no sample series"
-    );
+    // The streamed timeline's live footprint is a couple of windows of
+    // in-flight frames — it scales with (sessions × window), never the
+    // horizon.
     let total_frames: usize = summary.windows.iter().map(|(_, f, _)| *f).sum();
     assert!(total_frames > 0, "the streamed timeline saw every frame");
     let stats_cap = 4 * n * qvr::sim::checked::ceil_index(window_ms / 10.0);

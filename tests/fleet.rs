@@ -1,6 +1,7 @@
-//! Fleet-level integration tests: determinism, single-session equivalence,
-//! and the acceptance-shape contention curve (flat tails up to the server
-//! pool size, measurable degradation once oversubscribed).
+//! Fleet-level integration tests: determinism, bit-pinned fleet and
+//! single-user goldens, and the acceptance-shape contention curve (flat
+//! tails up to the server pool size, measurable degradation once
+//! oversubscribed).
 
 use qvr::prelude::*;
 use qvr::scene::Benchmark;
@@ -36,8 +37,10 @@ fn different_seeds_give_different_fleets() {
 }
 
 #[test]
-fn run_delegates_to_a_private_single_session_fleet() {
-    // The old API and a stepped private session must agree exactly.
+fn run_equals_a_hand_stepped_private_session() {
+    // `SchemeKind::run` steps a private session with its frame storage
+    // pre-reserved; stepping one by hand without the reservation must
+    // agree exactly.
     let config = SystemConfig::default();
     for kind in [
         SchemeKind::LocalOnly,
@@ -94,9 +97,23 @@ fn p95_flat_up_to_pool_size_then_degrades() {
     );
 }
 
-/// One pinned fleet outcome: every aggregate as raw `f64` bits, plus an
-/// order-sensitive FNV-1a checksum over every session's per-frame
+/// Order-sensitive FNV-1a checksum over every session's per-frame
 /// `(mtp_ms, tx_bytes)` stream.
+fn frame_hash<'a>(sessions: impl IntoIterator<Item = &'a RunSummary>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for sess in sessions {
+        for f in &sess.frames {
+            hash ^= f.mtp_ms.to_bits();
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            hash ^= f.tx_bytes.to_bits();
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+/// One pinned fleet outcome: every aggregate as raw `f64` bits, plus the
+/// [`frame_hash`] of its sessions.
 struct Golden {
     preset: NetworkPreset,
     n: usize,
@@ -154,15 +171,7 @@ fn equal_share_unit_weights_reproduce_the_pre_policy_engine_bit_exactly() {
             .iter()
             .all(|s| s.share == LinkShare::default()));
         let s = Fleet::run(config);
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for sess in &s.sessions {
-            for f in &sess.frames {
-                hash ^= f.mtp_ms.to_bits();
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-                hash ^= f.tx_bytes.to_bits();
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
+        let hash = frame_hash(&s.sessions);
         let ctx = format!("{} x{}", g.preset.label(), g.n);
         assert_eq!(s.mtp_p50_ms.to_bits(), g.mtp_p50, "{ctx}: p50");
         assert_eq!(s.mtp_p95_ms.to_bits(), g.mtp_p95, "{ctx}: p95");
@@ -177,6 +186,47 @@ fn equal_share_unit_weights_reproduce_the_pre_policy_engine_bit_exactly() {
         assert_eq!(s.makespan_ms.to_bits(), g.makespan, "{ctx}: makespan");
         assert_eq!(s.mean_tx_bytes().to_bits(), g.mean_tx, "{ctx}: mean tx");
         assert_eq!(hash, g.frame_hash, "{ctx}: per-frame stream");
+    }
+}
+
+/// One pinned single-user outcome ([`SchemeKind::run`]): its scalar
+/// results as raw `f64` bits, plus its [`frame_hash`].
+struct SoloGolden {
+    scheme: SchemeKind,
+    makespan: u64,
+    fps: u64,
+    mean_tx: u64,
+    energy: u64,
+    frame_hash: u64,
+}
+
+/// Captured from the dedicated-fleet implementation of `SchemeKind::run`
+/// for every scheme on `(SystemConfig::default(), Hl2H, 120 frames, seed
+/// 42)` — the single-user runs behind fig03, fig12–fig15, table1 and
+/// table4 must keep reproducing these bits.
+#[rustfmt::skip]
+const SOLO_GOLDENS: [SoloGolden; 7] = [
+    SoloGolden { scheme: SchemeKind::LocalOnly,    makespan: 0x40c03f6cf483cafe, fps: 0x402cd9a299d42aad, mean_tx: 0x0000000000000000, energy: 0x40dd4b7db8206d64, frame_hash: 0xf7879055ed84b4ae },
+    SoloGolden { scheme: SchemeKind::RemoteOnly,   makespan: 0x40b15175694210e6, fps: 0x403b1120a1697c7e, mean_tx: 0x41288c5a39e5a996, energy: 0x40bf3b5940f8d4f7, frame_hash: 0x95ec5c30ce89e26e },
+    SoloGolden { scheme: SchemeKind::StaticCollab, makespan: 0x40b583bd3da69499, fps: 0x4035c99b2ac72685, mean_tx: 0x412c1376ec489915, energy: 0x40cd712cd273ca75, frame_hash: 0xa1317f144399d573 },
+    SoloGolden { scheme: SchemeKind::Ffr,          makespan: 0x4094099bc1a86a93, fps: 0x405764c2df4a5216, mean_tx: 0x41017fde167ac0d0, energy: 0x40ae7cdcf3ce8c63, frame_hash: 0x18d3c9a2020b472a },
+    SoloGolden { scheme: SchemeKind::Dfr,          makespan: 0x4096ab46a2c48a4f, fps: 0x4054ad8fd529a0f6, mean_tx: 0x40fc625315500031, energy: 0x40b897d65a76ef03, frame_hash: 0x44f3cca99d2ee4ef },
+    SoloGolden { scheme: SchemeKind::QvrSw,        makespan: 0x40a3ef55625c92eb, fps: 0x4047839844e82c4e, mean_tx: 0x40fc8b2cc4732cd5, energy: 0x40bb6ab846091bfa, frame_hash: 0xc69114ca92bbf860 },
+    SoloGolden { scheme: SchemeKind::Qvr,          makespan: 0x409128b28766ff18, fps: 0x405b516cd1cd2d63, mean_tx: 0x40fc625315500031, energy: 0x40b15eea4b93cd00, frame_hash: 0x251e42e84236d2d6 },
+];
+
+#[test]
+fn single_user_runs_reproduce_their_pinned_bits() {
+    for g in &SOLO_GOLDENS {
+        let s = g
+            .scheme
+            .run(&SystemConfig::default(), Benchmark::Hl2H.profile(), 120, 42);
+        let ctx = g.scheme.label();
+        assert_eq!(s.makespan_ms.to_bits(), g.makespan, "{ctx}: makespan");
+        assert_eq!(s.fps().to_bits(), g.fps, "{ctx}: fps");
+        assert_eq!(s.mean_tx_bytes().to_bits(), g.mean_tx, "{ctx}: mean tx");
+        assert_eq!(s.energy.total_mj().to_bits(), g.energy, "{ctx}: energy");
+        assert_eq!(frame_hash([&s]), g.frame_hash, "{ctx}: per-frame stream");
     }
 }
 

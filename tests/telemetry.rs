@@ -1,9 +1,10 @@
 //! Telemetry integration tests: the sink-derived `FleetSummary` is
 //! bit-identical to the post-hoc aggregation on every fig_fleet golden
 //! config, event streams are one-per-frame, fleet energy is non-negative /
-//! additive / retirement-proof, and the streaming windowed-stats sink
-//! reproduces `ChurnSummary::windowed_p95` exactly.
+//! additive / retirement-proof, and a churn run's streamed windowed-p95
+//! timeline equals a bucketing of its recorded events.
 
+use qvr::core::metrics::SortedSamples;
 use qvr::prelude::*;
 use qvr::scene::Benchmark;
 use std::cell::RefCell;
@@ -222,43 +223,52 @@ fn energy_differs_measurably_across_server_policies() {
 }
 
 #[test]
-fn windowed_sink_reproduces_churn_windowed_p95_on_a_recorded_trace() {
-    // Feed a real churn run's retained sample series through a
-    // WindowedStatsSink (with an aggressively trailing close frontier) and
-    // require the exact post-hoc timeline.
+fn streamed_churn_timeline_matches_a_bucketing_of_the_recorded_events() {
+    // The reference for `ChurnSummary::windows`: record every frame event
+    // of a windowed churn run, bucket the events here — half-open
+    // `[k·w, (k+1)·w)` by display end, nearest-rank p95, empty buckets
+    // skipped — and require the streamed timeline to match exactly.
     let spec = || SessionSpec::new(SchemeKind::Qvr, Benchmark::Hl2H.profile());
-    let trace = ChurnTrace::poisson(5, 3.0, 300.0, 800.0, 2, |_| spec());
-    let summary = ChurnFleet::run(ChurnConfig::new(
-        SystemConfig::default(),
-        vec![spec(), spec()],
-        trace,
-        800.0,
-        7,
-    ));
-    assert!(!summary.samples.is_empty(), "retained series present");
+    let config = || {
+        let trace = ChurnTrace::poisson(5, 3.0, 300.0, 800.0, 2, |_| spec());
+        ChurnConfig::new(
+            SystemConfig::default(),
+            vec![spec(), spec()],
+            trace,
+            800.0,
+            7,
+        )
+    };
     let window_ms = 100.0;
-    let mut sink = WindowedStatsSink::new(window_ms);
-    for (i, (t, mtp)) in summary.samples.iter().enumerate() {
-        sink.on_frame(&FrameEvent {
-            session: 0,
-            frame: i as u64,
-            span_start_ms: 0.0,
-            end_ms: *t,
-            mtp_ms: *mtp,
-            tx_bytes: 0.0,
-            quality: None,
-            server_render_ms: 0.0,
-            server_encode_ms: 0.0,
-            radio_ms: 0.0,
-            unit: None,
-            class: TenantClass::Adaptive,
-            spans: FrameSpans::default(),
-        });
-        // Samples across sessions interleave non-monotonically; a frontier
-        // trailing by a generous margin is what fleets guarantee.
-        sink.close_before(t - 150.0);
+    let events = Rc::new(RefCell::new(Vec::new()));
+    let mut fleet = ChurnFleet::new(config().with_stats_window_ms(window_ms));
+    fleet.attach_sink(Box::new(Recorder(events.clone())));
+    let streamed = fleet.finish();
+    let mut buckets: Vec<Vec<f64>> = Vec::new();
+    for e in events.borrow().iter() {
+        let b = qvr::sim::checked::floor_index(e.end_ms / window_ms);
+        if b >= buckets.len() {
+            buckets.resize(b + 1, Vec::new());
+        }
+        buckets[b].push(e.mtp_ms);
     }
-    assert_eq!(sink.finish(), summary.windowed_p95(window_ms));
+    let reference: Vec<(f64, usize, f64)> = buckets
+        .into_iter()
+        .enumerate()
+        .filter(|(_, mtps)| !mtps.is_empty())
+        .map(|(b, mtps)| {
+            let n = mtps.len();
+            (b as f64 * window_ms, n, SortedSamples::new(mtps).p95())
+        })
+        .collect();
+    assert!(reference.len() > 1, "the run spans several windows");
+    assert_eq!(streamed.windows, reference);
+    // Streaming the timeline never perturbs the run itself.
+    let plain = ChurnFleet::run(config());
+    assert!(plain.windows.is_empty());
+    assert_eq!(streamed.tenants, plain.tenants);
+    assert_eq!(streamed.occupancy, plain.occupancy);
+    assert_eq!(streamed.energy, plain.energy);
 }
 
 #[test]
