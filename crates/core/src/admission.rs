@@ -287,12 +287,31 @@ impl AdmissionController {
         Some(self.config_for(self.accepted.clone(), frames))
     }
 
-    /// Probes the accepted roster plus `candidate` for `probe_frames`.
-    fn probe(&mut self, candidate: SessionSpec) -> FleetSummary {
-        let mut sessions = self.accepted.clone();
-        sessions.push(candidate);
+    /// Simulates one probe fleet over `sessions` for `probe_frames`.
+    fn probe(&mut self, sessions: Vec<SessionSpec>) -> FleetSummary {
         self.probes_run += 1;
         Fleet::run(self.config_for(sessions, self.policy.probe_frames))
+    }
+
+    /// Probes the accepted roster plus `candidate` and joins the candidate
+    /// iff the probe keeps the SLO constituency — the protected class,
+    /// plus the candidate itself when it applies for protection — inside
+    /// the SLO. `requested` is the share the candidate originally asked
+    /// for (what a later upgrade restores). Returns whether it joined.
+    fn try_join(&mut self, candidate: SessionSpec, requested: LinkShare, protect: bool) -> bool {
+        let mut constituency = self.protected.clone();
+        constituency.push(protect);
+        let mut sessions = self.accepted.clone();
+        sessions.push(candidate.clone());
+        let probe = self.probe(sessions);
+        if !self.policy.accepts_constituency(&probe, &constituency) {
+            return false;
+        }
+        self.accepted.push(candidate);
+        self.protected.push(protect);
+        self.requested.push(requested);
+        self.last_accepted_probe = Some(probe);
+        true
     }
 
     /// Offers one session: probes, decides, and (on admit/degrade) joins
@@ -303,35 +322,18 @@ impl AdmissionController {
     /// roster-only probe on top of it ([`AdmissionController::release`]
     /// gives leaves the same property).
     pub fn offer(&mut self, spec: SessionSpec) -> AdmissionDecision {
-        let requested_share = spec.share;
-        // Full-share probe: the constituency is the protected class plus
-        // the candidate itself (it is applying for protection).
-        let mut constituency = self.protected.clone();
-        constituency.push(true);
-        let full = self.probe(spec.clone());
-        let decision = if self.policy.accepts_constituency(&full, &constituency) {
-            self.accepted.push(spec);
-            self.protected.push(true);
-            self.requested.push(requested_share);
-            self.last_accepted_probe = Some(full);
+        let requested = spec.share;
+        let decision = if self.try_join(spec.clone(), requested, true) {
             AdmissionDecision::Admitted
         } else if let Some(degraded_share) = self.policy.degraded {
-            // Degraded probe: the candidate rides best-effort, so the
-            // constituency is the existing protected class alone.
-            let mut constituency = self.protected.clone();
-            constituency.push(false);
-            // Degrade the policy knobs (weight, cap) but keep the station's
-            // physical MCS efficiency.
-            let degraded_spec = spec.clone().with_share(LinkShare {
-                mcs_efficiency: spec.share.mcs_efficiency,
+            // Degraded probe: the candidate rides best-effort. Degrade the
+            // policy knobs (weight, cap) but keep the station's physical
+            // MCS efficiency.
+            let degraded = spec.with_share(LinkShare {
+                mcs_efficiency: requested.mcs_efficiency,
                 ..degraded_share
             });
-            let degraded = self.probe(degraded_spec.clone());
-            if self.policy.accepts_constituency(&degraded, &constituency) {
-                self.accepted.push(degraded_spec);
-                self.protected.push(false);
-                self.requested.push(requested_share);
-                self.last_accepted_probe = Some(degraded);
+            if self.try_join(degraded, requested, false) {
                 AdmissionDecision::Degraded
             } else {
                 AdmissionDecision::Rejected
@@ -351,15 +353,8 @@ impl AdmissionController {
     /// best-effort here can first try a less-loaded cell (DESIGN.md §12's
     /// spill-resolution order).
     pub fn offer_protected(&mut self, spec: SessionSpec) -> AdmissionDecision {
-        let requested_share = spec.share;
-        let mut constituency = self.protected.clone();
-        constituency.push(true);
-        let full = self.probe(spec.clone());
-        let decision = if self.policy.accepts_constituency(&full, &constituency) {
-            self.accepted.push(spec);
-            self.protected.push(true);
-            self.requested.push(requested_share);
-            self.last_accepted_probe = Some(full);
+        let requested = spec.share;
+        let decision = if self.try_join(spec, requested, true) {
             AdmissionDecision::Admitted
         } else {
             AdmissionDecision::Rejected
@@ -425,8 +420,7 @@ impl AdmissionController {
                 .collect();
             sessions.push(candidate.clone());
             constituency.push(true);
-            self.probes_run += 1;
-            let probe = Fleet::run(self.config_for(sessions, self.policy.probe_frames));
+            let probe = self.probe(sessions);
             if self.policy.accepts_constituency(&probe, &constituency) {
                 self.accepted[i] = candidate;
                 self.protected[i] = true;

@@ -1,0 +1,160 @@
+//! The tenancy core both fleet runners stand on.
+//!
+//! A [`crate::fleet::Fleet`] (closed roster, round-robin) and a
+//! [`crate::churn::ChurnFleet`] (open membership, virtual time) differ in
+//! how they step and when tenants come and go, not in what a tenant is
+//! attached to. A [`Cell`] owns that shared part: one engine, one server
+//! pool, the shared link (absent when every tenant gets a private
+//! channel) with the banked handles of departed members, the telemetry
+//! fan-out and its load tracker, and the server policy. It is the only
+//! code that opens a tenant ([`Cell::open`]) or closes one
+//! ([`Cell::close`]), so both runners wire sessions identically by
+//! construction.
+
+use crate::fleet::SessionSpec;
+use crate::sched::ServerPolicy;
+use crate::schemes::{ServerPool, SystemConfig};
+use crate::session::Session;
+use crate::telemetry::{SinkSet, TelemetryConfig};
+use qvr_net::{FairnessPolicy, NetworkChannel, SharedChannel};
+use qvr_sim::SharedEngine;
+
+/// Derives a tenant's seed from the fleet seed and its arrival ordinal
+/// (identity for 0, so the first tenant draws the same streams as a
+/// single-user run on the fleet seed).
+pub(crate) fn session_seed(seed: u64, ordinal: usize) -> u64 {
+    seed ^ (ordinal as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The shared substrate of one fleet: what every tenant is attached to.
+#[derive(Debug)]
+pub(crate) struct Cell {
+    system: SystemConfig,
+    seed: u64,
+    server_policy: ServerPolicy,
+    /// The engine every tenant submits into.
+    pub(crate) engine: SharedEngine,
+    /// The server GPU and encoder pools.
+    pub(crate) server: ServerPool,
+    /// The shared wireless link; `None` gives every tenant a private
+    /// channel at full preset bandwidth.
+    link: Option<SharedChannel>,
+    /// Departed members' link handles, reused (via
+    /// [`SharedChannel::rejoin`]) by later joiners so the channel's member
+    /// table stays O(peak concurrency) instead of O(total arrivals).
+    free_links: Vec<SharedChannel>,
+    /// The telemetry fan-out every frame event streams through; its load
+    /// tracker is what measured-load placement reads.
+    pub(crate) sinks: SinkSet,
+}
+
+impl Cell {
+    /// Builds the substrate. `link` is the shared link's fairness policy
+    /// and concurrent full-rate streams, or `None` for private channels;
+    /// `aggregate` switches on the aggregate stream (closed fleets, whose
+    /// summary is that stream's product).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the server policy is invalid for `server_units`.
+    pub(crate) fn new(
+        system: SystemConfig,
+        seed: u64,
+        server_units: usize,
+        server_policy: ServerPolicy,
+        link: Option<(FairnessPolicy, usize)>,
+        telemetry: &TelemetryConfig,
+        aggregate: bool,
+    ) -> Self {
+        server_policy.validate(server_units);
+        let engine = SharedEngine::new();
+        let server = ServerPool::on(&engine, server_units);
+        let sinks = SinkSet::from_config(telemetry, &system, server_units, aggregate);
+        let link = link.map(|(fairness, streams)| {
+            let ch = SharedChannel::new(NetworkChannel::new(system.network, seed));
+            ch.set_policy(fairness);
+            ch.set_concurrent_streams(streams);
+            ch
+        });
+        Cell {
+            system,
+            seed,
+            server_policy,
+            engine,
+            server,
+            link,
+            free_links: Vec::new(),
+            sinks,
+        }
+    }
+
+    /// Whether tenants share one link (rather than private channels).
+    pub(crate) fn shares_link(&self) -> bool {
+        self.link.is_some()
+    }
+
+    /// Opens the tenant with arrival ordinal `ordinal` on engine slot
+    /// `slot`, starting its controller at `initial_e1_deg` when given (a
+    /// warm start) instead of the configured default.
+    ///
+    /// Only tenants that move frame data over the link join it (reusing a
+    /// departed member's handle when one is banked), so a LocalOnly
+    /// neighbour never debits the streamers' shares. Everyone else gets a
+    /// *private* channel: a clone of the shared handle would let any code
+    /// path touching the link mutate the shared channel's RNG/ACK state
+    /// without membership, silently coupling tenants. The slot's measured
+    /// load starts empty (a recycled slot must not inherit its
+    /// predecessor's profile) before placement resolves against it.
+    pub(crate) fn open(
+        &mut self,
+        spec: &SessionSpec,
+        ordinal: usize,
+        slot: usize,
+        initial_e1_deg: Option<f64>,
+    ) -> Session {
+        let seed = session_seed(self.seed, ordinal);
+        let channel = match &self.link {
+            Some(link) if spec.scheme.uses_network() => match self.free_links.pop() {
+                Some(handle) => {
+                    handle.rejoin(spec.share);
+                    handle
+                }
+                None => link.join(spec.share),
+            },
+            _ => SharedChannel::new(NetworkChannel::new(self.system.network, seed)),
+        };
+        let mut system = self.system;
+        if let Some(e1) = initial_e1_deg {
+            system.initial_e1_deg = e1;
+        }
+        self.sinks.load.reset(slot);
+        let directive = self.server_policy.directive(
+            spec.scheme.tenant_class(),
+            self.server.units(),
+            slot,
+            &self.sinks.load,
+        );
+        Session::in_fleet(
+            spec.scheme,
+            &system,
+            spec.profile.clone(),
+            seed,
+            self.engine.clone(),
+            channel,
+            self.server,
+            slot,
+            directive,
+        )
+    }
+
+    /// Closes a departing tenant: releases its link claim (the survivors'
+    /// allocations renormalize) and banks the vacated member handle for
+    /// the next joiner.
+    pub(crate) fn close(&mut self, session: &Session) {
+        let handle = session.channel_handle();
+        session.release_link();
+        if handle.member().is_some() {
+            self.free_links.push(handle);
+        }
+    }
+}

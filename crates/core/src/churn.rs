@@ -6,9 +6,11 @@
 //! [`ChurnFleet`] runs an open system on the same shared substrate as
 //! [`crate::fleet::Fleet`]: one engine, one server pool, one wireless
 //! link — but membership follows a deterministic [`ChurnTrace`] of
-//! join/leave events pinned to *virtual* time, which is why churn requires
-//! [`crate::clock::SteppingPolicy::VirtualTime`] semantics (a join at 800 ms only means
-//! something when the fleet has a coherent global frontier at 800 ms).
+//! join/leave events pinned to *virtual* time, which is why churn steps
+//! the globally-earliest session next through a [`FleetClock`] (a join at
+//! 800 ms only means something when the fleet has a coherent global
+//! frontier at 800 ms). With an empty trace it is a closed roster stepped
+//! in virtual time.
 //!
 //! The pieces:
 //!
@@ -33,17 +35,16 @@
 //!   live state stays O(window) while tenants come and go.
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
+use crate::cell::Cell;
 use crate::clock::FleetClock;
-use crate::fleet::{session_seed, SessionSpec};
+use crate::fleet::SessionSpec;
 use crate::metrics::RunSummary;
 use crate::sched::ServerPolicy;
-use crate::schemes::{ServerPool, SystemConfig};
+use crate::schemes::SystemConfig;
 use crate::session::Session;
-use crate::telemetry::{
-    client_energy_mj, AggregateSink, LoadTracker, SinkSet, TelemetryConfig, TelemetrySink,
-};
+use crate::telemetry::{client_energy_mj, TelemetryConfig, TelemetrySink};
 use qvr_energy::FleetEnergy;
-use qvr_net::{FairnessPolicy, LinkShare, NetworkChannel, SharedChannel};
+use qvr_net::{FairnessPolicy, LinkShare};
 use qvr_sim::SharedEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -475,25 +476,16 @@ struct Tenant {
 /// with virtual-time stepping and a membership trace.
 #[derive(Debug)]
 pub struct ChurnFleet {
-    system: SystemConfig,
-    seed: u64,
+    cell: Cell,
     horizon_ms: f64,
-    server_policy: ServerPolicy,
     retire_window_ms: Option<f64>,
     warm_start: bool,
     health_degrade: bool,
-    engine: SharedEngine,
-    server: ServerPool,
-    link: SharedChannel,
     clock: FleetClock,
     /// Indexed by arrival ordinal; `None` once departed (or never
     /// admitted). Boxed so a long-running open system pays one pointer —
     /// not a whole tenant's footprint — per historical arrival.
     live: Vec<Option<Box<Tenant>>>,
-    /// Departed members' link handles, reused (via
-    /// [`SharedChannel::rejoin`]) by later joiners so the channel's member
-    /// table stays O(peak concurrency) instead of O(total arrivals).
-    free_links: Vec<SharedChannel>,
     /// Slot → current occupant's ordinal. Slots name per-session engine
     /// resources (`CPU#slot`, …) and key the clock; departed tenants'
     /// slots are recycled so the engine's resource table — like the link's
@@ -511,11 +503,6 @@ pub struct ChurnFleet {
     roster_ordinals: Vec<usize>,
     controller: Option<AdmissionController>,
     pending: VecDeque<ChurnEvent>,
-    /// The telemetry fan-out every frame event streams through.
-    sinks: SinkSet,
-    /// The measured-load handle placement directives read
-    /// (`sinks.load()`, kept here so joins can reset recycled slots).
-    load: LoadTracker,
     // --- outputs under construction ---
     finished: Vec<TenantRecord>,
     occupancy: Vec<(f64, usize)>,
@@ -550,12 +537,15 @@ impl ChurnFleet {
             config.link_streams > 0,
             "the link needs at least one stream"
         );
-        config.server_policy.validate(config.server_units);
-        let engine = SharedEngine::new();
-        let server = ServerPool::on(&engine, config.server_units);
-        let link = SharedChannel::new(NetworkChannel::new(config.system.network, config.seed));
-        link.set_policy(config.fairness);
-        link.set_concurrent_streams(config.link_streams);
+        let cell = Cell::new(
+            config.system,
+            config.seed,
+            config.server_units,
+            config.server_policy,
+            Some((config.fairness, config.link_streams)),
+            &config.telemetry,
+            false, // churn has its own summary shape; no aggregate stream
+        );
         let controller = config.admission.map(|policy| {
             AdmissionController::with_capacity(
                 config.system,
@@ -573,35 +563,20 @@ impl ChurnFleet {
             .map(|spec| ChurnEvent::join(0.0, spec))
             .collect();
         pending.extend(config.trace.events.iter().cloned());
-        let sinks = SinkSet::from_config(
-            &config.telemetry,
-            &config.system,
-            config.server_units,
-            false, // churn has its own summary shape; no aggregate stream
-        );
-        let load = sinks.load();
         ChurnFleet {
-            system: config.system,
-            seed: config.seed,
+            cell,
             horizon_ms: config.horizon_ms,
-            server_policy: config.server_policy,
             retire_window_ms: config.retire_window_ms,
             warm_start: config.warm_start,
             health_degrade: config.health_degrade,
-            engine,
-            server,
-            link,
             clock: FleetClock::new(),
             live: Vec::new(),
-            free_links: Vec::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             live_now: 0,
             roster_ordinals: Vec::new(),
             controller,
             pending,
-            sinks,
-            load,
             finished: Vec::new(),
             occupancy: Vec::new(),
             rejected: 0,
@@ -628,7 +603,7 @@ impl ChurnFleet {
     /// A handle to the engine (for retention inspection).
     #[must_use]
     pub fn shared_engine(&self) -> SharedEngine {
-        self.engine.clone()
+        self.cell.engine.clone()
     }
 
     /// Advances the run by one unit of work — either the next due
@@ -668,7 +643,7 @@ impl ChurnFleet {
             .as_mut()
             .expect("occupied slots map to live tenants");
         let event = tenant.session.step();
-        self.sinks.emit(&event);
+        self.cell.sinks.emit(&event);
         let t = event.end_ms;
         if t < self.horizon_ms {
             self.clock.schedule(slot, t);
@@ -682,13 +657,13 @@ impl ChurnFleet {
                 if f - window > self.last_retire_ms + 0.25 * window {
                     self.peak_live_per_resource = self
                         .peak_live_per_resource
-                        .max(self.engine.max_live_intervals());
+                        .max(self.cell.engine.max_live_intervals());
                     self.last_retire_ms = f - window;
-                    self.engine.retire_before(self.last_retire_ms);
+                    self.cell.engine.retire_before(self.last_retire_ms);
                 }
             }
         }
-        if self.sinks.windowed.is_some() || self.sinks.health.is_some() {
+        if self.cell.sinks.windowed.is_some() || self.cell.sinks.health.is_some() {
             // Close streamed stat buckets (and health windows) no future
             // sample can reach: a future frame ends after its session's
             // clock (≥ the heap frontier), and a future *joiner*'s first
@@ -703,7 +678,7 @@ impl ChurnFleet {
                 (None, p) => p,
             };
             if let Some(t) = safe {
-                self.sinks.close_windows_before(t);
+                self.cell.sinks.close_windows_before(t);
             }
         }
         true
@@ -712,7 +687,7 @@ impl ChurnFleet {
     /// Attaches a custom telemetry sink (receives every frame event from
     /// now on).
     pub fn attach_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.sinks.attach(sink);
+        self.cell.sinks.attach(sink);
     }
 
     /// Applies one membership event.
@@ -758,7 +733,7 @@ impl ChurnFleet {
                 // open critical SLO incident forces the joiner in on a
                 // quarter link share (it still joins — the monitor can
                 // only degrade, never reject).
-                if self.health_degrade && self.sinks.health_open_critical() {
+                if self.health_degrade && self.cell.sinks.health_open_critical() {
                     self.degraded += 1;
                     (
                         AdmissionDecision::Degraded,
@@ -769,32 +744,9 @@ impl ChurnFleet {
                 }
             }
         };
-        let seed = session_seed(self.seed, ordinal);
-        let channel = if spec.scheme.uses_network() {
-            // Reuse a departed member's slot when one is free, so the
-            // channel's member table is bounded by peak concurrency even
-            // when the run churns through arbitrarily many arrivals.
-            match self.free_links.pop() {
-                Some(handle) => {
-                    handle.rejoin(spec.share);
-                    handle
-                }
-                None => self.link.join(spec.share),
-            }
-        } else {
-            // Non-streaming tenants get a private channel — a clone of the
-            // shared handle would let future link touches mutate the
-            // shared RNG/ACK state without membership (see `Fleet::new`).
-            SharedChannel::new(NetworkChannel::new(self.system.network, seed))
-        };
         // Warm start: begin at the crowd's operating point instead of the
         // cold default (only meaningful for adaptive-controller schemes).
-        let mut system = self.system;
-        if self.warm_start {
-            if let Some(e1) = self.warm_e1() {
-                system.initial_e1_deg = e1;
-            }
-        }
+        let warm_e1 = self.warm_start.then(|| self.warm_e1()).flatten();
         // Recycle a departed tenant's engine/clock slot when one is free
         // (the rig baselines the reused resources' busy time, and the join
         // gate pins their frontiers to the join instant).
@@ -808,26 +760,7 @@ impl ChurnFleet {
                 self.slots.len() - 1
             }
         };
-        // A recycled slot must not inherit its predecessor's measured-load
-        // profile: the joiner starts unmeasured (presumed light).
-        self.load.reset(slot);
-        let directive = self.server_policy.directive(
-            spec.scheme.tenant_class(),
-            self.server.units(),
-            slot,
-            &self.load,
-        );
-        let mut session = Session::in_fleet(
-            spec.scheme,
-            &system,
-            spec.profile.clone(),
-            seed,
-            self.engine.clone(),
-            channel,
-            self.server,
-            slot,
-            directive,
-        );
+        let mut session = self.cell.open(&spec, ordinal, slot, warm_e1);
         session.gate_at(at_ms);
         self.live.push(Some(Box::new(Tenant {
             session,
@@ -854,12 +787,7 @@ impl ChurnFleet {
         self.clock.remove(tenant.slot);
         self.slots[tenant.slot] = None;
         self.free_slots.push(tenant.slot);
-        let handle = tenant.session.channel_handle();
-        tenant.session.release_link();
-        if handle.member().is_some() {
-            // Bank the vacated member slot for the next joiner.
-            self.free_links.push(handle);
-        }
+        self.cell.close(&tenant.session);
         // The leaver may have simulated slightly past the event time
         // before the global frontier caught up and fired the leave; its
         // residency closes at its actual last display so resident_fps and
@@ -899,17 +827,18 @@ impl ChurnFleet {
     #[must_use]
     pub fn finish(mut self) -> ChurnSummary {
         while self.tick() {}
-        let total_tasks = self.engine.task_count();
-        let retired_tasks = self.engine.retired_tasks();
+        let cell = &mut self.cell;
+        let total_tasks = cell.engine.task_count();
+        let retired_tasks = cell.engine.retired_tasks();
         let peak = self
             .peak_live_per_resource
-            .max(self.engine.max_live_intervals());
+            .max(cell.engine.max_live_intervals());
         let mut tenants = self.finished;
         // Survivors retire at the horizon (or their final display, if the
         // last frame overshot it), in arrival-ordinal order.
         for (ordinal, entry) in self.live.into_iter().enumerate() {
             if let Some(tenant) = entry {
-                tenant.session.release_link();
+                cell.close(&tenant.session);
                 tenants.push(TenantRecord {
                     ordinal,
                     joined_ms: tenant.joined_ms,
@@ -920,12 +849,12 @@ impl ChurnFleet {
                 });
             }
         }
-        let energy = self.sinks.energy_finalize(
-            self.engine.makespan(),
+        let energy = cell.sinks.energy_finalize(
+            cell.engine.makespan(),
             client_energy_mj(tenants.iter().map(|t| &t.summary.energy)),
         );
-        let (windows, peak_open_samples) = self.sinks.windowed_finish();
-        let incidents = self.sinks.health_finish();
+        let (windows, peak_open_samples) = cell.sinks.windowed_finish();
+        let incidents = cell.sinks.health_finish();
         ChurnSummary {
             tenants,
             windows,
@@ -948,80 +877,6 @@ impl ChurnFleet {
     #[must_use]
     pub fn run(config: ChurnConfig) -> ChurnSummary {
         ChurnFleet::new(config).finish()
-    }
-
-    /// Switches the aggregate stream on, so this churn fleet can finalise
-    /// into the same sink-state bundle a fleet cell ships
-    /// ([`ChurnFleet::finish_cell`]). Must be called before any frame has
-    /// been stepped — a late-enabled sink would have missed events and the
-    /// cross-cell merge would silently under-count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frame event has already streamed.
-    pub fn enable_cell_sinks(&mut self) {
-        assert!(
-            self.engine.task_count() == 0,
-            "cell sinks must be enabled before the first frame"
-        );
-        self.sinks.aggregate = Some(AggregateSink::new());
-    }
-
-    /// Runs the remaining work and finalises into the shard-cell bundle
-    /// (see [`crate::shard`] and [`crate::fleet::Fleet::finish_cell`]):
-    /// sink states plus scalar schedule facts, never retained frame
-    /// histories. Requires [`ChurnFleet::enable_cell_sinks`] at
-    /// construction time; configure deferred windows
-    /// ([`TelemetryConfig::with_deferred_windows`]) if the windowed
-    /// timeline should survive the merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the aggregate stream was never enabled.
-    #[must_use]
-    pub fn finish_cell(mut self, cell: usize) -> crate::shard::CellSummary {
-        while self.tick() {}
-        let makespan_ms = self.engine.makespan();
-        let server_units = self.server.units();
-        let server_busy_ms = self.engine.pool_busy_ms(self.server.rgpu());
-        let peak_live_tasks = self
-            .peak_live_per_resource
-            .max(self.engine.max_live_intervals());
-        // Tenant energies in the same order `finish` records them
-        // (departed in leave order, then survivors by arrival ordinal), so
-        // the client sum is bit-identical to the ChurnSummary path. The
-        // finalised summaries themselves — the frame histories — are
-        // dropped on this side of the seam.
-        let mut energies: Vec<qvr_energy::EnergyBreakdown> =
-            self.finished.iter().map(|t| t.summary.energy).collect();
-        for tenant in std::mem::take(&mut self.live).into_iter().flatten() {
-            tenant.session.release_link();
-            energies.push(tenant.session.finish().energy);
-        }
-        let sessions = energies.len();
-        let energy = self
-            .sinks
-            .energy_finalize(makespan_ms, client_energy_mj(energies.iter()));
-        let aggregate = self
-            .sinks
-            .aggregate
-            .take()
-            .expect("churn cells stream aggregates (ChurnFleet::enable_cell_sinks)");
-        crate::shard::CellSummary {
-            cell,
-            sessions,
-            frames: aggregate.frames(),
-            makespan_ms,
-            server_units,
-            server_busy_ms,
-            aggregate,
-            windowed: self.sinks.windowed.take(),
-            energy,
-            load: self.sinks.load.snapshot(),
-            peak_live_tasks,
-            metrics: self.sinks.metrics.take(),
-            incidents: self.sinks.health_finish(),
-        }
     }
 }
 
@@ -1211,6 +1066,43 @@ mod tests {
         ));
         assert_eq!(s.dropped_leaves, 2, "double-leave and unknown ordinal");
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn local_only_joiners_leave_the_streamers_frames_untouched() {
+        // A LocalOnly joiner never moves frame data over the link, so it
+        // opens on a private channel: on a one-stream link, where a second
+        // member would halve the streamer's share, the streaming tenant's
+        // frames must be bit-identical with and without it.
+        let streamer_frames = |with_joiner: bool| {
+            let local = SessionSpec::new(SchemeKind::LocalOnly, Benchmark::Doom3L.profile());
+            let events = if with_joiner {
+                vec![ChurnEvent::join(150.0, local)]
+            } else {
+                Vec::new()
+            };
+            let mut config = ChurnConfig::new(
+                SystemConfig::default(),
+                vec![spec()],
+                ChurnTrace::script(events),
+                500.0,
+                5,
+            );
+            config.link_streams = 1;
+            let s = ChurnFleet::run(config);
+            assert_eq!(s.len(), if with_joiner { 2 } else { 1 });
+            s.tenants
+                .into_iter()
+                .find(|t| t.ordinal == 0)
+                .expect("the streamer survives")
+                .summary
+                .frames
+        };
+        assert_eq!(
+            streamer_frames(false),
+            streamer_frames(true),
+            "a LocalOnly joiner must not touch the shared link"
+        );
     }
 
     #[test]

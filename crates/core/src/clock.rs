@@ -1,4 +1,4 @@
-//! Virtual-time scheduling for fleets: step whichever session is earliest.
+//! Virtual-time scheduling: step whichever session is earliest.
 //!
 //! `Fleet::step_round` advances every session one frame per round, which is
 //! simple and bit-stable but lets tenants with very different frame times
@@ -9,9 +9,10 @@
 //! it keeps every runnable session in a binary-heap event queue keyed on
 //! the session's virtual clock (its `last_display_end`) and always hands
 //! out the globally-earliest one, so all tenants advance through the same
-//! simulated time window together. This is also the substrate churn needs:
-//! joins and leaves happen *at a virtual time*, which only means something
-//! when the fleet has a coherent global frontier.
+//! simulated time window together. [`crate::churn::ChurnFleet`] steps this
+//! way: joins and leaves happen *at a virtual time*, which only means
+//! something when the fleet has a coherent global frontier, and a closed
+//! roster that must stay synchronized is a churn fleet with an empty trace.
 //!
 //! Entries invalidate lazily (the standard trick for heaps without
 //! decrease-key): rescheduling or removing a slot bumps its epoch, and
@@ -22,35 +23,15 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// How a fleet advances its sessions through simulated time.
+/// How a [`crate::fleet::Fleet`] advances its sessions through simulated
+/// time. Round-robin is its only mode; virtual-time stepping is
+/// [`crate::churn::ChurnFleet`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SteppingPolicy {
     /// One frame per session per round, in session-index order — the
     /// original engine, bit-pinned by the `fig_fleet` goldens.
     #[default]
     RoundRobin,
-    /// Always step the session with the earliest virtual clock
-    /// (`last_display_end`), via a [`FleetClock`]. Keeps time-skewed
-    /// tenants synchronized (retiring the §7 artifact) and is the required
-    /// mode for churn and windowed task retirement.
-    VirtualTime,
-}
-
-impl SteppingPolicy {
-    /// Display label.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            SteppingPolicy::RoundRobin => "round-robin",
-            SteppingPolicy::VirtualTime => "virtual-time",
-        }
-    }
-}
-
-impl std::fmt::Display for SteppingPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// One heap entry: a slot runnable at a virtual time. Ordered as a
@@ -242,12 +223,5 @@ mod tests {
         assert_eq!(c.peek(), Some((3, 4.0)));
         assert_eq!(c.pop(), Some((3, 4.0)));
         assert_eq!(c.peek(), Some((1, 9.0)));
-    }
-
-    #[test]
-    fn policy_labels_are_stable() {
-        assert_eq!(SteppingPolicy::RoundRobin.to_string(), "round-robin");
-        assert_eq!(SteppingPolicy::VirtualTime.to_string(), "virtual-time");
-        assert_eq!(SteppingPolicy::default(), SteppingPolicy::RoundRobin);
     }
 }

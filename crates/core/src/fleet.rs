@@ -9,9 +9,10 @@
 //!
 //! A [`Fleet`] steps its sessions round-robin (one frame per session per
 //! round) against a shared [`qvr_sim::SharedEngine`], a shared
-//! [`ServerPool`] of per-frame GPU units, and (by default) one shared
-//! [`qvr_net::SharedChannel`] bandwidth budget. Independent fleets (across
-//! seeds or configs) run in parallel threads via [`Fleet::run_many`].
+//! [`crate::schemes::ServerPool`] of per-frame GPU units, and (by default)
+//! one shared [`qvr_net::SharedChannel`] bandwidth budget. Independent
+//! fleets (across seeds or configs) run in parallel threads via
+//! [`Fleet::run_many`].
 //!
 //! # Tenancy semantics
 //!
@@ -24,15 +25,16 @@
 //! it is [`crate::schemes::SchemeKind::run`], a private session stepped to
 //! the end.
 
-use crate::clock::{FleetClock, SteppingPolicy};
+use crate::cell::Cell;
+use crate::clock::SteppingPolicy;
 use crate::metrics::{RunSummary, SortedSamples};
 use crate::sched::ServerPolicy;
-use crate::schemes::{SchemeKind, ServerPool, SystemConfig};
+use crate::schemes::{SchemeKind, SystemConfig};
 use crate::session::Session;
 use crate::telemetry::FrameEvent;
-use crate::telemetry::{client_energy_mj, SinkSet, TelemetryConfig, TelemetrySink};
+use crate::telemetry::{client_energy_mj, TelemetryConfig, TelemetrySink};
 use qvr_energy::FleetEnergy;
-use qvr_net::{FairnessPolicy, LinkShare, NetworkChannel, SharedChannel};
+use qvr_net::{FairnessPolicy, LinkShare};
 use qvr_scene::AppProfile;
 use qvr_sim::SharedEngine;
 use std::fmt;
@@ -101,11 +103,10 @@ pub struct FleetConfig {
     /// [`ServerPolicy::LeastLoaded`] (the default) is bit-pinned by the
     /// fig_fleet goldens.
     pub server_policy: ServerPolicy,
-    /// How sessions advance through simulated time.
-    /// [`SteppingPolicy::RoundRobin`] (the default) is bit-pinned by the
-    /// fig_fleet goldens; [`SteppingPolicy::VirtualTime`] steps the
-    /// globally-earliest session next, which keeps time-skewed tenants
-    /// synchronized (DESIGN.md §8) and is required for churn.
+    /// How sessions advance through simulated time. Its one value,
+    /// [`SteppingPolicy::RoundRobin`], is bit-pinned by the fig_fleet
+    /// goldens; virtual-time stepping belongs to
+    /// [`crate::churn::ChurnFleet`] (DESIGN.md §8).
     pub stepping: SteppingPolicy,
     /// Windowed task retirement: completed engine history older than this
     /// many ms behind the slowest unfinished session is dropped, so every
@@ -175,29 +176,14 @@ impl FleetConfig {
     }
 }
 
-/// Derives session `idx`'s seed from the fleet seed (identity for 0, so
-/// session 0 draws the same streams as a single-user run on the fleet
-/// seed). Churn fleets reuse it with the session's arrival ordinal as
-/// `idx`.
-pub(crate) fn session_seed(seed: u64, idx: usize) -> u64 {
-    seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// A running fleet of sessions on shared resources.
 #[derive(Debug)]
 pub struct Fleet {
-    engine: SharedEngine,
-    server: ServerPool,
+    cell: Cell,
     sessions: Vec<Session>,
     frames: usize,
     rounds_done: usize,
-    shared_network: bool,
-    stepping: SteppingPolicy,
-    /// The virtual-time event queue ([`SteppingPolicy::VirtualTime`] only).
-    clock: FleetClock,
     retire_window_ms: Option<f64>,
-    /// The telemetry fan-out every frame event streams through.
-    sinks: SinkSet,
     /// Reusable buffer for one round's frame events (round-robin batched
     /// fan-out) — cleared and refilled each round, never reallocated in
     /// steady state.
@@ -205,8 +191,8 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds the fleet: shared engine, server pools, channels, and one
-    /// session per spec.
+    /// Builds the fleet: its cell (shared engine, server pool, link and
+    /// sinks) and one session per spec, opened in session-index order.
     ///
     /// # Panics
     ///
@@ -223,94 +209,44 @@ impl Fleet {
             config.server_units > 0,
             "the server pool needs at least one unit"
         );
-        config.server_policy.validate(config.server_units);
-        let engine = SharedEngine::new();
-        let server = ServerPool::on(&engine, config.server_units);
         // The aggregate stream always runs: it *is* the summary.
-        let sinks =
-            SinkSet::from_config(&config.telemetry, &config.system, config.server_units, true);
-        let load = sinks.load();
-        let shared_channel = if config.shared_network {
-            let ch = SharedChannel::new(NetworkChannel::new(config.system.network, config.seed));
-            ch.set_policy(config.fairness);
-            ch.set_concurrent_streams(config.link_streams.max(1));
-            Some(ch)
-        } else {
-            None
-        };
+        let mut cell = Cell::new(
+            config.system,
+            config.seed,
+            config.server_units,
+            config.server_policy,
+            config
+                .shared_network
+                .then_some((config.fairness, config.link_streams.max(1))),
+            &config.telemetry,
+            true,
+        );
         let sessions: Vec<Session> = config
             .sessions
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let seed = session_seed(config.seed, i);
-                // Only tenants that actually move frame data over the link
-                // register as members (and so contend for it) — a LocalOnly
-                // neighbour must not debit the bandwidth share of the
-                // streaming sessions. Membership drives the occupancy the
-                // fairness policy divides by. Non-streaming tenants get a
-                // *private* channel: handing them a clone of the shared
-                // handle would let any future code path that touches the
-                // link mutate the shared channel's RNG/ACK state without
-                // being a member, silently coupling tenants.
-                let channel = match &shared_channel {
-                    Some(ch) if spec.scheme.uses_network() => ch.join(spec.share),
-                    _ => SharedChannel::new(NetworkChannel::new(config.system.network, seed)),
-                };
-                let directive = config.server_policy.directive(
-                    spec.scheme.tenant_class(),
-                    config.server_units,
-                    i,
-                    &load,
-                );
-                let mut session = Session::in_fleet(
-                    spec.scheme,
-                    &config.system,
-                    spec.profile.clone(),
-                    seed,
-                    engine.clone(),
-                    channel,
-                    server,
-                    i,
-                    directive,
-                );
+                let mut session = cell.open(spec, i, i, None);
                 session.reserve_frames(config.frames);
                 session
             })
             .collect();
         let n = sessions.len();
         Fleet {
-            engine,
-            server,
+            cell,
             sessions,
             frames: config.frames,
             rounds_done: 0,
-            shared_network: config.shared_network,
-            stepping: config.stepping,
-            clock: Self::primed_clock(config.stepping, n),
             retire_window_ms: config.retire_window_ms,
-            sinks,
             event_buf: Vec::with_capacity(n),
         }
-    }
-
-    /// A clock with every slot runnable at virtual time 0 (so the first
-    /// pops come out in session-index order); empty under round-robin.
-    fn primed_clock(stepping: SteppingPolicy, n: usize) -> FleetClock {
-        let mut clock = FleetClock::new();
-        if stepping == SteppingPolicy::VirtualTime {
-            for slot in 0..n {
-                clock.schedule(slot, 0.0);
-            }
-        }
-        clock
     }
 
     /// Attaches a custom telemetry sink: it receives every frame event the
     /// fleet emits from this point on (tests and tooling; the built-in
     /// sinks are configured via [`FleetConfig::telemetry`]).
     pub fn attach_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.sinks.attach(sink);
+        self.cell.sinks.attach(sink);
     }
 
     /// The measured server-load EWMA of one session slot, ms/frame (`None`
@@ -318,7 +254,7 @@ impl Fleet {
     /// [`ServerPolicy::MeasuredLoad`] places on.
     #[must_use]
     pub fn load_ewma(&self, slot: usize) -> Option<f64> {
-        self.sinks.load.ewma(slot)
+        self.cell.sinks.load.ewma(slot)
     }
 
     /// Number of sessions.
@@ -341,17 +277,7 @@ impl Fleet {
 
     /// Steps every session one frame, round-robin in session-index order
     /// (the deterministic arbitration order on shared resources).
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`SteppingPolicy::VirtualTime`] — virtual-time fleets
-    /// advance one session at a time via [`Fleet::step_next`].
     pub fn step_round(&mut self) {
-        assert_eq!(
-            self.stepping,
-            SteppingPolicy::RoundRobin,
-            "step_round is round-robin only; virtual-time fleets use step_next"
-        );
         // Collect the whole round into the reusable buffer, then fan it
         // out once: the sink set is traversed per round, not per event,
         // and event order (session-index order) is unchanged.
@@ -359,36 +285,9 @@ impl Fleet {
         for session in &mut self.sessions {
             self.event_buf.push(session.step());
         }
-        self.sinks.emit_batch(&self.event_buf);
+        self.cell.sinks.emit_batch(&self.event_buf);
         self.rounds_done += 1;
         self.advance_frontier();
-    }
-
-    /// Steps the session with the globally-earliest virtual clock
-    /// (`last_display_end`, ties to the lowest session index) one frame,
-    /// and returns its index — or `None` once every session has simulated
-    /// its frame budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`SteppingPolicy::RoundRobin`] — use
-    /// [`Fleet::step_round`] there.
-    pub fn step_next(&mut self) -> Option<usize> {
-        assert_eq!(
-            self.stepping,
-            SteppingPolicy::VirtualTime,
-            "step_next is virtual-time only; round-robin fleets use step_round"
-        );
-        let (slot, _) = self.clock.pop()?;
-        let session = &mut self.sessions[slot];
-        let event = session.step();
-        self.sinks.emit(&event);
-        if session.frames_stepped() < self.frames {
-            let at = session.last_display_end();
-            self.clock.schedule(slot, at);
-        }
-        self.advance_frontier();
-        Some(slot)
     }
 
     /// Propagates the fleet's virtual-time frontier — the slowest
@@ -399,64 +298,45 @@ impl Fleet {
     /// (finish flushes the sink).
     fn advance_frontier(&mut self) {
         if self.retire_window_ms.is_none()
-            && self.sinks.windowed.is_none()
-            && self.sinks.health.is_none()
+            && self.cell.sinks.windowed.is_none()
+            && self.cell.sinks.health.is_none()
         {
             return;
         }
-        let frontier = match self.stepping {
-            // The clock's head is exactly the earliest unfinished session.
-            SteppingPolicy::VirtualTime => self.clock.peek().map(|(_, t)| t),
-            SteppingPolicy::RoundRobin => {
-                let unfinished = self
-                    .sessions
-                    .iter()
-                    .filter(|s| s.frames_stepped() < self.frames);
-                let min = unfinished
-                    .map(Session::last_display_end)
-                    .fold(f64::INFINITY, f64::min);
-                min.is_finite().then_some(min)
-            }
-        };
-        let Some(frontier) = frontier else {
+        let frontier = self
+            .sessions
+            .iter()
+            .filter(|s| s.frames_stepped() < self.frames)
+            .map(Session::last_display_end)
+            .fold(f64::INFINITY, f64::min);
+        if !frontier.is_finite() {
             return;
-        };
+        }
         if let Some(window) = self.retire_window_ms {
             if frontier > window {
-                self.engine.retire_before(frontier - window);
+                self.cell.engine.retire_before(frontier - window);
             }
         }
-        self.sinks.close_windows_before(frontier);
+        self.cell.sinks.close_windows_before(frontier);
     }
 
-    /// Rounds stepped so far (round-robin mode).
+    /// Rounds stepped so far.
     #[must_use]
     pub fn rounds_done(&self) -> usize {
         self.rounds_done
-    }
-
-    /// The stepping policy in force.
-    #[must_use]
-    pub fn stepping(&self) -> SteppingPolicy {
-        self.stepping
     }
 
     /// A handle to the engine all sessions submit into (for retention
     /// inspection in bounded-memory runs).
     #[must_use]
     pub fn shared_engine(&self) -> SharedEngine {
-        self.engine.clone()
+        self.cell.engine.clone()
     }
 
     /// Steps every session to its frame budget.
     fn step_to_end(&mut self) {
-        match self.stepping {
-            SteppingPolicy::RoundRobin => {
-                while self.rounds_done < self.frames {
-                    self.step_round();
-                }
-            }
-            SteppingPolicy::VirtualTime => while self.step_next().is_some() {},
+        while self.rounds_done < self.frames {
+            self.step_round();
         }
     }
 
@@ -468,15 +348,16 @@ impl Fleet {
     #[must_use]
     pub fn finish(mut self) -> FleetSummary {
         self.step_to_end();
-        let server_utilization = self.server.utilization(&self.engine);
-        let makespan_ms = self.engine.makespan();
+        let cell = &mut self.cell;
+        let server_utilization = cell.server.utilization(&cell.engine);
+        let makespan_ms = cell.engine.makespan();
         let sessions: Vec<RunSummary> = self.sessions.into_iter().map(Session::finish).collect();
-        let energy = self.sinks.energy_finalize(
+        let energy = cell.sinks.energy_finalize(
             makespan_ms,
             client_energy_mj(sessions.iter().map(|s| &s.energy)),
         );
-        let (windows, _) = self.sinks.windowed_finish();
-        let aggregate = self.sinks.aggregate.as_ref().expect("fleets always stream");
+        let (windows, _) = cell.sinks.windowed_finish();
+        let aggregate = cell.sinks.aggregate.as_ref().expect("fleets always stream");
         let (mtp_p50_ms, mtp_p95_ms, mtp_p99_ms) = aggregate.mtp_percentiles();
         let (fps_floor, mean_fps) = aggregate.fps_stats();
         FleetSummary {
@@ -488,14 +369,14 @@ impl Fleet {
             fps_floor,
             mean_fps,
             server_utilization,
-            server_units: self.server.units(),
-            shared_network: self.shared_network,
+            server_units: cell.server.units(),
+            shared_network: cell.shares_link(),
             energy,
             windows,
-            exposition: self.sinks.metrics_exposition(),
-            incidents: self.sinks.health_finish(),
-            trace: self.sinks.trace.take(),
-            peak_live_tasks: self.engine.max_live_intervals(),
+            exposition: cell.sinks.metrics_exposition(),
+            incidents: cell.sinks.health_finish(),
+            trace: cell.sinks.trace.take(),
+            peak_live_tasks: cell.engine.max_live_intervals(),
         }
     }
 
@@ -511,35 +392,36 @@ impl Fleet {
     /// load-EWMA snapshot) plus scalar schedule facts — never the
     /// per-session frame histories, which die with the cell.
     #[must_use]
-    pub(crate) fn finish_cell(mut self, cell: usize) -> crate::shard::CellSummary {
+    pub(crate) fn finish_cell(mut self, id: usize) -> crate::shard::CellSummary {
         self.step_to_end();
-        let makespan_ms = self.engine.makespan();
-        let server_units = self.server.units();
-        let server_busy_ms = self.engine.pool_busy_ms(self.server.rgpu());
-        let peak_live_tasks = self.engine.max_live_intervals();
+        let cell = &mut self.cell;
+        let makespan_ms = cell.engine.makespan();
+        let server_units = cell.server.units();
+        let server_busy_ms = cell.engine.pool_busy_ms(cell.server.rgpu());
+        let peak_live_tasks = cell.engine.max_live_intervals();
         let sessions = self.sessions.len();
         // Sessions finalise only to surface their energy breakdowns; their
         // frame histories are dropped on this side of the seam.
         let summaries: Vec<RunSummary> = self.sessions.drain(..).map(Session::finish).collect();
-        let energy = self.sinks.energy_finalize(
+        let energy = cell.sinks.energy_finalize(
             makespan_ms,
             client_energy_mj(summaries.iter().map(|s| &s.energy)),
         );
-        let aggregate = self.sinks.aggregate.take().expect("fleets always stream");
+        let aggregate = cell.sinks.aggregate.take().expect("fleets always stream");
         crate::shard::CellSummary {
-            cell,
+            cell: id,
             sessions,
             frames: aggregate.frames(),
             makespan_ms,
             server_units,
             server_busy_ms,
             aggregate,
-            windowed: self.sinks.windowed.take(),
+            windowed: cell.sinks.windowed.take(),
             energy,
-            load: self.sinks.load.snapshot(),
+            load: cell.sinks.load.snapshot(),
             peak_live_tasks,
-            metrics: self.sinks.metrics.take(),
-            incidents: self.sinks.health_finish(),
+            metrics: cell.sinks.metrics.take(),
+            incidents: cell.sinks.health_finish(),
         }
     }
 
@@ -1153,41 +1035,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "round-robin only")]
-    fn step_round_rejected_under_virtual_time() {
-        let mut config =
-            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 2, 5, 1);
-        config.stepping = SteppingPolicy::VirtualTime;
-        Fleet::new(config).step_round();
-    }
-
-    #[test]
-    #[should_panic(expected = "virtual-time only")]
-    fn step_next_rejected_under_round_robin() {
-        let config =
-            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 2, 5, 1);
-        let _ = Fleet::new(config).step_next();
-    }
-
-    #[test]
-    fn virtual_time_first_steps_follow_slot_order() {
-        // All clocks start at 0, so the tie-break hands out the first
-        // round in session-index order — the same deterministic
-        // arbitration round-robin uses.
-        let mut config =
-            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 3, 2, 1);
-        config.stepping = SteppingPolicy::VirtualTime;
-        let mut fleet = Fleet::new(config);
-        assert_eq!(fleet.stepping(), SteppingPolicy::VirtualTime);
-        let first: Vec<usize> = (0..3).filter_map(|_| fleet.step_next()).collect();
-        assert_eq!(first, vec![0, 1, 2]);
-        while fleet.step_next().is_some() {}
-        for s in fleet.sessions() {
-            assert_eq!(s.frames_stepped(), 2);
-        }
-    }
-
-    #[test]
     fn summary_without_session_drops_exactly_one() {
         let s = Fleet::run(FleetConfig::uniform(
             cfg(),
@@ -1357,6 +1204,7 @@ mod tests {
         assert!(b.peak_live_tasks < a.peak_live_tasks);
         b.peak_live_tasks = a.peak_live_tasks;
         assert_eq!(a, b, "retirement output drifted under pre-reservation");
+        assert_eq!(keep_engine.retired_tasks(), 0);
         let retired = drop_engine.retired_tasks();
         assert!(retired > 0, "history must actually retire");
         // The drop is an exact prefix of the task-id space: live + retired

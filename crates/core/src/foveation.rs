@@ -3,8 +3,7 @@
 //! Q-VR's software layer splits the VR graphics into a local client (the
 //! "Fovea" channel) and a remote server (the "Periphery" channels with VRS
 //! rates), connected by parallel per-layer streams and composed by a
-//! "Display" channel. [`RenderGraph`] mirrors Fig. 7's node/pipe/window/
-//! channel configuration; [`FoveationPlan`] is the per-frame resolved plan
+//! "Display" channel. [`FoveationPlan`] is the per-frame resolved plan
 //! (eccentricities, VRS-quantised layer scales, per-layer pixel and byte
 //! volumes) that both the scheme pipelines and the benchmarks consume.
 
@@ -79,92 +78,6 @@ impl fmt::Display for VrsRate {
             VrsRate::Sixteenth => "4x4",
         };
         f.write_str(s)
-    }
-}
-
-/// One rendering channel of the Fig. 7 graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerChannel {
-    /// Channel name (`"fovea"`, `"mid"`, `"out"`).
-    pub name: &'static str,
-    /// The layer it renders.
-    pub layer: LayerKind,
-    /// Whether it executes on the local GPU or the remote server.
-    pub local: bool,
-    /// The VRS rate it shades at.
-    pub rate: VrsRate,
-    /// Viewport eccentricity bound, degrees (the layer's outer extent).
-    pub extent_deg: f64,
-}
-
-impl fmt::Display for LayerChannel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "channel {{ name \"{}\" {} {} viewport ≤{:.1}° }}",
-            self.name,
-            if self.local { "local" } else { "remote" },
-            self.rate,
-            self.extent_deg
-        )
-    }
-}
-
-/// The client/server channel configuration exchanged at setup time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RenderGraph {
-    channels: Vec<LayerChannel>,
-}
-
-impl RenderGraph {
-    /// Builds the Fig. 7 graph for a resolved plan.
-    #[must_use]
-    pub fn for_plan(plan: &FoveationPlan) -> Self {
-        RenderGraph {
-            channels: vec![
-                LayerChannel {
-                    name: "fovea",
-                    layer: LayerKind::Fovea,
-                    local: true,
-                    rate: VrsRate::Full,
-                    extent_deg: plan.e1_deg,
-                },
-                LayerChannel {
-                    name: "mid",
-                    layer: LayerKind::Middle,
-                    local: false,
-                    rate: plan.middle_rate,
-                    extent_deg: plan.e2_deg,
-                },
-                LayerChannel {
-                    name: "out",
-                    layer: LayerKind::Outer,
-                    local: false,
-                    rate: plan.outer_rate,
-                    extent_deg: plan.max_extent_deg,
-                },
-            ],
-        }
-    }
-
-    /// The channels, fovea first.
-    #[must_use]
-    pub fn channels(&self) -> &[LayerChannel] {
-        &self.channels
-    }
-
-    /// The channels rendered remotely.
-    pub fn remote_channels(&self) -> impl Iterator<Item = &LayerChannel> {
-        self.channels.iter().filter(|c| !c.local)
-    }
-}
-
-impl fmt::Display for RenderGraph {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for c in &self.channels {
-            writeln!(f, "{c}")?;
-        }
-        Ok(())
     }
 }
 
@@ -419,20 +332,6 @@ mod tests {
         let plan = FoveationPlan::resolve(20.0, &d, &m, GazePoint::center());
         assert!(plan.rendered_px < d.pixels_per_eye() as f64 * 1.1);
         assert!(plan.rendered_px > 0.0);
-    }
-
-    #[test]
-    fn render_graph_matches_fig7_shape() {
-        let (d, m) = setup();
-        let plan = FoveationPlan::resolve(15.0, &d, &m, GazePoint::center());
-        let graph = RenderGraph::for_plan(&plan);
-        assert_eq!(graph.channels().len(), 3);
-        assert!(graph.channels()[0].local);
-        assert_eq!(graph.remote_channels().count(), 2);
-        let text = graph.to_string();
-        assert!(text.contains("fovea"));
-        assert!(text.contains("mid"));
-        assert!(text.contains("out"));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   one trilinear filtering pass (Eq. 4), implemented both functionally
 //!   (on real framebuffers, with the equivalence property tested) and as a
 //!   timing/contention model.
-//! * [`foveation`] — the software framework of Fig. 7: layer channels,
-//!   VRS-quantised layer rates, periphery quality, and the render-graph
-//!   configuration the client and server exchange.
+//! * [`foveation`] — the software framework of Fig. 7: the per-frame
+//!   foveation plan with its layer eccentricities, VRS-quantised layer
+//!   rates, and pixel and byte volumes.
 //! * [`schemes`] — per-frame pipeline steppers for every design point the
 //!   evaluation compares: local-only, remote-only, static collaborative,
 //!   FFR, DFR, software-only Q-VR, and full Q-VR.
@@ -62,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+mod cell;
 pub mod churn;
 pub mod clock;
 pub mod f16;
@@ -82,7 +83,7 @@ pub use churn::{ChurnConfig, ChurnEvent, ChurnFleet, ChurnSummary, ChurnTrace};
 pub use clock::{FleetClock, SteppingPolicy};
 pub use f16::F16;
 pub use fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec};
-pub use foveation::{FoveationPlan, LayerChannel, RenderGraph, VrsRate};
+pub use foveation::{FoveationPlan, VrsRate};
 pub use liwc::Liwc;
 pub use metrics::{FrameRecord, Histogram, RunSummary};
 pub use obs::{

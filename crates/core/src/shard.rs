@@ -6,11 +6,10 @@
 //! collaborative VR is *many rooms*, not one: a metro-scale service runs
 //! thousands of independent server+AP cells. This module models exactly
 //! that topology. A [`Shard`] routes a roster of [`SessionSpec`]s across
-//! `cells` independent cells (each a full `Fleet` — or, driven manually, a
-//! [`crate::churn::ChurnFleet`] — with its own [`qvr_sim::SharedEngine`]
-//! pools and link), runs the cells on a bounded worker pool
-//! ([`qvr_sim::parallel_map_with`]), and merges the results into one
-//! [`ShardSummary`] with fleet-identical aggregates.
+//! `cells` independent cells (each a full [`Fleet`] with its own
+//! [`qvr_sim::SharedEngine`] pools and link), runs the cells on a bounded
+//! worker pool ([`qvr_sim::parallel_map_with`]), and merges the results
+//! into one [`ShardSummary`] with fleet-identical aggregates.
 //!
 //! # The telemetry seam is the only wire
 //!
@@ -19,9 +18,10 @@
 //! [`AggregateSink`] (merged by slot tiling), the finalised
 //! [`qvr_energy::FleetEnergy`] (summed component-wise), the *deferred*
 //! [`WindowedStatsSink`] (merged bucket-index-wise), and a load-EWMA
-//! snapshot. Never per-session frame histories — those die inside the
-//! cell, so shard-level live state is O(cells × window) engine tasks plus
-//! O(total frames) scalar samples, not O(sessions × frames) frame records.
+//! snapshot (shipped, not merged). Never per-session frame histories —
+//! those die inside the cell, so shard-level live state is O(cells ×
+//! window) engine tasks plus O(total frames) scalar samples, not
+//! O(sessions × frames) frame records.
 //!
 //! # Merge laws (DESIGN.md §12)
 //!
@@ -42,15 +42,14 @@
 //! admission first ([`crate::admission::AdmissionController::offer_protected`]);
 //! a join every cell declines falls back to one degraded offer at the
 //! least-loaded cell. A placement anywhere but the first-choice cell
-//! counts as *spilled*. Each cell's [`crate::telemetry::LoadTracker`]
-//! occupies its own slot-id namespace ([`LoadTracker::namespaced`]), so a
-//! spilled joiner can never inherit a stale EWMA from another cell's
-//! recycled slot.
+//! counts as *spilled*. Every cell builds its own
+//! [`crate::telemetry::LoadTracker`] and routing reads none of them, so a
+//! spilled joiner can never inherit another cell's measured load.
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
 use crate::fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec};
 use crate::obs::{Incident, MetricsSink};
-use crate::telemetry::{AggregateSink, LoadTracker, WindowedStatsSink};
+use crate::telemetry::{AggregateSink, WindowedStatsSink};
 use qvr_energy::FleetEnergy;
 use std::fmt;
 
@@ -260,8 +259,8 @@ fn route(config: &ShardConfig) -> Routing {
 
 /// The bundle one cell ships across its worker-thread boundary: sink
 /// states plus scalar schedule facts. Everything here is `Send` (the
-/// single-threaded [`LoadTracker`] is snapshotted), and nothing retains a
-/// per-session frame history.
+/// single-threaded [`crate::telemetry::LoadTracker`] is snapshotted), and
+/// nothing retains a per-session frame history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSummary {
     /// The cell's id (its position in the shard's cell-id order).
@@ -285,7 +284,8 @@ pub struct CellSummary {
     pub windowed: Option<WindowedStatsSink>,
     /// The cell's finalised energy (its own span × its own pool).
     pub energy: FleetEnergy,
-    /// The cell's load-EWMA snapshot, fleet-local slot order.
+    /// The cell's load-EWMA snapshot, fleet-local slot order (shipped for
+    /// inspection; the merge does not read it).
     pub load: Vec<Option<f64>>,
     /// Peak live engine intervals — the cell's O(window) memory witness.
     pub peak_live_tasks: usize,
@@ -301,8 +301,7 @@ pub struct CellSummary {
 
 /// Fleet-identical aggregates over every cell, plus the shard-level
 /// routing and memory facts. Produced by [`Shard::run`] or directly by
-/// [`ShardSummary::merge`] over manually-driven cells (e.g. churn cells
-/// via [`crate::churn::ChurnFleet::finish_cell`]).
+/// [`ShardSummary::merge`] over cell bundles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSummary {
     /// Cells that actually ran (empty cells ship nothing).
@@ -355,8 +354,6 @@ pub struct ShardSummary {
     pub incidents: Vec<Incident>,
     /// Per-cell session counts, cell-id order (ran cells only).
     pub cell_sessions: Vec<usize>,
-    /// Per-cell load-EWMA snapshots, cell-id order.
-    cell_load: Vec<Vec<Option<f64>>>,
 }
 
 impl ShardSummary {
@@ -394,7 +391,6 @@ impl ShardSummary {
         let mut server_units = 0;
         let mut peak_live_tasks = 0;
         let mut cell_sessions = Vec::with_capacity(cells.len());
-        let mut cell_load = Vec::with_capacity(cells.len());
         for cell in &cells {
             aggregate.absorb(&cell.aggregate);
             if let Some(w) = &cell.windowed {
@@ -425,7 +421,6 @@ impl ShardSummary {
             server_units += cell.server_units;
             peak_live_tasks += cell.peak_live_tasks;
             cell_sessions.push(cell.sessions);
-            cell_load.push(cell.load.clone());
         }
         let (mtp_p50_ms, mtp_p95_ms, mtp_p99_ms) = aggregate.mtp_percentiles();
         let (fps_floor, mean_fps) = aggregate.fps_stats();
@@ -460,7 +455,6 @@ impl ShardSummary {
             degraded: 0,
             probes_run: 0,
             cell_sessions,
-            cell_load,
         }
     }
 
@@ -481,38 +475,6 @@ impl ShardSummary {
             && self.energy == fleet.energy
             && self.windows == fleet.windows
             && self.exposition == fleet.exposition
-    }
-
-    /// One cell's load-EWMA snapshot (cell-id order over the cells that
-    /// ran).
-    #[must_use]
-    pub fn cell_load(&self, idx: usize) -> &[Option<f64>] {
-        &self.cell_load[idx]
-    }
-
-    /// A shard-wide measured-load view: every cell's snapshot replayed
-    /// into one [`LoadTracker`] through disjoint slot namespaces
-    /// ([`LoadTracker::namespaced`], bases = prefix sums of the snapshot
-    /// widths) — the structure a cross-cell placement policy would read,
-    /// and the regression pin for the stale-EWMA recycling bug (a slot id
-    /// can never alias across cells).
-    #[must_use]
-    pub fn merged_load(&self) -> LoadTracker {
-        let tracker = LoadTracker::new();
-        let mut base = 0;
-        for snapshot in &self.cell_load {
-            let view = tracker.namespaced(base);
-            for (slot, ewma) in snapshot.iter().enumerate() {
-                if let Some(ms) = ewma {
-                    // A first observation seeds the EWMA with exactly the
-                    // observed value, so replay reproduces the cell's
-                    // state bit-for-bit.
-                    view.observe(slot, *ms);
-                }
-            }
-            base += snapshot.len();
-        }
-        tracker
     }
 }
 
@@ -681,17 +643,5 @@ mod tests {
         fleet.sessions = roster(2);
         let cell = Fleet::new(fleet).finish_cell(5);
         let _ = ShardSummary::merge(vec![cell.clone(), cell]);
-    }
-
-    #[test]
-    fn merged_load_namespaces_cells_disjointly() {
-        let s = Shard::run(ShardConfig::new(template(4, 9), 2, 4, roster(8)));
-        let merged = s.merged_load();
-        // Cell 0 slot 0 and cell 1 slot 0 land on different merged slots
-        // with each cell's own measured value.
-        assert_eq!(merged.ewma(0), s.cell_load(0)[0]);
-        let base = s.cell_load(0).len();
-        assert_eq!(merged.ewma(base), s.cell_load(1)[0]);
-        assert!(merged.ewma(0).is_some() && merged.ewma(base).is_some());
     }
 }

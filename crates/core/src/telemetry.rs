@@ -694,13 +694,6 @@ impl TelemetrySink for EnergyMeter {
 #[derive(Debug, Clone, Default)]
 pub struct LoadTracker {
     state: Rc<RefCell<Vec<Option<f64>>>>,
-    /// Slot-id namespace offset: every slot this handle observes, reads,
-    /// or resets lands at `base + slot` in the shared state. Shard cells
-    /// get disjoint namespaces ([`LoadTracker::namespaced`]) so one cell's
-    /// slot-recycling reset can never clear — and a spilled joiner can
-    /// never inherit — another cell's EWMA under the same fleet-local
-    /// slot id.
-    base: usize,
 }
 
 /// EWMA smoothing for measured per-tenant server load (≈ the last ~8
@@ -715,42 +708,16 @@ impl LoadTracker {
         LoadTracker::default()
     }
 
-    /// A handle onto the same shared state whose slot ids are offset by a
-    /// further `base` — a disjoint namespace for one shard cell. Handing
-    /// cell `c` a view based at its capacity prefix-sum gives every cell
-    /// fleet-local slot ids (0..capacity) while the underlying state keys
-    /// on globally-unique `(cell × slot)` positions, so a churn recycle's
-    /// [`LoadTracker::reset`] in one cell cannot leak a stale EWMA into a
-    /// join spilled to another.
-    #[must_use]
-    pub fn namespaced(&self, base: usize) -> LoadTracker {
-        LoadTracker {
-            state: Rc::clone(&self.state),
-            base: self.base + base,
-        }
-    }
-
-    /// This handle's namespace offset into the shared state.
-    #[must_use]
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// The raw EWMA state from this handle's namespace onward — what a
-    /// shard cell ships across the thread boundary (the tracker itself is
-    /// single-threaded shared state) for merge-time inspection.
+    /// The raw per-slot EWMA state — what a shard cell ships across the
+    /// thread boundary (the tracker itself is single-threaded shared
+    /// state).
     #[must_use]
     pub fn snapshot(&self) -> Vec<Option<f64>> {
-        let state = self.state.borrow();
-        state
-            .get(self.base..)
-            .map(<[_]>::to_vec)
-            .unwrap_or_default()
+        self.state.borrow().clone()
     }
 
     /// Folds one frame's measured server time into a slot's EWMA.
     pub fn observe(&self, slot: usize, server_ms: f64) {
-        let slot = self.base + slot;
         let mut state = self.state.borrow_mut();
         if slot >= state.len() {
             state.resize(slot + 1, None);
@@ -765,13 +732,12 @@ impl LoadTracker {
     /// observation (a fresh tenant is presumed light until measured).
     #[must_use]
     pub fn ewma(&self, slot: usize) -> Option<f64> {
-        self.state.borrow().get(self.base + slot).copied().flatten()
+        self.state.borrow().get(slot).copied().flatten()
     }
 
     /// Clears a slot's history (churn fleets recycle slots; a joiner must
     /// not inherit its predecessor's load profile).
     pub fn reset(&self, slot: usize) {
-        let slot = self.base + slot;
         let mut state = self.state.borrow_mut();
         if slot < state.len() {
             state[slot] = None;
@@ -780,12 +746,9 @@ impl LoadTracker {
 }
 
 impl PartialEq for LoadTracker {
-    /// Identity equality: two handles are equal iff they share state *and*
-    /// view it through the same slot namespace (two cells' views of one
-    /// shard tracker are deliberately unequal — they address disjoint
-    /// slots).
+    /// Identity equality: two handles are equal iff they share state.
     fn eq(&self, other: &Self) -> bool {
-        Rc::ptr_eq(&self.state, &other.state) && self.base == other.base
+        Rc::ptr_eq(&self.state, &other.state)
     }
 }
 
@@ -1341,34 +1304,6 @@ mod tests {
         };
         let mut a = mk(4);
         a.absorb(&mk(8));
-    }
-
-    #[test]
-    fn load_tracker_namespaces_are_disjoint() {
-        // The shard slot-id namespace: two cells' views of one tracker
-        // address disjoint state, so cell 1's recycle-reset of slot 0
-        // cannot clear (and a spilled joiner cannot inherit) cell 0's
-        // slot 0.
-        let shard = LoadTracker::new();
-        let cell0 = shard.namespaced(0);
-        let cell1 = shard.namespaced(16);
-        assert_eq!(cell1.base(), 16);
-        assert_eq!(cell1.namespaced(4).base(), 20, "namespaces compose");
-        cell0.observe(0, 8.0);
-        cell1.observe(0, 3.0);
-        assert_eq!(cell0.ewma(0), Some(8.0));
-        assert_eq!(cell1.ewma(0), Some(3.0));
-        assert_eq!(shard.ewma(0), Some(8.0));
-        assert_eq!(shard.ewma(16), Some(3.0));
-        cell1.reset(0);
-        assert_eq!(cell1.ewma(0), None, "reset clears the cell's own slot");
-        assert_eq!(cell0.ewma(0), Some(8.0), "…but never a sibling cell's");
-        // Equality demands the same namespace, not just shared state.
-        assert_ne!(cell0.clone(), cell1);
-        assert_eq!(cell0, shard.namespaced(0));
-        // Snapshots are namespace-relative.
-        assert_eq!(cell1.snapshot(), vec![None]);
-        assert_eq!(cell0.snapshot().first(), Some(&Some(8.0)));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! trace and watch the same frame index sit at increasingly different
 //! virtual times across tracks. That growing horizontal offset is the
 //! DESIGN.md §7 "known limitation" — an artifact of the stepping policy,
-//! not physics — and rerunning with `SteppingPolicy::VirtualTime`
-//! collapses the tracks back into lockstep (`tests/churn.rs` pins
-//! exactly that collapse).
+//! not physics — and stepping the same roster in virtual time (a
+//! `ChurnFleet` with an empty trace) collapses the tracks back into
+//! lockstep (`tests/churn.rs` pins exactly that collapse).
 
 use qvr::prelude::*;
 use qvr::scene::Benchmark;

@@ -103,7 +103,7 @@ pub mod prelude {
         AggregateSink, EnergyMeter, FrameEvent, FrameSpans, LoadTracker, SinkSet, StageSpan,
         TelemetryConfig, TelemetrySink, WindowedStatsSink,
     };
-    pub use qvr_core::{FoveationPlan, Liwc, RenderGraph, Uca, VrsRate};
+    pub use qvr_core::{FoveationPlan, Liwc, Uca, VrsRate};
     pub use qvr_energy::{
         overhead::LiwcOverhead, overhead::UcaOverhead, ApPowerModel, FleetEnergy, PowerModel,
         ServerPowerModel,

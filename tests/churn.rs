@@ -1,132 +1,131 @@
-//! Virtual-time stepping and churn integration tests: clock monotonicity,
-//! frame-count parity with round-robin, the §7 time-skew artifact
-//! disappearing under `SteppingPolicy::VirtualTime`, churn determinism,
+//! Virtual-time stepping and churn integration tests: earliest-first
+//! stepping, agreement with round-robin on a homogeneous roster, the §7
+//! time-skew artifact disappearing when a closed roster is stepped in
+//! virtual time (a churn fleet with an empty trace), churn determinism,
 //! and the bounded-memory (O(window) retained tasks per resource) claim
 //! the CI smoke job pins at 64 sessions.
 
+use qvr::core::metrics::SortedSamples;
 use qvr::prelude::*;
 use qvr::scene::Benchmark;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-fn vt_fleet(n: usize, frames: usize, seed: u64) -> FleetConfig {
-    let mut config = FleetConfig::uniform(
+/// A closed roster stepped in virtual time: a churn fleet whose only
+/// joins are the initial roster's, run to `horizon_ms`.
+fn closed_roster(initial: Vec<SessionSpec>, horizon_ms: f64, seed: u64) -> ChurnConfig {
+    ChurnConfig::new(
         SystemConfig::default(),
-        SchemeKind::Qvr,
-        Benchmark::Hl2H.profile(),
-        n,
-        frames,
+        initial,
+        ChurnTrace::default(),
+        horizon_ms,
         seed,
-    );
-    config.stepping = SteppingPolicy::VirtualTime;
-    config
+    )
+}
+
+/// Records every frame event a fleet emits, in stream order.
+#[derive(Debug, Clone, Default)]
+struct Tap(Rc<RefCell<Vec<FrameEvent>>>);
+
+impl TelemetrySink for Tap {
+    fn on_frame(&mut self, event: &FrameEvent) {
+        self.0.borrow_mut().push(*event);
+    }
+}
+
+/// Runs a churn fleet to the end and returns its frame stream.
+fn frame_stream(config: ChurnConfig) -> (ChurnSummary, Vec<FrameEvent>) {
+    let mut fleet = ChurnFleet::new(config);
+    let tap = Tap::default();
+    fleet.attach_sink(Box::new(tap.clone()));
+    let summary = fleet.finish();
+    (summary, tap.0.take())
+}
+
+/// Every session slot's virtual clock (its next frame's start) before the
+/// first event and after each one: the join time (0) until its first
+/// frame, then its last frame's end, and `None` once that end reaches the
+/// horizon and the session stops stepping.
+fn clock_history(events: &[FrameEvent], sessions: usize, horizon_ms: f64) -> Vec<Vec<Option<f64>>> {
+    let mut clocks = vec![Some(0.0); sessions];
+    let mut history = vec![clocks.clone()];
+    for e in events {
+        clocks[e.session] = (e.end_ms < horizon_ms).then_some(e.end_ms);
+        history.push(clocks.clone());
+    }
+    history
+}
+
+/// Spread between the earliest and latest running session clock, ms.
+fn spread_ms(clocks: impl IntoIterator<Item = f64>) -> f64 {
+    let (min, max) = clocks
+        .into_iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), c| {
+            (lo.min(c), hi.max(c))
+        });
+    (max - min).max(0.0)
 }
 
 #[test]
 fn virtual_time_never_steps_a_session_backwards() {
-    // Property: stepping order is earliest-first, and no session's virtual
-    // clock (last_display_end) ever decreases; moreover the global pick is
-    // always the minimum clock among unfinished sessions.
-    let mut fleet = Fleet::new(vt_fleet(6, 25, 21));
-    let mut clocks = [0.0f64; 6];
-    while let Some(slot) = fleet.step_next() {
-        let before = clocks[slot];
-        let after = fleet.sessions()[slot].last_display_end();
-        assert!(
-            after >= before,
-            "session {slot}'s clock ran backwards: {after:.2} < {before:.2}"
-        );
-        // The popped session was the earliest unfinished one.
-        for (i, c) in clocks.iter().enumerate() {
-            if fleet.sessions()[i].frames_stepped() < 25 || i == slot {
+    // Property: every frame starts at its session's clock, that clock is
+    // the minimum among running sessions (ties to the lowest slot, so the
+    // first frames come out in slot order), and no clock ever decreases.
+    let horizon_ms = 300.0;
+    let roster = (0..6)
+        .map(|_| SessionSpec::new(SchemeKind::Qvr, Benchmark::Hl2H.profile()))
+        .collect();
+    let (summary, events) = frame_stream(closed_roster(roster, horizon_ms, 21));
+    let history = clock_history(&events, 6, horizon_ms);
+    for (e, before) in events.iter().zip(&history) {
+        let own = before[e.session].expect("a finished session stepped");
+        assert_eq!(e.span_start_ms, own, "slot {} skipped time", e.session);
+        assert!(e.end_ms >= own, "slot {}'s clock ran backwards", e.session);
+        for (i, c) in before.iter().enumerate() {
+            if let Some(c) = *c {
                 assert!(
-                    before <= *c + 1e-9,
-                    "stepped slot {slot} at {before:.2} but slot {i} was earlier at {c:.2}"
+                    own < c || (own == c && e.session <= i),
+                    "stepped slot {} at {own:.2} but slot {i} was earlier at {c:.2}",
+                    e.session
                 );
             }
         }
-        clocks[slot] = after;
     }
-    for s in fleet.sessions() {
-        assert_eq!(s.frames_stepped(), 25);
+    assert!(history.last().unwrap().iter().all(Option::is_none));
+    for t in &summary.tenants {
+        assert!(t.summary.len() > 1, "every session stepped to the horizon");
     }
-}
-
-#[test]
-fn virtual_time_frame_counts_match_round_robin() {
-    // Per-session frame counts are a budget, not a race: both policies
-    // deliver exactly `frames` frames to every session.
-    let rr = Fleet::run(FleetConfig::uniform(
-        SystemConfig::default(),
-        SchemeKind::Qvr,
-        Benchmark::Hl2H.profile(),
-        5,
-        30,
-        3,
-    ));
-    let vt = Fleet::run(vt_fleet(5, 30, 3));
-    assert_eq!(rr.len(), vt.len());
-    for (a, b) in rr.sessions.iter().zip(&vt.sessions) {
-        assert_eq!(a.len(), 30);
-        assert_eq!(b.len(), 30);
-    }
-}
-
-#[test]
-fn virtual_time_fleets_are_deterministic() {
-    let a = Fleet::run(vt_fleet(6, 20, 11));
-    let b = Fleet::run(vt_fleet(6, 20, 11));
-    assert_eq!(a, b);
 }
 
 #[test]
 fn uniform_fleets_agree_across_stepping_policies() {
-    // A homogeneous fleet has (nearly) no time skew, so virtual-time
-    // stepping must reproduce round-robin's aggregate shape — the policies
-    // only diverge when tenants advance at very different paces.
-    let rr = Fleet::run(FleetConfig::uniform(
+    // A homogeneous roster has (nearly) no time skew, so stepping it in
+    // virtual time must reproduce round-robin's tail over the same span —
+    // the policies only diverge when tenants advance at very different
+    // paces.
+    let rr_config = FleetConfig::uniform(
         SystemConfig::default(),
         SchemeKind::Qvr,
         Benchmark::Hl2H.profile(),
         4,
         40,
         5,
-    ));
-    let vt = Fleet::run(vt_fleet(4, 40, 5));
-    let ratio = vt.mtp_p95_ms / rr.mtp_p95_ms;
+    );
+    let roster = rr_config.sessions.clone();
+    let rr = Fleet::run(rr_config);
+    let vt = ChurnFleet::run(closed_roster(roster, rr.makespan_ms, 5));
+    let vt_p95 = SortedSamples::new(
+        vt.tenants
+            .iter()
+            .flat_map(|t| t.summary.frames.iter().map(|f| f.mtp_ms))
+            .collect(),
+    )
+    .p95();
+    let ratio = vt_p95 / rr.mtp_p95_ms;
     assert!(
         (0.8..1.25).contains(&ratio),
         "uniform fleets should agree across policies: p95 ratio {ratio:.2}"
     );
-}
-
-/// Peak spread between session clocks over a whole run: the §7 skew.
-fn peak_skew_ms(mut fleet: Fleet, frames: usize) -> f64 {
-    let mut peak = 0.0f64;
-    let mut measure = |sessions: &[Session]| {
-        let unfinished: Vec<f64> = sessions
-            .iter()
-            .filter(|s| s.frames_stepped() > 0 && s.frames_stepped() < frames)
-            .map(Session::last_display_end)
-            .collect();
-        if unfinished.len() >= 2 {
-            let min = unfinished.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = unfinished.iter().copied().fold(0.0f64, f64::max);
-            peak = peak.max(max - min);
-        }
-    };
-    match fleet.stepping() {
-        SteppingPolicy::RoundRobin => {
-            for _ in 0..frames {
-                fleet.step_round();
-                measure(fleet.sessions());
-            }
-        }
-        SteppingPolicy::VirtualTime => {
-            while fleet.step_next().is_some() {
-                measure(fleet.sessions());
-            }
-        }
-    }
-    peak
 }
 
 #[test]
@@ -134,17 +133,20 @@ fn virtual_time_retires_the_section7_skew_artifact() {
     // DESIGN.md §7: under round-robin, strongly unequal link shares make
     // per-session timelines advance at different simulated paces — after
     // enough rounds the tenants are whole time-windows apart, and the
-    // slow tenant's far-future pool frontiers queue the fast one. Under
-    // virtual-time stepping the same fleet stays synchronized: the peak
-    // clock spread collapses to less than a couple of frame intervals.
-    let frames = 60;
-    let config = |stepping: SteppingPolicy| FleetConfig {
-        system: SystemConfig::default(),
-        sessions: vec![
+    // slow tenant's far-future pool frontiers queue the fast one. Stepped
+    // in virtual time, the same roster stays synchronized: the peak clock
+    // spread collapses to about one of the slow tenant's frame intervals.
+    let roster = || {
+        vec![
             SessionSpec::new(SchemeKind::RemoteOnly, Benchmark::Hl2H.profile())
                 .with_share(LinkShare::weighted(8.0)),
             SessionSpec::new(SchemeKind::RemoteOnly, Benchmark::Hl2H.profile()),
-        ],
+        ]
+    };
+    let frames = 60;
+    let mut rr_fleet = Fleet::new(FleetConfig {
+        system: SystemConfig::default(),
+        sessions: roster(),
         frames,
         seed: 17,
         server_units: 8,
@@ -152,12 +154,31 @@ fn virtual_time_retires_the_section7_skew_artifact() {
         link_streams: 1,
         fairness: FairnessPolicy::Weighted,
         server_policy: ServerPolicy::default(),
-        stepping,
+        stepping: SteppingPolicy::RoundRobin,
         retire_window_ms: None,
         telemetry: TelemetryConfig::default(),
-    };
-    let rr_skew = peak_skew_ms(Fleet::new(config(SteppingPolicy::RoundRobin)), frames);
-    let vt_skew = peak_skew_ms(Fleet::new(config(SteppingPolicy::VirtualTime)), frames);
+    });
+    let mut rr_skew = 0.0f64;
+    for _ in 0..frames {
+        rr_fleet.step_round();
+        let running = rr_fleet
+            .sessions()
+            .iter()
+            .filter(|s| s.frames_stepped() < frames)
+            .map(Session::last_display_end);
+        rr_skew = rr_skew.max(spread_ms(running));
+    }
+    let rr = rr_fleet.finish();
+    let horizon_ms = 4_000.0;
+    let mut config =
+        closed_roster(roster(), horizon_ms, 17).with_fairness(FairnessPolicy::Weighted);
+    config.server_units = 8;
+    config.link_streams = 1;
+    let (vt, events) = frame_stream(config);
+    let vt_skew = clock_history(&events, 2, horizon_ms)
+        .iter()
+        .map(|clocks| spread_ms(clocks.iter().flatten().copied()))
+        .fold(0.0, f64::max);
     assert!(
         rr_skew > 4.0 * vt_skew,
         "round-robin must skew tenants apart and virtual time must not: \
@@ -167,25 +188,23 @@ fn virtual_time_retires_the_section7_skew_artifact() {
     // tenant's remote chain stays fast at long horizons (under round-robin
     // the slow tenant's future frontiers inflate it — DESIGN.md §7 is why
     // the weighted-tilt unit test had to stop at 8 frames).
-    let rem = |s: &FleetSummary, i: usize| {
-        let f = &s.sessions[i].frames;
-        f.iter().map(|r| r.t_remote_ms).sum::<f64>() / f.len() as f64
+    let mean_remote_ms = |frames: &[FrameRecord]| {
+        frames.iter().map(|r| r.t_remote_ms).sum::<f64>() / frames.len() as f64
     };
-    let vt = Fleet::run(config(SteppingPolicy::VirtualTime));
-    let rr = Fleet::run(config(SteppingPolicy::RoundRobin));
+    let vt_remote = |ordinal: usize| mean_remote_ms(&vt.tenants[ordinal].summary.frames);
+    let rr_fast = mean_remote_ms(&rr.sessions[0].frames);
     assert!(
-        rem(&vt, 0) < rem(&vt, 1),
+        vt_remote(0) < vt_remote(1),
         "virtual time: the 8x-weighted tenant keeps its faster remote chain \
-         even over {frames} frames: {:.1} vs {:.1} ms",
-        rem(&vt, 0),
-        rem(&vt, 1),
+         over {horizon_ms} ms: {:.1} vs {:.1} ms",
+        vt_remote(0),
+        vt_remote(1),
     );
     assert!(
-        rem(&rr, 0) > rem(&vt, 0),
+        rr_fast > vt_remote(0),
         "round-robin's cross-window queueing must inflate the fast tenant's \
-         chain relative to virtual time: {:.1} vs {:.1} ms",
-        rem(&rr, 0),
-        rem(&vt, 0),
+         chain relative to virtual time: {rr_fast:.1} vs {:.1} ms",
+        vt_remote(0),
     );
 }
 
@@ -339,46 +358,4 @@ fn churn_bounded_memory_64_sessions_retains_o_window_tasks() {
         cap,
         summary.total_tasks
     );
-}
-
-#[test]
-fn fleet_retirement_keeps_aggregates_bit_identical() {
-    // Retirement drops history, never numbers: the same round-robin fleet
-    // with and without a window must produce identical summaries, while
-    // the windowed engine retains a fraction of the tasks.
-    let mut plain = FleetConfig::uniform(
-        SystemConfig::default(),
-        SchemeKind::Qvr,
-        Benchmark::Hl2H.profile(),
-        4,
-        50,
-        42,
-    );
-    let mut windowed = plain.clone();
-    windowed.retire_window_ms = Some(300.0);
-    plain.retire_window_ms = None;
-    let keep = Fleet::new(plain);
-    let drop = Fleet::new(windowed);
-    let keep_engine = keep.shared_engine();
-    let drop_engine = drop.shared_engine();
-    let a = keep.finish();
-    let mut b = drop.finish();
-    // The schedule-state gauge is diagnostics about the engine's retained
-    // footprint, not measured output — it is the one field retirement is
-    // *supposed* to change, and it must change downward.
-    assert!(
-        b.peak_live_tasks < a.peak_live_tasks,
-        "windowed retirement must lower the peak live-task footprint \
-         ({} vs {})",
-        b.peak_live_tasks,
-        a.peak_live_tasks
-    );
-    b.peak_live_tasks = a.peak_live_tasks;
-    assert_eq!(a, b, "retirement must not change a single bit of output");
-    assert_eq!(keep_engine.retired_tasks(), 0);
-    assert!(
-        drop_engine.retired_tasks() > 0,
-        "history must actually retire"
-    );
-    assert!(drop_engine.live_tasks() < keep_engine.live_tasks());
 }

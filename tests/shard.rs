@@ -1,8 +1,8 @@
 //! Sharded-cell integration tests: the 1-cell shard degenerates to a
 //! single fleet bit-for-bit, the merged summary is identical for every
 //! worker count, live memory stays O(cells × window), spill admission
-//! routes degraded joiners to the least-loaded cell, churn fleets merge
-//! through the same seam, and the re-aggregation energy bug stays fixed.
+//! routes degraded joiners to the least-loaded cell, and the
+//! re-aggregation energy bug stays fixed.
 
 use qvr::prelude::*;
 use qvr::scene::Benchmark;
@@ -205,75 +205,6 @@ fn reject_only_admission_rejects_what_no_cell_can_hold() {
     assert_eq!(s.rejected, 6);
     assert_eq!(s.degraded, 0, "reject-only control never degrades");
     assert_eq!(s.cells, 0, "empty cells never run");
-}
-
-#[test]
-fn churn_cells_merge_through_the_same_seam() {
-    // Churn fleets are cells too: enable the aggregate stream before the
-    // first frame, drive each cell to completion, and fold the bundles
-    // through the same `ShardSummary::merge` — deterministically.
-    let make_cell = |cell: usize| {
-        let spec = |i: usize| mixed_spec(cell * 7 + i);
-        let initial: Vec<SessionSpec> = (0..3).map(spec).collect();
-        let events = vec![
-            ChurnEvent::leave(260.0, 0),
-            ChurnEvent::join(290.0, spec(3)),
-        ];
-        let mut config = ChurnConfig::new(
-            SystemConfig::default(),
-            initial,
-            ChurnTrace::script(events),
-            700.0,
-            cell_seed(33, cell),
-        );
-        config.server_units = 4;
-        config.link_streams = 2;
-        let mut fleet = ChurnFleet::new(config);
-        fleet.enable_cell_sinks();
-        fleet.finish_cell(cell)
-    };
-    let merge = || ShardSummary::merge((0..2).map(make_cell).collect());
-    let a = merge();
-    let b = merge();
-    assert_eq!(a, b, "churn cells merge deterministically");
-    assert_eq!(a.cells, 2);
-    assert_eq!(a.sessions, 8, "3 initial + 1 joiner per cell");
-    assert!(a.frames > 0);
-    assert!(a.mtp_p95_ms >= a.mtp_p50_ms && a.mtp_p50_ms > 0.0);
-    assert!(a.energy.total_mj() > 0.0);
-    assert!(
-        a.energy.server_render_mj > 0.0 && a.energy.client_mj > 0.0,
-        "merged energy carries every component"
-    );
-}
-
-#[test]
-fn merged_load_keeps_cell_slot_namespaces_disjoint() {
-    // The stale-EWMA regression: before namespacing, cell 1's slot 0
-    // landed on the same tracker slot as cell 0's slot 0, so a spilled
-    // joiner inherited another cell's recycled load history. The merged
-    // view must give every cell its own slot range.
-    let s = Shard::run(ShardConfig::new(
-        template(6, 23),
-        3,
-        4,
-        (0..12).map(mixed_spec).collect(),
-    ));
-    let merged = s.merged_load();
-    let mut base = 0;
-    for cell in 0..3 {
-        let snapshot = s.cell_load(cell);
-        for (slot, ewma) in snapshot.iter().enumerate() {
-            assert_eq!(
-                merged.ewma(base + slot),
-                *ewma,
-                "cell {cell} slot {slot} must land at merged slot {}",
-                base + slot
-            );
-        }
-        base += snapshot.len();
-    }
-    assert!(base >= 12, "every routed session has a load slot");
 }
 
 #[test]
