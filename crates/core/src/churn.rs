@@ -44,7 +44,7 @@ use crate::schemes::SystemConfig;
 use crate::session::Session;
 use crate::telemetry::{client_energy_mj, TelemetryConfig, TelemetrySink};
 use qvr_energy::FleetEnergy;
-use qvr_net::{FairnessPolicy, LinkShare};
+use qvr_net::FairnessPolicy;
 use qvr_sim::SharedEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -226,13 +226,6 @@ pub struct ChurnConfig {
     /// Whether joiners warm-start their LIWC at the live fleet's mean
     /// operating eccentricity instead of the cold default.
     pub warm_start: bool,
-    /// Whether an *open critical* SLO incident (see
-    /// [`TelemetryConfig::with_health`]) forces joiners in on a degraded
-    /// link share — the health monitor acting as a lightweight
-    /// load-shedding trigger when no admission gate is configured. With an
-    /// [`AdmissionPolicy`] the controller's probe governs and this flag is
-    /// ignored (the monitor only observes).
-    pub health_degrade: bool,
     /// Which built-in telemetry sinks stream this run's frame events
     /// (default-on). With [`TelemetryConfig::window_ms`] set, the MTP
     /// timeline streams through a [`crate::telemetry::WindowedStatsSink`]
@@ -266,7 +259,6 @@ impl ChurnConfig {
             admission: None,
             retire_window_ms: None,
             warm_start: true,
-            health_degrade: false,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -324,15 +316,6 @@ impl ChurnConfig {
     #[must_use]
     pub fn cold_start(mut self) -> Self {
         self.warm_start = false;
-        self
-    }
-
-    /// Returns a copy where an open critical health incident degrades
-    /// joiners' link shares (see [`ChurnConfig::health_degrade`]); only
-    /// meaningful together with [`TelemetryConfig::with_health`] rules.
-    #[must_use]
-    pub fn with_health_degrade(mut self) -> Self {
-        self.health_degrade = true;
         self
     }
 }
@@ -480,7 +463,6 @@ pub struct ChurnFleet {
     horizon_ms: f64,
     retire_window_ms: Option<f64>,
     warm_start: bool,
-    health_degrade: bool,
     clock: FleetClock,
     /// Indexed by arrival ordinal; `None` once departed (or never
     /// admitted). Boxed so a long-running open system pays one pointer —
@@ -568,7 +550,6 @@ impl ChurnFleet {
             horizon_ms: config.horizon_ms,
             retire_window_ms: config.retire_window_ms,
             warm_start: config.warm_start,
-            health_degrade: config.health_degrade,
             clock: FleetClock::new(),
             live: Vec::new(),
             slots: Vec::new(),
@@ -728,21 +709,7 @@ impl ChurnFleet {
                 self.roster_ordinals.push(ordinal);
                 (decision, c.admitted().last().expect("just joined").clone())
             }
-            None => {
-                // Health-driven load shedding: with no admission gate, an
-                // open critical SLO incident forces the joiner in on a
-                // quarter link share (it still joins — the monitor can
-                // only degrade, never reject).
-                if self.health_degrade && self.cell.sinks.health_open_critical() {
-                    self.degraded += 1;
-                    (
-                        AdmissionDecision::Degraded,
-                        spec.with_share(LinkShare::weighted(0.25)),
-                    )
-                } else {
-                    (AdmissionDecision::Admitted, spec)
-                }
-            }
+            None => (AdmissionDecision::Admitted, spec),
         };
         // Warm start: begin at the crowd's operating point instead of the
         // cold default (only meaningful for adaptive-controller schemes).

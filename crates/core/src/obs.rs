@@ -315,12 +315,6 @@ impl MetricsSink {
         self.classes.iter().map(|c| c.frames).sum()
     }
 
-    /// The MTP histogram for one class.
-    #[must_use]
-    pub fn mtp_histogram(&self, class: TenantClass) -> &Histogram {
-        &self.classes[class_index(class)].mtp_ms
-    }
-
     /// Folds another sink's state into this one — exact, order- and
     /// association-independent (see the type docs).
     pub fn absorb(&mut self, other: &MetricsSink) {
@@ -743,16 +737,6 @@ impl HealthMonitor {
         &self.incidents
     }
 
-    /// Whether any rule currently holds an open critical-severity
-    /// incident — the churn degrade trigger's input.
-    #[must_use]
-    pub fn has_open_critical(&self) -> bool {
-        self.active
-            .iter()
-            .flatten()
-            .any(|&i| self.incidents[i].severity == Severity::Critical)
-    }
-
     /// Evaluates every window that ends at or before `t_ms` (callers pass
     /// the same frontier that drives windowed-stats closing: a time no
     /// future frame can precede).
@@ -1141,7 +1125,12 @@ mod tests {
         }
         m.close_before(250.0);
         assert_eq!(m.incidents().len(), 1, "breach opened while streaming");
-        assert!(m.has_open_critical(), "80 ms vs 30 ms ceiling is critical");
+        let open = &m.incidents()[0];
+        assert_eq!(
+            (open.severity, open.close_ms),
+            (Severity::Critical, None),
+            "80 ms vs 30 ms ceiling is critical and still open"
+        );
         let incidents = m.finish();
         assert_eq!(incidents.len(), 1);
         let i = &incidents[0];

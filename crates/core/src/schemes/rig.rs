@@ -596,12 +596,6 @@ impl Rig {
         self.records.push(record);
     }
 
-    /// Frames recorded so far.
-    #[must_use]
-    pub fn frames_recorded(&self) -> usize {
-        self.records.len()
-    }
-
     /// Motion-to-photon latency from the per-frame critical path: sensor
     /// transport + CPU stages + the slower of the local/remote branches +
     /// composition path + display scanout. In single-tenant mode the branch

@@ -433,12 +433,6 @@ impl WindowedStatsSink {
         sink
     }
 
-    /// Whether this sink defers all closing to finalisation.
-    #[must_use]
-    pub fn is_deferred(&self) -> bool {
-        self.defer
-    }
-
     /// Whether no bucket has collapsed yet (nothing closed, frontier still
     /// at zero) — the precondition for an exact merge.
     #[must_use]
@@ -931,16 +925,6 @@ impl SinkSet {
             .take()
             .map(crate::obs::HealthMonitor::finish)
             .unwrap_or_default()
-    }
-
-    /// Whether the health monitor currently holds an open critical-severity
-    /// incident — the churn fleet's optional degrade trigger reads this at
-    /// join time. `false` when no monitor runs.
-    #[must_use]
-    pub fn health_open_critical(&self) -> bool {
-        self.health
-            .as_ref()
-            .is_some_and(crate::obs::HealthMonitor::has_open_critical)
     }
 }
 

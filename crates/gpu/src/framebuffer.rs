@@ -226,15 +226,6 @@ impl Framebuffer {
         top.lerp(bottom, ty)
     }
 
-    /// Samples with normalized coordinates in `[0, 1]`.
-    #[must_use]
-    pub fn sample_normalized(&self, u: f32, v: f32) -> Rgba {
-        self.sample_bilinear(
-            u * (self.width.saturating_sub(1)) as f32,
-            v * (self.height.saturating_sub(1)) as f32,
-        )
-    }
-
     /// Iterator over all pixels in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = &Rgba> {
         self.pixels.iter()

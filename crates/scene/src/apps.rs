@@ -15,7 +15,7 @@
 //! Fig. 3(a) and Table 1; content detail is fitted so compressed background
 //! frames land near Table 1's "Back Size" column.
 //!
-//! An [`AppSession`] walks a seeded motion trace and emits one
+//! An [`AppSession`] draws seeded motion frame by frame and emits one
 //! [`FrameState`] per frame: the motion sample and delta, this frame's
 //! triangle count (complexity varies with user motion and interaction), the
 //! interactive-object workload share, and the content detail seen by the
@@ -183,24 +183,22 @@ pub struct FrameState {
 #[derive(Debug, Clone)]
 pub struct AppSession {
     profile: AppProfile,
-    trace: MotionTrace,
+    motion: MotionTrace,
+    /// The previous frame's sample (`None` before frame 0).
+    last_sample: Option<MotionSample>,
     frame: u64,
     rng: StdRng,
     detail_phase: f64,
 }
 
 impl AppSession {
-    /// Trace length generated up-front; sessions longer than this repeat the
-    /// last pose (they rarely should be).
-    const TRACE_FRAMES: usize = 4_096;
-
     /// Starts a session for a profile with a deterministic seed.
     #[must_use]
     pub fn start(profile: AppProfile, seed: u64) -> Self {
-        let trace = MotionTrace::generate(&profile.motion, Self::TRACE_FRAMES, seed);
         AppSession {
+            motion: MotionTrace::new(profile.motion, seed),
             profile,
-            trace,
+            last_sample: None,
             frame: 0,
             rng: StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF),
             detail_phase: (seed % 97) as f64 / 97.0,
@@ -223,9 +221,11 @@ impl AppSession {
     pub fn advance(&mut self) -> FrameState {
         let id = self.frame;
         self.frame += 1;
-        let idx = id as usize;
-        let sample = self.trace.sample(idx);
-        let delta = self.trace.delta(idx);
+        let sample = self.motion.next_sample();
+        let delta = self.last_sample.map_or_else(MotionDelta::default, |prev| {
+            MotionDelta::between(&prev, &sample)
+        });
+        self.last_sample = Some(sample);
 
         // Workload variation: slow content drift + motion-coupled change
         // (new geometry streams in as the head turns) + interaction detail.

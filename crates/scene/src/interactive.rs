@@ -11,7 +11,7 @@ use std::fmt;
 /// One pre-declared interactive object set for an app.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InteractiveObject {
-    name: String,
+    name: &'static str,
     f_min: f64,
     f_max: f64,
 }
@@ -24,22 +24,18 @@ impl InteractiveObject {
     ///
     /// Panics if the range is not within `[0, 1]` or inverted.
     #[must_use]
-    pub fn new(name: impl Into<String>, f_min: f64, f_max: f64) -> Self {
+    pub fn new(name: &'static str, f_min: f64, f_max: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&f_min) && (0.0..=1.0).contains(&f_max) && f_min <= f_max,
             "fraction range must satisfy 0 <= f_min <= f_max <= 1"
         );
-        InteractiveObject {
-            name: name.into(),
-            f_min,
-            f_max,
-        }
+        InteractiveObject { name, f_min, f_max }
     }
 
     /// Display name of the object set (e.g. `"9 Chess"`, `"1 Tree"`).
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Minimum workload fraction.

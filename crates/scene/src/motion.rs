@@ -7,12 +7,12 @@
 //! velocity, gaze movement, and an interaction intensity that the scene
 //! model turns into workload variation.
 //!
-//! Traces are generated up-front from a seed and are exactly reproducible.
+//! A [`MotionTrace`] draws one sample per frame from its seed and is exactly
+//! reproducible.
 
 use qvr_hvs::GazePoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt;
 
 /// How agitated a user is while playing one app.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,132 +130,116 @@ impl MotionDelta {
     }
 }
 
-/// A pre-generated, seed-deterministic sequence of motion samples.
-#[derive(Debug, Clone, PartialEq)]
+/// Samples a stream draws before it holds its last pose.
+///
+/// Motion used to be pre-generated as a 4,096-sample trace per session,
+/// and every frame past its end repeated the last pose. The frozen
+/// benchmark's `streaming_churn` reference pins tenants that run past that
+/// point, so the stream keeps the hold bit for bit. The next change to the
+/// benchmark removes it and re-pins that reference.
+const HOLD_AFTER: u32 = 4_096;
+
+/// A seed-deterministic motion stream, drawn one sample per frame. After
+/// 4,096 samples it repeats its last pose.
+#[derive(Debug, Clone)]
 pub struct MotionTrace {
-    samples: Vec<MotionSample>,
+    profile: MotionProfile,
+    rng: StdRng,
+    /// The last sample drawn.
+    sample: MotionSample,
+    /// Samples drawn so far, up to [`HOLD_AFTER`].
+    drawn: u32,
+    /// Segment state machine: calm <-> active.
+    active: bool,
+    segment_left: u32,
+    /// Current smooth head velocities.
+    vel_yaw: f64,
+    vel_pitch: f64,
+    gaze_target: GazePoint,
+    interaction_target: f64,
 }
 
 impl MotionTrace {
-    /// Generates `frames` samples for a profile and seed.
+    /// Starts the stream for a profile and seed.
     #[must_use]
-    pub fn generate(profile: &MotionProfile, frames: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut samples = Vec::with_capacity(frames);
+    pub fn new(profile: MotionProfile, seed: u64) -> Self {
+        MotionTrace {
+            profile,
+            rng: StdRng::seed_from_u64(seed),
+            sample: MotionSample {
+                gaze: GazePoint::center(),
+                ..MotionSample::default()
+            },
+            drawn: 0,
+            active: false,
+            // Starting at zero makes the first sample draw a segment, so
+            // streams are stationary from frame 0.
+            segment_left: 0,
+            vel_yaw: 0.0,
+            vel_pitch: 0.0,
+            gaze_target: GazePoint::center(),
+            interaction_target: 0.0,
+        }
+    }
 
-        let mut sample = MotionSample {
-            gaze: GazePoint::center(),
-            ..MotionSample::default()
-        };
-        // Segment state machine: calm <-> active. Starting at zero makes the
-        // first frame draw a segment, so traces are stationary from frame 0.
-        let mut active = false;
-        let mut segment_left = 0u32;
-        // Current smooth velocities.
-        let mut vel_yaw = 0.0f64;
-        let mut vel_pitch = 0.0f64;
-        let mut gaze_target = GazePoint::center();
-        let mut interaction_target = 0.0f64;
+    /// Draws the next frame's sample (the last one again once the stream
+    /// holds).
+    pub fn next_sample(&mut self) -> MotionSample {
+        if self.drawn == HOLD_AFTER {
+            return self.sample;
+        }
+        self.drawn += 1;
+        let profile = &self.profile;
+        let rng = &mut self.rng;
+        let sample = &mut self.sample;
 
-        for _ in 0..frames {
-            if segment_left == 0 {
-                // Active segments are more likely at higher activity.
-                active = rng.gen_bool(profile.activity.clamp(0.05, 0.95));
-                let jitter = rng.gen_range(0.6..1.4);
-                segment_left = ((f64::from(profile.segment_len) * jitter).round() as u32).max(10);
-                if active {
-                    vel_yaw = rng.gen_range(-1.0..1.0) * profile.peak_head_velocity;
-                    vel_pitch = rng.gen_range(-0.5..0.5) * profile.peak_head_velocity;
-                    interaction_target = rng.gen_range(0.45..1.0);
-                } else {
-                    vel_yaw = rng.gen_range(-0.1..0.1);
-                    vel_pitch = rng.gen_range(-0.05..0.05);
-                    interaction_target = rng.gen_range(0.05..0.4);
-                }
-            }
-            segment_left -= 1;
-
-            // Head: smooth integration with small noise.
-            sample.yaw += vel_yaw + rng.gen_range(-0.05..0.05);
-            sample.pitch =
-                (sample.pitch + vel_pitch + rng.gen_range(-0.03..0.03)).clamp(-60.0, 60.0);
-            sample.roll += rng.gen_range(-0.02..0.02);
-            for p in &mut sample.position {
-                *p += rng.gen_range(-0.002..0.002) * (1.0 + profile.activity);
-            }
-
-            // Gaze: smooth pursuit toward a target; saccades jump the target.
-            let saccade_p = if active {
-                profile.saccade_rate
+        if self.segment_left == 0 {
+            // Active segments are more likely at higher activity.
+            self.active = rng.gen_bool(profile.activity.clamp(0.05, 0.95));
+            let jitter = rng.gen_range(0.6..1.4);
+            self.segment_left = ((f64::from(profile.segment_len) * jitter).round() as u32).max(10);
+            if self.active {
+                self.vel_yaw = rng.gen_range(-1.0..1.0) * profile.peak_head_velocity;
+                self.vel_pitch = rng.gen_range(-0.5..0.5) * profile.peak_head_velocity;
+                self.interaction_target = rng.gen_range(0.45..1.0);
             } else {
-                profile.saccade_rate * 0.3
-            };
-            if rng.gen_bool(saccade_p.clamp(0.0, 1.0)) {
-                gaze_target =
-                    GazePoint::clamped(rng.gen_range(-0.7..0.7), rng.gen_range(-0.6..0.6));
+                self.vel_yaw = rng.gen_range(-0.1..0.1);
+                self.vel_pitch = rng.gen_range(-0.05..0.05);
+                self.interaction_target = rng.gen_range(0.05..0.4);
             }
-            let pursuit = 0.15;
-            sample.gaze = GazePoint::clamped(
-                sample.gaze.x + (gaze_target.x - sample.gaze.x) * pursuit,
-                sample.gaze.y + (gaze_target.y - sample.gaze.y) * pursuit,
-            );
-
-            // Interaction: first-order lag toward the segment target.
-            sample.interaction += (interaction_target - sample.interaction) * 0.08;
-            sample.interaction = sample.interaction.clamp(0.0, 1.0);
-
-            samples.push(sample);
         }
-        MotionTrace { samples }
-    }
+        self.segment_left -= 1;
 
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
+        // Head: smooth integration with small noise.
+        sample.yaw += self.vel_yaw + rng.gen_range(-0.05..0.05);
+        sample.pitch =
+            (sample.pitch + self.vel_pitch + rng.gen_range(-0.03..0.03)).clamp(-60.0, 60.0);
+        sample.roll += rng.gen_range(-0.02..0.02);
+        for p in &mut sample.position {
+            *p += rng.gen_range(-0.002..0.002) * (1.0 + profile.activity);
+        }
 
-    /// Whether the trace is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The sample at `frame`, or the last sample if past the end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    #[must_use]
-    pub fn sample(&self, frame: usize) -> MotionSample {
-        assert!(!self.samples.is_empty(), "trace must be non-empty");
-        self.samples[frame.min(self.samples.len() - 1)]
-    }
-
-    /// The motion delta feeding frame `frame` (zero for frame 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
-    #[must_use]
-    pub fn delta(&self, frame: usize) -> MotionDelta {
-        assert!(!self.samples.is_empty(), "trace must be non-empty");
-        if frame == 0 {
-            MotionDelta::default()
+        // Gaze: smooth pursuit toward a target; saccades jump the target.
+        let saccade_p = if self.active {
+            profile.saccade_rate
         } else {
-            MotionDelta::between(&self.sample(frame - 1), &self.sample(frame))
+            profile.saccade_rate * 0.3
+        };
+        if rng.gen_bool(saccade_p.clamp(0.0, 1.0)) {
+            self.gaze_target =
+                GazePoint::clamped(rng.gen_range(-0.7..0.7), rng.gen_range(-0.6..0.6));
         }
-    }
+        let pursuit = 0.15;
+        sample.gaze = GazePoint::clamped(
+            sample.gaze.x + (self.gaze_target.x - sample.gaze.x) * pursuit,
+            sample.gaze.y + (self.gaze_target.y - sample.gaze.y) * pursuit,
+        );
 
-    /// Iterator over all samples.
-    pub fn iter(&self) -> impl Iterator<Item = &MotionSample> {
-        self.samples.iter()
-    }
-}
+        // Interaction: first-order lag toward the segment target.
+        sample.interaction += (self.interaction_target - sample.interaction) * 0.08;
+        sample.interaction = sample.interaction.clamp(0.0, 1.0);
 
-impl fmt::Display for MotionTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-frame motion trace", self.samples.len())
+        *sample
     }
 }
 
@@ -263,79 +247,66 @@ impl fmt::Display for MotionTrace {
 mod tests {
     use super::*;
 
+    /// The first `frames` samples of a stream.
+    fn samples(profile: MotionProfile, frames: usize, seed: u64) -> Vec<MotionSample> {
+        let mut t = MotionTrace::new(profile, seed);
+        (0..frames).map(|_| t.next_sample()).collect()
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let p = MotionProfile::typical();
-        let a = MotionTrace::generate(&p, 300, 7);
-        let b = MotionTrace::generate(&p, 300, 7);
-        assert_eq!(a, b);
-        let c = MotionTrace::generate(&p, 300, 8);
-        assert_ne!(a, c);
+        let a = samples(p, 300, 7);
+        assert_eq!(a, samples(p, 300, 7));
+        assert_ne!(a, samples(p, 300, 8));
     }
 
     #[test]
-    fn requested_length_produced() {
-        let t = MotionTrace::generate(&MotionProfile::calm(), 123, 0);
-        assert_eq!(t.len(), 123);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn sample_clamps_past_end() {
-        let t = MotionTrace::generate(&MotionProfile::calm(), 10, 0);
-        assert_eq!(t.sample(9), t.sample(1000));
-    }
-
-    #[test]
-    fn first_delta_is_zero() {
-        let t = MotionTrace::generate(&MotionProfile::typical(), 10, 0);
-        assert_eq!(t.delta(0), MotionDelta::default());
-    }
-
-    #[test]
-    fn deltas_link_consecutive_samples() {
-        let t = MotionTrace::generate(&MotionProfile::typical(), 50, 3);
-        for i in 1..50 {
-            let d = t.delta(i);
-            let expect = MotionDelta::between(&t.sample(i - 1), &t.sample(i));
-            assert_eq!(d, expect);
+    fn stream_holds_its_last_pose_after_4096_samples() {
+        let s = samples(MotionProfile::frantic(), 4_100, 0);
+        assert_ne!(s[4_094], s[4_095], "the 4,096th sample is still drawn");
+        assert_eq!(s[4_096], s[4_095]);
+        for pair in s[4_095..].windows(2) {
+            assert_eq!(
+                MotionDelta::between(&pair[0], &pair[1]),
+                MotionDelta::default()
+            );
         }
     }
 
     #[test]
     fn frantic_moves_more_than_calm() {
-        let frames = 600;
-        let calm = MotionTrace::generate(&MotionProfile::calm(), frames, 11);
-        let frantic = MotionTrace::generate(&MotionProfile::frantic(), frames, 11);
-        let total_rotation =
-            |t: &MotionTrace| -> f64 { (1..frames).map(|i| t.delta(i).rotation_magnitude()).sum() };
+        let total_rotation = |p: MotionProfile| -> f64 {
+            samples(p, 600, 11)
+                .windows(2)
+                .map(|w| MotionDelta::between(&w[0], &w[1]).rotation_magnitude())
+                .sum()
+        };
+        let calm = total_rotation(MotionProfile::calm());
+        let frantic = total_rotation(MotionProfile::frantic());
         assert!(
-            total_rotation(&frantic) > 1.5 * total_rotation(&calm),
-            "frantic {:.1} vs calm {:.1}",
-            total_rotation(&frantic),
-            total_rotation(&calm)
+            frantic > 1.5 * calm,
+            "frantic {frantic:.1} vs calm {calm:.1}"
         );
     }
 
     #[test]
     fn gaze_stays_in_panel() {
-        let t = MotionTrace::generate(&MotionProfile::frantic(), 1000, 5);
-        for s in t.iter() {
+        for s in samples(MotionProfile::frantic(), 1000, 5) {
             assert!(s.gaze.x.abs() <= 1.0 && s.gaze.y.abs() <= 1.0);
         }
     }
 
     #[test]
     fn interaction_stays_in_unit_range() {
-        let t = MotionTrace::generate(&MotionProfile::frantic(), 1000, 5);
-        for s in t.iter() {
+        for s in samples(MotionProfile::frantic(), 1000, 5) {
             assert!((0.0..=1.0).contains(&s.interaction));
         }
     }
 
     #[test]
     fn interaction_varies_over_time() {
-        let t = MotionTrace::generate(&MotionProfile::typical(), 1000, 9);
+        let t = samples(MotionProfile::typical(), 1000, 9);
         let max = t.iter().map(|s| s.interaction).fold(0.0, f64::max);
         let min = t.iter().map(|s| s.interaction).fold(1.0, f64::min);
         assert!(max - min > 0.2, "interaction must vary, got [{min}, {max}]");
@@ -343,8 +314,7 @@ mod tests {
 
     #[test]
     fn pitch_is_clamped() {
-        let t = MotionTrace::generate(&MotionProfile::frantic(), 5000, 13);
-        for s in t.iter() {
+        for s in samples(MotionProfile::frantic(), 5000, 13) {
             assert!(s.pitch.abs() <= 60.0);
         }
     }
@@ -358,12 +328,5 @@ mod tests {
         };
         assert!((d.rotation_magnitude() - 5.0).abs() < 1e-12);
         assert!((d.gaze_magnitude() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_trace_sample_panics() {
-        let t = MotionTrace { samples: vec![] };
-        let _ = t.sample(0);
     }
 }

@@ -1,14 +1,15 @@
 //! Allocation-count regression gate for the per-frame hot path.
 //!
 //! A counting global allocator wraps `System` and tallies every
-//! `alloc`/`realloc` while armed. The test warms an 8-session fleet past
-//! its start-up transient (label interning pool, scratch buffers, engine
-//! vectors), then counts allocations over a steady-state window and pins
-//! the per-frame average to a small constant. Any change that reintroduces
-//! a per-frame allocation site (dep-list `Vec`s, `format!`ed labels,
-//! interval clones, per-event telemetry fan-out) shows up here as a
-//! multiple-allocations-per-frame jump, long before it is visible in
-//! wall-clock numbers.
+//! `alloc`/`realloc` the measuring thread makes while armed. The fleet
+//! tests warm an 8-session fleet past its start-up transient (label
+//! interning pool, scratch buffers, engine vectors), then count
+//! allocations over a steady-state window and pin the per-frame average to
+//! a small constant. Any change that reintroduces a per-frame allocation
+//! site (dep-list `Vec`s, `format!`ed labels, interval clones, per-event
+//! telemetry fan-out) shows up here as a multiple-allocations-per-frame
+//! jump, long before it is visible in wall-clock numbers. The app-session
+//! test pins a whole session, from profile to last frame, at zero.
 //!
 //! This lives in the root integration-test crate on purpose: every library
 //! crate in the workspace is `#![forbid(unsafe_code)]`, and a
@@ -16,20 +17,34 @@
 //! as separate crates, so the forbid does not apply here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use qvr::prelude::*;
-use qvr::scene::Benchmark;
+use qvr::scene::{AppSession, Benchmark};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted. Only the measuring
+    /// thread arms itself, so the test harness's own threads (spawning the
+    /// next test, reporting a finished one) never land in a window.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`;
+// counting reads a const-initialised thread-local and bumps an atomic,
+// neither of which allocates or touches the memory handed out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
@@ -40,14 +55,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc_zeroed(layout) }
@@ -56,6 +71,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Serializes the measuring tests: they share the one `ALLOCS` tally.
+static GATE: Mutex<()> = Mutex::new(());
+
+/// Holds [`GATE`] for the rest of the caller's scope.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Steady-state allocations-per-frame ceiling for an 8-session Q-VR fleet
 /// round. The hot path itself (dep lists, labels, pacing, telemetry
@@ -74,8 +98,7 @@ const MAX_ALLOCS_PER_FRAME_TRACED: f64 = 4.0;
 
 /// Warms an 8-session Q-VR fleet under the given telemetry config past
 /// its start-up transient, then returns the steady-state allocations per
-/// frame over the measured window. Serialized with a mutex — the counting
-/// allocator's tallies are process-global.
+/// frame over the measured window.
 fn measured_per_frame(telemetry: TelemetryConfig) -> f64 {
     measured_per_frame_with(SystemConfig::default(), telemetry)
 }
@@ -83,10 +106,7 @@ fn measured_per_frame(telemetry: TelemetryConfig) -> f64 {
 /// [`measured_per_frame`] under an explicit system config (the rate-control
 /// gate runs the same window with the controller active).
 fn measured_per_frame_with(system: SystemConfig, telemetry: TelemetryConfig) -> f64 {
-    static GATE: Mutex<()> = Mutex::new(());
-    let _serial = GATE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _serial = serial();
     let sessions = 8;
     let warmup_rounds = 24;
     let measured_rounds = 32;
@@ -105,11 +125,11 @@ fn measured_per_frame_with(system: SystemConfig, telemetry: TelemetryConfig) -> 
     }
 
     ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    ARMED.set(true);
     for _ in 0..measured_rounds {
         fleet.step_round();
     }
-    ARMED.store(false, Ordering::Relaxed);
+    ARMED.set(false);
     let allocs = ALLOCS.load(Ordering::Relaxed);
 
     let frames = (measured_rounds * sessions) as f64;
@@ -161,5 +181,25 @@ fn sampled_tracing_stays_within_its_pinned_allocation_bound() {
         per_frame <= MAX_ALLOCS_PER_FRAME_TRACED,
         "sampled tracing blew its allocation budget: {per_frame:.2} \
          allocations/frame (limit {MAX_ALLOCS_PER_FRAME_TRACED})"
+    );
+}
+
+#[test]
+fn app_session_start_and_advance_never_allocate() {
+    // Profiles name their objects with `&'static str`s and motion is drawn
+    // per frame, so a session needs no heap from its profile to its last
+    // frame, whatever its length.
+    let _serial = serial();
+    ALLOCS.store(0, Ordering::Relaxed);
+    ARMED.set(true);
+    let mut session = AppSession::start(Benchmark::Hl2H.profile(), 42);
+    for _ in 0..5_000 {
+        std::hint::black_box(session.advance());
+    }
+    ARMED.set(false);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "a 5,000-frame app session allocated {allocs} times"
     );
 }
