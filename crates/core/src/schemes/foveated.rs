@@ -74,7 +74,7 @@ pub(crate) struct FoveatedStepper {
     liwc: Liwc,
     sw: SoftwareController,
     prev_compose: Option<TaskId>,
-    /// Per-frame triangle-fraction memo (gaze-keyed, bit-identical reuse).
+    /// Per-gaze triangle-fraction ring table (bit-identical reuse).
     fovea_cache: TriangleFractionCache,
     /// Per-tenant closed-loop rate controller. Lives inside the stepper, so
     /// churn recycling a slot builds a fresh controller and a sharded cell

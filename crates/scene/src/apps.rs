@@ -97,8 +97,8 @@ impl AppProfile {
             .triangle_fraction(e1_deg, &self.display, frame.sample.gaze)
     }
 
-    /// [`AppProfile::fovea_workload`] through a per-frame triangle-fraction
-    /// memo (bit-identical results; the cache belongs to one session's
+    /// [`AppProfile::fovea_workload`] through a per-gaze triangle-fraction
+    /// ring table (bit-identical results; the cache belongs to one session's
     /// profile — see [`TriangleFractionCache`]).
     #[must_use]
     pub fn fovea_workload_cached(
@@ -117,8 +117,8 @@ impl AppProfile {
         self.full_workload(frame).scaled_region(area, tris)
     }
 
-    /// [`AppProfile::fovea_triangle_fraction`] through a per-frame memo
-    /// (bit-identical results).
+    /// [`AppProfile::fovea_triangle_fraction`] through a per-gaze ring
+    /// table (bit-identical results).
     #[must_use]
     pub fn fovea_triangle_fraction_cached(
         &self,

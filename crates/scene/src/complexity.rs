@@ -93,11 +93,16 @@ impl ComplexityField {
         Self::fraction_of(num, den)
     }
 
-    /// `triangle_fraction` through a per-frame memo (see
-    /// [`TriangleFractionCache`]): the gaze-wide denominator integral is
-    /// computed once per gaze and each distinct `e1` once. Results are
-    /// bit-identical to [`ComplexityField::triangle_fraction`] — the cache
-    /// only skips recomputing integrals it has already run.
+    /// `triangle_fraction` through a per-gaze ring table (see
+    /// [`TriangleFractionCache`]). The first call at a gaze runs the
+    /// gaze-wide denominator pass once, computing its disc areas in one
+    /// [`DisplayGeometry::fovea_area_fractions`] batch, and records the
+    /// running sum after each full ring. Every numerator at that gaze is a
+    /// prefix of that pass: it reads the record at its last full ring and
+    /// integrates at most one partial ring, with one area call (none when
+    /// `e1` is on the 0.5° grid, as every integer `e1` is). Results are
+    /// bit-identical to [`ComplexityField::triangle_fraction`]: the same
+    /// terms are added in the same order.
     #[must_use]
     pub fn triangle_fraction_cached(
         &self,
@@ -109,23 +114,105 @@ impl ComplexityField {
         if e1_deg <= 0.0 {
             return 0.0;
         }
-        cache.rekey(gaze);
-        if let Some(frac) = cache.lookup(e1_deg) {
-            return frac;
-        }
         let e_max = display.max_eccentricity().0 * 1.5;
-        let num = self.integrate(e1_deg.min(e_max), display, gaze);
-        let den = match cache.den {
-            Some(den) => den,
-            None => {
-                let den = self.integrate(e_max, display, gaze);
-                cache.den = Some(den);
-                den
+        let key = (gaze.x.to_bits(), gaze.y.to_bits());
+        if cache.gaze != Some(key) {
+            self.record_rings(e_max, display, gaze, cache);
+            cache.gaze = Some(key);
+        }
+        let num = self.integrate_from(cache, e1_deg.min(e_max), display, gaze);
+        Self::fraction_of(num, cache.den)
+    }
+
+    /// The denominator pass `integrate(e_max)`, recording every full ring.
+    fn record_rings(
+        &self,
+        e_max: f64,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        cache: &mut TriangleFractionCache,
+    ) {
+        let TriangleFractionCache {
+            radii,
+            areas,
+            sums,
+            den,
+            ..
+        } = cache;
+        // A pass visits at most `bound` grid radii, plus one partial radius:
+        // the first pass sizes the table, and it never grows after that.
+        let bound = ((e_max + 1e-9) / Self::STEP).floor() as usize;
+        radii.clear();
+        radii.reserve_exact(bound + 1);
+        areas.clear();
+        areas.reserve_exact(bound + 1);
+        sums.clear();
+        sums.reserve_exact(bound);
+        // The grid radii `integrate` visits, up to its saturation stop.
+        let r_sat = display.saturation_radius_deg(gaze) + 1.0;
+        let mut e = Self::STEP;
+        let mut saturated = false;
+        while e <= e_max + 1e-9 {
+            if e - Self::STEP >= r_sat {
+                saturated = true;
+                break;
             }
-        };
-        let frac = Self::fraction_of(num, den);
-        cache.insert(e1_deg, frac);
-        frac
+            radii.push(e);
+            e += Self::STEP;
+        }
+        let full = radii.len();
+        let rem = e_max - (e - Self::STEP);
+        if !saturated && rem > 1e-9 {
+            radii.push(e_max);
+        }
+        areas.resize(radii.len(), 0.0);
+        display.fovea_area_fractions(radii, gaze, areas);
+
+        let mut sum = 0.0;
+        let mut prev_area = 0.0;
+        for (&e, &area) in radii[..full].iter().zip(&areas[..full]) {
+            let ring = (area - prev_area).max(0.0);
+            sum += ring * self.density(e - Self::STEP / 2.0);
+            prev_area = area;
+            sums.push(sum);
+        }
+        if let Some(&area) = areas.get(full) {
+            let ring = (area - prev_area).max(0.0);
+            sum += ring * self.density(e_max - rem / 2.0);
+        }
+        *den = sum;
+    }
+
+    /// `integrate(upto_deg)` from a recorded denominator pass at the same
+    /// gaze with `upto_deg ≤ e_max`: the pass's first rings are exactly this
+    /// integral's full rings.
+    fn integrate_from(
+        &self,
+        table: &TriangleFractionCache,
+        upto_deg: f64,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+    ) -> f64 {
+        let grid = &table.radii[..table.sums.len()];
+        let full = grid.partition_point(|&e| e <= upto_deg + 1e-9);
+        let (sum, prev_area) = full
+            .checked_sub(1)
+            .map_or((0.0, 0.0), |last| (table.sums[last], table.areas[last]));
+        // `integrate`'s loop variable after `full` rings.
+        let e = (full + 1) as f64 * Self::STEP;
+        if e <= upto_deg + 1e-9 {
+            // Only the saturation stop ends a pass before `upto_deg`'s last
+            // grid radius; `integrate` returns without a partial ring.
+            return sum;
+        }
+        let rem = upto_deg - (e - Self::STEP);
+        if rem > 1e-9 {
+            let area = display.fovea_area_fraction(upto_deg, gaze);
+            let ring = (area - prev_area).max(0.0);
+            sum + ring * self.density(upto_deg - rem / 2.0)
+        } else {
+            sum
+        }
     }
 
     fn fraction_of(num: f64, den: f64) -> f64 {
@@ -170,16 +257,25 @@ impl ComplexityField {
     }
 }
 
-/// Per-frame memo for [`ComplexityField::triangle_fraction_cached`].
+/// Per-gaze ring table for [`ComplexityField::triangle_fraction_cached`].
 ///
-/// Keyed by the gaze point's raw bits: a new gaze clears everything. One
-/// cache belongs to ONE (field, display) pair — steppers own one per
-/// session; sharing across profiles would mix incompatible integrals.
+/// Keyed by the gaze point's raw bits: a new gaze reruns the denominator
+/// pass and overwrites the table. The table is that pass's record: the
+/// running `(sum, area)` after each full ring, and the denominator. Its
+/// buffers are sized once, at the first call, from the display's ring
+/// bound, so later gazes allocate nothing. One cache belongs to ONE (field,
+/// display) pair — steppers own one per session; sharing across profiles
+/// would mix incompatible integrals.
 #[derive(Debug, Clone, Default)]
 pub struct TriangleFractionCache {
     gaze: Option<(u64, u64)>,
-    den: Option<f64>,
-    entries: Vec<(u64, f64)>,
+    /// The pass's grid radii, then its partial radius if it has one.
+    radii: Vec<f64>,
+    /// The clipped disc area at each of `radii`.
+    areas: Vec<f64>,
+    /// The running sum after each full ring, one per grid radius.
+    sums: Vec<f64>,
+    den: f64,
 }
 
 impl TriangleFractionCache {
@@ -187,27 +283,6 @@ impl TriangleFractionCache {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn rekey(&mut self, gaze: GazePoint) {
-        let key = (gaze.x.to_bits(), gaze.y.to_bits());
-        if self.gaze != Some(key) {
-            self.gaze = Some(key);
-            self.den = None;
-            self.entries.clear();
-        }
-    }
-
-    fn lookup(&self, e1_deg: f64) -> Option<f64> {
-        let key = e1_deg.to_bits();
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, f)| *f)
-    }
-
-    fn insert(&mut self, e1_deg: f64, frac: f64) {
-        self.entries.push((e1_deg.to_bits(), frac));
     }
 }
 
@@ -230,9 +305,141 @@ impl fmt::Display for ComplexityField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn display() -> DisplayGeometry {
         DisplayGeometry::vive_pro_class()
+    }
+
+    /// The uniform field, the default one and a concentrated one.
+    fn fields() -> [ComplexityField; 3] {
+        [
+            ComplexityField::uniform(),
+            ComplexityField::default(),
+            ComplexityField::new(8.0, 10.0),
+        ]
+    }
+
+    /// Both shipped displays.
+    fn displays() -> [DisplayGeometry; 2] {
+        [
+            DisplayGeometry::vive_pro_class(),
+            DisplayGeometry::low_res_class(),
+        ]
+    }
+
+    /// Gazes at the centre, the corners, an edge, on the diagonal and at a
+    /// random point. The saturation stop ends the denominator pass early at
+    /// the centre and a few rings before `e_max` at (0.45, 0.45); from a
+    /// corner or an edge the pass runs to `e_max` and ends on a partial
+    /// ring.
+    fn gazes(rng: &mut StdRng) -> [GazePoint; 7] {
+        [
+            GazePoint::center(),
+            GazePoint::clamped(0.45, 0.45),
+            GazePoint::clamped(1.0, 1.0),
+            GazePoint::clamped(-1.0, 1.0),
+            GazePoint::clamped(-0.93, -1.0),
+            GazePoint::clamped(0.0, -1.0),
+            GazePoint::clamped(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+        ]
+    }
+
+    /// An `e1` on the 0.5° grid, just inside or outside `integrate`'s 1e-9
+    /// grid tolerance, off the grid, at or past `e_max`, or non-positive.
+    fn e1(rng: &mut StdRng, e_max: f64) -> f64 {
+        let grid = f64::from(rng.gen_range(1..240u32)) * 0.5;
+        match rng.gen_range(0..8u32) {
+            0 | 1 => grid,
+            2 => grid + rng.gen_range(-2e-9..2e-9),
+            3 | 4 => rng.gen_range(0.0..e_max),
+            5 => e_max + rng.gen_range(-1e-9..1e-9),
+            6 => rng.gen_range(e_max..1e3),
+            _ => -rng.gen_range(0.0..3.0),
+        }
+    }
+
+    #[test]
+    fn cached_fraction_equals_the_uncached_one_bit_for_bit() {
+        // Each uncached call runs two full integrals; the debug build checks
+        // fewer calls.
+        let calls = if cfg!(debug_assertions) { 24 } else { 400 };
+        let mut rng = StdRng::seed_from_u64(0x00ca_c4ed);
+        for field in fields() {
+            for d in displays() {
+                let e_max = d.max_eccentricity().0 * 1.5;
+                let gazes = gazes(&mut rng);
+                // One cache, driven in a random order that moves between
+                // gazes and back.
+                let mut cache = TriangleFractionCache::new();
+                for _ in 0..calls {
+                    let gaze = gazes[rng.gen_range(0..gazes.len())];
+                    let e1 = e1(&mut rng, e_max);
+                    let cached = field.triangle_fraction_cached(e1, &d, gaze, &mut cache);
+                    let uncached = field.triangle_fraction(e1, &d, gaze);
+                    assert_eq!(
+                        cached.to_bits(),
+                        uncached.to_bits(),
+                        "{field} on {d}, e1={e1} at {gaze:?}: {cached} vs {uncached}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_table_stops_where_integrate_stops() {
+        // Rings past the saturation stop add exactly 0.0, so recording them
+        // would change no result, only the work: pin the stop itself. The
+        // table ends at the first grid radius at or past `r_sat`, or at the
+        // last one within `e_max`.
+        let mut rng = StdRng::seed_from_u64(0x570b);
+        let field = ComplexityField::default();
+        for d in displays() {
+            let e_max = d.max_eccentricity().0 * 1.5;
+            let mut cache = TriangleFractionCache::new();
+            for gaze in gazes(&mut rng) {
+                let _ = field.triangle_fraction_cached(1.0, &d, gaze, &mut cache);
+                let r_sat = d.saturation_radius_deg(gaze) + 1.0;
+                let rings = cache.sums.len();
+                let last = cache.radii[rings - 1];
+                assert_eq!(last, rings as f64 * ComplexityField::STEP);
+                assert!(last <= e_max + 1e-9);
+                // No stop fired at the last recorded radius, and one fires at
+                // the next.
+                assert!(last - ComplexityField::STEP < r_sat, "{d} at {gaze:?}");
+                let ran_out = last + ComplexityField::STEP > e_max + 1e-9;
+                assert!(ran_out || last >= r_sat, "{d} at {gaze:?}: {rings} rings");
+                assert_eq!(cache.radii.len() > rings, ran_out && e_max - last > 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn larger_e1_never_lowers_the_fraction() {
+        let mut rng = StdRng::seed_from_u64(0x3e7a);
+        for field in fields() {
+            for d in displays() {
+                let e_max = d.max_eccentricity().0 * 1.5;
+                let mut cache = TriangleFractionCache::new();
+                for _ in 0..20 {
+                    let gaze =
+                        GazePoint::clamped(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                    let mut e1s: Vec<f64> = (0..64).map(|_| e1(&mut rng, e_max)).collect();
+                    e1s.sort_by(f64::total_cmp);
+                    let mut last = 0.0;
+                    for e1 in e1s {
+                        let frac = field.triangle_fraction_cached(e1, &d, gaze, &mut cache);
+                        assert!(
+                            frac >= last,
+                            "{field} on {d} at {gaze:?}: e1={e1} gives {frac} < {last}"
+                        );
+                        last = frac;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! site (dep-list `Vec`s, `format!`ed labels, interval clones, per-event
 //! telemetry fan-out) shows up here as a multiple-allocations-per-frame
 //! jump, long before it is visible in wall-clock numbers. The app-session
-//! test pins a whole session, from profile to last frame, at zero.
+//! test pins a whole session, from profile to last frame, at zero, and the
+//! triangle-fraction test pins the foveal ring table's new-gaze path at
+//! zero.
 //!
 //! This lives in the root integration-test crate on purpose: every library
 //! crate in the workspace is `#![forbid(unsafe_code)]`, and a
@@ -21,8 +23,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use qvr::hvs::{DisplayGeometry, GazePoint};
 use qvr::prelude::*;
-use qvr::scene::{AppSession, Benchmark};
+use qvr::scene::{AppSession, Benchmark, ComplexityField, TriangleFractionCache};
 
 struct CountingAlloc;
 
@@ -201,5 +204,41 @@ fn app_session_start_and_advance_never_allocate() {
     assert_eq!(
         allocs, 0,
         "a 5,000-frame app session allocated {allocs} times"
+    );
+}
+
+#[test]
+fn triangle_fraction_ring_table_never_grows() {
+    // The first call sizes the ring table from the display's ring bound;
+    // every later gaze, corners included (their pass runs to `e_max` and
+    // adds a partial radius), reuses it.
+    let _serial = serial();
+    let field = ComplexityField::default();
+    let display = DisplayGeometry::vive_pro_class();
+    let mut cache = TriangleFractionCache::new();
+    let _ = field.triangle_fraction_cached(5.0, &display, GazePoint::center(), &mut cache);
+    let corners = [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)];
+    let gazes = corners
+        .into_iter()
+        .chain((0..996u32).map(|i| {
+            let t = f64::from(i);
+            (
+                (t * 0.618_034).fract() * 2.0 - 1.0,
+                (t * 0.414_214).fract() * 2.0 - 1.0,
+            )
+        }))
+        .map(|(x, y)| GazePoint::clamped(x, y));
+    ALLOCS.store(0, Ordering::Relaxed);
+    ARMED.set(true);
+    for gaze in gazes {
+        for e1 in [5.0, 12.5, 33.3] {
+            std::hint::black_box(field.triangle_fraction_cached(e1, &display, gaze, &mut cache));
+        }
+    }
+    ARMED.set(false);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "1,000 gazes x 3 e1 through one cache allocated {allocs} times"
     );
 }
