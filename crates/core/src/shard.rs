@@ -36,7 +36,13 @@
 //! # Cross-cell admission (spill)
 //!
 //! Routing is load-aware and deterministic. Without admission, a join
-//! lands on the least-loaded cell (occupancy, then cell id). With a
+//! lands on the least-loaded open cell (occupancy, then cell id). Cells
+//! start empty and share one capacity, so that rule is round robin: after
+//! `k` joins cell `c` holds `⌊k/cells⌋ + [c < k mod cells]`, the lowest id
+//! holding the minimum is `k mod cells`, and it is open while
+//! `k < cells × cell_capacity`. Join `k` therefore goes to cell
+//! `k mod cells` until every cell is full, and the router computes that
+//! instead of scanning cells. With a
 //! per-cell [`crate::admission::AdmissionController`], cells are tried in
 //! ascending (occupancy, last-probe utilisation, cell id) order for *full*
 //! admission first ([`crate::admission::AdmissionController::offer_protected`]);
@@ -45,6 +51,11 @@
 //! counts as *spilled*. Every cell builds its own
 //! [`crate::telemetry::LoadTracker`] and routing reads none of them, so a
 //! spilled joiner can never inherit another cell's measured load.
+//!
+//! Routing copies no spec. Under occupancy routing a cell's sessions are
+//! a stride of the roster; under admission they are its controller's own
+//! roster. Each worker builds its own cell's [`FleetConfig`] from them, so
+//! a run holds one copy of the roster plus whatever the live cells hold.
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
 use crate::fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec};
@@ -130,8 +141,10 @@ impl ShardConfig {
 /// What the deterministic router decided, before any cell runs.
 #[derive(Debug, Clone)]
 struct Routing {
-    /// Per-cell placed specs, in placement order.
-    placements: Vec<Vec<SessionSpec>>,
+    /// Per-cell admission controllers, cell-id order; each one's roster is
+    /// its cell's sessions. Empty under occupancy routing, where cell `c`
+    /// runs [`round_robin`]'s joins.
+    controllers: Vec<AdmissionController>,
     /// Joins placed anywhere but their first-choice cell.
     spilled: usize,
     /// Joins no cell would take.
@@ -142,71 +155,91 @@ struct Routing {
     probes_run: usize,
 }
 
+/// The roster indices cell `c` runs under occupancy routing. Join `k`
+/// goes to cell `k mod cells` while `k < cells × cell_capacity` (module
+/// docs give the argument), so the cell runs every `cells`-th join from
+/// `c`, at most `cell_capacity` of them. Only called with `c < cells`.
+fn round_robin(config: &ShardConfig, c: usize) -> impl Iterator<Item = usize> {
+    (c..config.roster.len())
+        .step_by(config.cells)
+        .take(config.cell_capacity)
+}
+
+impl Routing {
+    /// Cell `c`'s sessions in placement order (degraded shares included).
+    fn sessions(&self, config: &ShardConfig, c: usize) -> Vec<SessionSpec> {
+        match self.controllers.get(c) {
+            Some(controller) => controller.admitted().to_vec(),
+            None => round_robin(config, c)
+                .map(|k| config.roster[k].clone())
+                .collect(),
+        }
+    }
+
+    /// Whether cell `c` holds at least one session.
+    fn occupied(&self, config: &ShardConfig, c: usize) -> bool {
+        match self.controllers.get(c) {
+            Some(controller) => !controller.admitted().is_empty(),
+            None => round_robin(config, c).next().is_some(),
+        }
+    }
+}
+
 /// Routes the roster across cells: least-loaded first, spilling on
 /// rejection or degradation (module docs give the resolution order).
-/// Single-threaded and deterministic — the router is the shard's only
-/// cross-cell coupling, so keeping it off the worker pool is what makes
-/// the whole run worker-count-independent.
+/// Occupancy routing is round robin, so only its rejections are counted
+/// here; [`round_robin`] names each cell's joins. Single-threaded and
+/// deterministic — the router is the shard's only cross-cell coupling, so
+/// keeping it off the worker pool is what makes the whole run
+/// worker-count-independent.
 fn route(config: &ShardConfig) -> Routing {
-    let mut controllers: Vec<AdmissionController> = match &config.admission {
-        Some(policy) => (0..config.cells)
-            .map(|c| {
-                AdmissionController::with_capacity(
-                    config.template.system,
-                    config.template.fairness,
-                    policy.clone(),
-                    cell_seed(config.template.seed, c),
-                    config.template.server_units,
-                    config.template.link_streams,
-                )
-                .with_server_policy(config.template.server_policy)
-            })
-            .collect(),
-        None => Vec::new(),
+    let Some(policy) = &config.admission else {
+        let open = config.cells.saturating_mul(config.cell_capacity);
+        return Routing {
+            controllers: Vec::new(),
+            spilled: 0,
+            rejected: config.roster.len().saturating_sub(open),
+            degraded: 0,
+            probes_run: 0,
+        };
     };
-    let mut placements: Vec<Vec<SessionSpec>> = vec![Vec::new(); config.cells];
+    let mut controllers: Vec<AdmissionController> = (0..config.cells)
+        .map(|c| {
+            AdmissionController::with_capacity(
+                config.template.system,
+                config.template.fairness,
+                policy.clone(),
+                cell_seed(config.template.seed, c),
+                config.template.server_units,
+                config.template.link_streams,
+            )
+            .with_server_policy(config.template.server_policy)
+        })
+        .collect();
     let mut routing = Routing {
-        placements: Vec::new(),
+        controllers: Vec::new(),
         spilled: 0,
         rejected: 0,
         degraded: 0,
         probes_run: 0,
     };
     for spec in &config.roster {
-        if controllers.is_empty() {
-            // Occupancy-only routing: the least-loaded open cell (lowest
-            // id on ties) takes the join. A linear min-scan, not a sort —
-            // this path must stay cheap at thousands of cells.
-            let mut best: Option<usize> = None;
-            for (c, placed) in placements.iter().enumerate() {
-                if placed.len() >= config.cell_capacity {
-                    continue;
-                }
-                if best.is_none_or(|b| placed.len() < placements[b].len()) {
-                    best = Some(c);
-                }
-            }
-            match best {
-                Some(c) => placements[c].push(spec.clone()),
-                None => routing.rejected += 1, // every cell is full
-            }
-            continue;
-        }
         // Candidate cells in spill-resolution order: occupancy, then the
         // cell's last accepted probe's measured utilisation, then cell id.
+        // Nothing is released while routing, so a controller's roster
+        // length is its cell's occupancy.
+        let occupancy = |c: usize| controllers[c].admitted().len();
         let mut order: Vec<usize> = (0..config.cells)
-            .filter(|&c| placements[c].len() < config.cell_capacity)
+            .filter(|&c| occupancy(c) < config.cell_capacity)
             .collect();
         let probe_util = |c: usize| -> f64 {
-            controllers
-                .get(c)
-                .and_then(AdmissionController::accepted_summary)
+            controllers[c]
+                .accepted_summary()
                 .map_or(0.0, |s| s.server_utilization)
         };
         order.sort_by(|&a, &b| {
-            placements[a]
-                .len()
-                .cmp(&placements[b].len())
+            occupancy(a)
+                .cmp(&occupancy(b))
                 .then(probe_util(a).total_cmp(&probe_util(b)))
                 .then(a.cmp(&b))
         });
@@ -216,44 +249,27 @@ fn route(config: &ShardConfig) -> Routing {
         };
         // Pass 1: full (protected) admission at the best cell that holds
         // the SLO.
-        let mut placed = None;
-        for &c in &order {
-            if controllers[c].offer_protected(spec.clone()) == AdmissionDecision::Admitted {
-                placed = Some(c);
-                break;
-            }
-        }
-        // Pass 2: nobody takes it at full share — one degraded offer at
-        // the least-loaded cell.
-        if placed.is_none() {
-            match controllers[first_choice].offer(spec.clone()) {
-                AdmissionDecision::Rejected => {
-                    routing.rejected += 1;
-                    continue;
-                }
+        let placed = order
+            .iter()
+            .copied()
+            .find(|&c| controllers[c].offer_protected(spec.clone()) == AdmissionDecision::Admitted);
+        match placed {
+            Some(c) if c != first_choice => routing.spilled += 1,
+            Some(_) => {}
+            // Pass 2: nobody takes it at full share — one degraded offer at
+            // the least-loaded cell.
+            None => match controllers[first_choice].offer(spec.clone()) {
+                AdmissionDecision::Rejected => routing.rejected += 1,
                 AdmissionDecision::Degraded => routing.degraded += 1,
                 AdmissionDecision::Admitted => {}
-            }
-            placed = Some(first_choice);
+            },
         }
-        let cell = placed.expect("placed above");
-        if cell != first_choice {
-            routing.spilled += 1;
-        }
-        // The controller joined the (possibly degraded) spec to its
-        // roster; mirror its share into the placement.
-        let joined = controllers[cell]
-            .admitted()
-            .last()
-            .expect("offer joined the roster")
-            .clone();
-        placements[cell].push(joined);
     }
     routing.probes_run = controllers
         .iter()
         .map(AdmissionController::probes_run)
         .sum();
-    routing.placements = placements;
+    routing.controllers = controllers;
     routing
 }
 
@@ -390,22 +406,23 @@ impl ShardSummary {
         let mut capacity_ms = 0.0;
         let mut server_units = 0;
         let mut peak_live_tasks = 0;
-        let mut cell_sessions = Vec::with_capacity(cells.len());
-        for cell in &cells {
+        let ran = cells.len();
+        let mut cell_sessions = Vec::with_capacity(ran);
+        for cell in cells {
             aggregate.absorb(&cell.aggregate);
-            if let Some(w) = &cell.windowed {
+            if let Some(w) = cell.windowed {
                 match &mut windowed {
-                    None => windowed = Some(w.clone()),
-                    Some(merged) => merged.absorb(w),
+                    None => windowed = Some(w),
+                    Some(merged) => merged.absorb(&w),
                 }
             }
-            if let Some(m) = &cell.metrics {
+            if let Some(m) = cell.metrics {
                 match &mut metrics {
-                    None => metrics = Some(m.clone()),
-                    Some(merged) => merged.absorb(m),
+                    None => metrics = Some(m),
+                    Some(merged) => merged.absorb(&m),
                 }
             }
-            incidents.extend(cell.incidents.iter().cloned().map(|mut inc| {
+            incidents.extend(cell.incidents.into_iter().map(|mut inc| {
                 inc.cell = Some(cell.cell);
                 inc
             }));
@@ -425,11 +442,14 @@ impl ShardSummary {
         let (mtp_p50_ms, mtp_p95_ms, mtp_p99_ms) = aggregate.mtp_percentiles();
         let (fps_floor, mean_fps) = aggregate.fps_stats();
         let (windows, peak_open_samples) = match windowed {
-            Some(w) => (w.clone().finish(), w.peak_open_samples()),
+            Some(w) => {
+                let peak = w.peak_open_samples();
+                (w.finish(), peak)
+            }
             None => (Vec::new(), 0),
         };
         ShardSummary {
-            cells: cells.len(),
+            cells: ran,
             sessions,
             frames,
             makespan_ms,
@@ -514,26 +534,20 @@ impl Shard {
     #[must_use]
     pub fn run(config: ShardConfig) -> ShardSummary {
         let routing = route(&config);
-        let cell_configs: Vec<(usize, FleetConfig)> = routing
-            .placements
-            .iter()
-            .enumerate()
-            .filter(|(_, specs)| !specs.is_empty())
-            .map(|(cell, specs)| {
-                let mut fleet = config.template.clone();
-                fleet.sessions = specs.clone();
-                fleet.seed = cell_seed(config.template.seed, cell);
-                if fleet.telemetry.window_ms.is_some() {
-                    fleet.telemetry = fleet.telemetry.with_deferred_windows();
-                }
-                (cell, fleet)
-            })
+        let occupied: Vec<usize> = (0..config.cells)
+            .filter(|&c| routing.occupied(&config, c))
             .collect();
         let workers = config
             .workers
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |w| w.get()));
-        let cells = qvr_sim::parallel_map_with(workers, &cell_configs, |(cell, fleet)| {
-            Fleet::new(fleet.clone()).finish_cell(*cell)
+        let cells = qvr_sim::parallel_map_with(workers, &occupied, |&cell| {
+            let mut fleet = config.template.clone();
+            fleet.sessions = routing.sessions(&config, cell);
+            fleet.seed = cell_seed(config.template.seed, cell);
+            if fleet.telemetry.window_ms.is_some() {
+                fleet.telemetry = fleet.telemetry.with_deferred_windows();
+            }
+            Fleet::new(fleet).finish_cell(cell)
         });
         let mut summary = ShardSummary::merge(cells);
         summary.spilled = routing.spilled;
@@ -548,6 +562,7 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::schemes::{SchemeKind, SystemConfig};
+    use proptest::prelude::*;
     use qvr_scene::Benchmark;
 
     fn template(frames: usize, seed: u64) -> FleetConfig {
@@ -587,11 +602,95 @@ mod tests {
     fn occupancy_routing_balances_and_rejects_overflow() {
         let config = ShardConfig::new(template(4, 7), 3, 2, roster(7));
         let routing = route(&config);
-        let occupancy: Vec<usize> = routing.placements.iter().map(Vec::len).collect();
+        let occupancy: Vec<usize> = (0..3).map(|c| routing.sessions(&config, c).len()).collect();
         assert_eq!(occupancy, vec![2, 2, 2], "least-loaded fills evenly");
         assert_eq!(routing.rejected, 1, "the 7th join finds every cell full");
         assert_eq!(routing.probes_run, 0);
         assert_eq!(routing.spilled, 0, "occupancy routing never spills");
+    }
+
+    /// The linear min-scan occupancy routing ran before its closed form:
+    /// each join goes to the least-loaded open cell, lowest id on ties.
+    /// Returns each cell's roster indices and the count of rejected joins.
+    fn scan_route(joins: usize, cells: usize, capacity: usize) -> (Vec<Vec<usize>>, usize) {
+        let mut placements: Vec<Vec<usize>> = vec![Vec::new(); cells];
+        let mut rejected = 0;
+        for k in 0..joins {
+            let mut best: Option<usize> = None;
+            for (c, placed) in placements.iter().enumerate() {
+                if placed.len() >= capacity {
+                    continue;
+                }
+                if best.is_none_or(|b| placed.len() < placements[b].len()) {
+                    best = Some(c);
+                }
+            }
+            match best {
+                Some(c) => placements[c].push(k),
+                None => rejected += 1,
+            }
+        }
+        (placements, rejected)
+    }
+
+    fn assert_round_robin_matches_scan(cells: usize, capacity: usize, joins: usize) {
+        let spec = SessionSpec::new(SchemeKind::Qvr, Benchmark::Wolf.profile());
+        let config = ShardConfig::new(template(1, 0), cells, capacity, vec![spec; joins]);
+        let (placements, rejected) = scan_route(joins, cells, capacity);
+        for (c, scanned) in placements.iter().enumerate() {
+            let closed: Vec<usize> = round_robin(&config, c).collect();
+            assert_eq!(
+                &closed, scanned,
+                "cell {c} of {cells} x {capacity} after {joins} joins"
+            );
+        }
+        assert_eq!(
+            route(&config).rejected,
+            rejected,
+            "rejections at {cells} x {capacity} after {joins} joins"
+        );
+    }
+
+    #[test]
+    fn round_robin_matches_the_scan_on_every_small_shape() {
+        for cells in 1..=12 {
+            for capacity in 1..=6 {
+                for joins in 0..=cells * capacity + 5 {
+                    assert_round_robin_matches_scan(cells, capacity, joins);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn round_robin_matches_the_scan_on_larger_shapes(
+            shape in (1usize..257, 1usize..17, 0usize..1 << 20)
+                .prop_map(|(cells, capacity, j)| (cells, capacity, j % (cells * capacity + 6))),
+        ) {
+            let (cells, capacity, joins) = shape;
+            assert_round_robin_matches_scan(cells, capacity, joins);
+        }
+    }
+
+    #[test]
+    fn zero_cells_or_slots_reject_every_join_and_run_no_cell() {
+        // `cells` and `cell_capacity` are public, so they can be zeroed
+        // after `ShardConfig::new`'s checks.
+        for (cells, capacity) in [(0, 2), (3, 0), (0, 0)] {
+            for admission in [None, Some(AdmissionPolicy::default())] {
+                let mut config = ShardConfig::new(template(2, 5), 1, 1, roster(4));
+                config.cells = cells;
+                config.cell_capacity = capacity;
+                config.admission = admission;
+                let s = Shard::run(config);
+                assert_eq!(
+                    (s.cells, s.sessions, s.rejected, s.probes_run),
+                    (0, 0, 4, 0),
+                    "{cells} cells x {capacity} slots"
+                );
+            }
+        }
     }
 
     #[test]
@@ -619,13 +718,10 @@ mod tests {
     fn merge_is_independent_of_cell_arrival_order() {
         let config = ShardConfig::new(template(5, 3), 3, 4, roster(9));
         let routing = route(&config);
-        let mut cells: Vec<CellSummary> = routing
-            .placements
-            .iter()
-            .enumerate()
-            .map(|(c, specs)| {
+        let mut cells: Vec<CellSummary> = (0..config.cells)
+            .map(|c| {
                 let mut fleet = config.template.clone();
-                fleet.sessions = specs.clone();
+                fleet.sessions = routing.sessions(&config, c);
                 fleet.seed = cell_seed(config.template.seed, c);
                 Fleet::new(fleet).finish_cell(c)
             })

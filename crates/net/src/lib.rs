@@ -351,8 +351,9 @@ pub struct NetworkChannel {
     alpha: f64,
     transfers: u64,
     /// Concurrent sessions drawing from this channel's bandwidth budget.
-    /// The default of 1 is the classic private-channel behaviour; fleets
-    /// raise it so every transfer sees the shared rate.
+    /// The default of 1 is the classic private-channel behaviour; joins and
+    /// leaves set it to the active member count, so every transfer sees
+    /// the shared rate.
     occupancy: usize,
     /// Concurrent full-rate streams the link can serve (MU-MIMO/OFDMA
     /// spatial capacity). Sharing degrades rates only once `occupancy`
@@ -361,7 +362,7 @@ pub struct NetworkChannel {
     /// How the budget splits between registered members.
     policy: FairnessPolicy,
     /// Registered members (weights, caps, MCS, per-member ACK monitors).
-    /// Empty for anonymous sharing driven by [`NetworkChannel::set_occupancy`].
+    /// Empty for a private channel.
     members: Vec<Member>,
 }
 
@@ -392,31 +393,6 @@ impl NetworkChannel {
             policy: FairnessPolicy::EqualShare,
             members: Vec::new(),
         }
-    }
-
-    /// Switches the channel into shared mode: `n` concurrent sessions draw
-    /// from one bandwidth budget. Every transfer's effective rate is the
-    /// nominal rate divided by the contention factor
-    /// `max(1, occupancy / streams)` — a fair-share MAC that serves up to
-    /// [`NetworkChannel::set_concurrent_streams`] stations at full rate and
-    /// time-shares beyond that. The ACK monitor observes the shared rate,
-    /// which is what lets each session's LIWC adapt its fovea to the crowd.
-    /// `n = 1` restores the private behaviour exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero, or if members have already joined (their
-    /// count *is* the occupancy then — see [`NetworkChannel::join`]).
-    pub fn set_occupancy(&mut self, n: usize) {
-        assert!(n > 0, "occupancy must be at least 1");
-        assert!(
-            self.members.is_empty(),
-            "occupancy is derived from membership once members have joined"
-        );
-        self.occupancy = n;
-        // Re-anchor the ACK estimate so planning reflects the new share
-        // immediately instead of after the EMA warms up.
-        self.observed_mbps = self.preset.download_mbps() / self.contention_divisor();
     }
 
     /// Sets the fairness policy arbitrating this link's budget.
@@ -923,11 +899,6 @@ impl SharedChannel {
         self.channel.borrow_mut().set_member_share(member, share);
     }
 
-    /// See [`NetworkChannel::set_occupancy`].
-    pub fn set_occupancy(&self, n: usize) {
-        self.channel.borrow_mut().set_occupancy(n);
-    }
-
     /// See [`NetworkChannel::occupancy`].
     #[must_use]
     pub fn occupancy(&self) -> usize {
@@ -1148,13 +1119,23 @@ mod tests {
         assert!(ch.to_string().contains("4G LTE"));
     }
 
+    /// A channel with `members` default-share members joined; returns it
+    /// with the first member's id.
+    fn joined(seed: u64, streams: usize, members: usize) -> (NetworkChannel, usize) {
+        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, seed);
+        ch.set_concurrent_streams(streams);
+        let ids: Vec<usize> = (0..members)
+            .map(|_| ch.join(LinkShare::default()))
+            .collect();
+        (ch, ids[0])
+    }
+
     #[test]
     fn occupancy_divides_effective_bandwidth() {
         let avg = |occ: usize| -> f64 {
-            let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 12);
-            ch.set_occupancy(occ);
+            let (mut ch, id) = joined(12, 1, occ);
             (0..100)
-                .map(|_| ch.transfer_only_ms(400_000.0))
+                .map(|_| ch.transfer_only_ms_for(Some(id), 400_000.0))
                 .sum::<f64>()
                 / 100.0
         };
@@ -1168,27 +1149,12 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_one_is_the_default_private_behaviour() {
-        let mut private = NetworkChannel::new(NetworkPreset::Early5G, 13);
-        let mut explicit = NetworkChannel::new(NetworkPreset::Early5G, 13);
-        explicit.set_occupancy(1);
-        for _ in 0..20 {
-            assert_eq!(
-                private.download_ms(250_000.0),
-                explicit.download_ms(250_000.0)
-            );
-        }
-        assert_eq!(private.occupancy(), 1);
-    }
-
-    #[test]
     fn ack_monitor_sees_the_shared_rate() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 14);
-        ch.set_occupancy(8);
+        let (mut ch, id) = joined(14, 1, 8);
         for _ in 0..50 {
-            ch.transfer_only_ms(400_000.0);
+            ch.transfer_only_ms_for(Some(id), 400_000.0);
         }
-        let obs = ch.observed_download_mbps();
+        let obs = ch.observed_download_mbps_for(Some(id));
         assert!(
             obs < 200.0 / 8.0 * 1.05,
             "observed {obs} Mbps must reflect the 1/8 share"
@@ -1196,20 +1162,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "occupancy")]
-    fn zero_occupancy_rejected() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 15);
-        ch.set_occupancy(0);
-    }
-
-    #[test]
     fn streams_share_contention_until_oversubscribed() {
         let avg = |occ: usize, streams: usize| -> f64 {
-            let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 17);
-            ch.set_concurrent_streams(streams);
-            ch.set_occupancy(occ);
+            let (mut ch, id) = joined(17, streams, occ);
             (0..100)
-                .map(|_| ch.transfer_only_ms(400_000.0))
+                .map(|_| ch.transfer_only_ms_for(Some(id), 400_000.0))
                 .sum::<f64>()
                 / 100.0
         };
@@ -1236,32 +1193,27 @@ mod tests {
 
     #[test]
     fn equal_share_members_match_anonymous_sharing_exactly() {
-        // The golden-compat contract at channel level: a member-bound
-        // transfer under EqualShare with a default share draws the same
-        // bits as the pre-policy anonymous path.
-        let mut legacy = NetworkChannel::new(NetworkPreset::WiFi, 21);
-        legacy.set_concurrent_streams(2);
-        legacy.set_occupancy(3);
-        let mut member = NetworkChannel::new(NetworkPreset::WiFi, 21);
-        member.set_concurrent_streams(2);
-        let ids: Vec<usize> = (0..3).map(|_| member.join(LinkShare::default())).collect();
-        assert_eq!(member.occupancy(), 3);
+        // The golden-compat contract at channel level: a lone EqualShare
+        // member with a default share draws the same bits as a private,
+        // unbound channel on the same seed.
+        let mut private = NetworkChannel::new(NetworkPreset::WiFi, 21);
+        let (mut member, id) = joined(21, 1, 1);
+        assert_eq!(member.occupancy(), 1);
         assert_eq!(
-            legacy.observed_download_mbps(),
-            member.observed_download_mbps_for(Some(ids[0]))
+            private.observed_download_mbps(),
+            member.observed_download_mbps_for(Some(id))
         );
-        for i in 0..30 {
-            let id = ids[i % 3];
+        for _ in 0..30 {
             assert_eq!(
-                legacy.transfer_only_ms(300_000.0),
+                private.transfer_only_ms(300_000.0),
                 member.transfer_only_ms_for(Some(id), 300_000.0)
             );
             assert_eq!(
-                legacy.upload_ms(2_000.0),
+                private.upload_ms(2_000.0),
                 member.upload_ms_for(Some(id), 2_000.0)
             );
             assert_eq!(
-                legacy.observed_download_mbps(),
+                private.observed_download_mbps(),
                 member.observed_download_mbps_for(Some(id))
             );
         }
@@ -1380,14 +1332,6 @@ mod tests {
         assert_eq!(ch.members(), 2);
         assert_eq!(ch.occupancy(), 2);
         assert_eq!(ch.member_share(b), LinkShare::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "derived from membership")]
-    fn manual_occupancy_rejected_after_joins() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 27);
-        ch.join(LinkShare::default());
-        ch.set_occupancy(4);
     }
 
     #[test]
@@ -1548,8 +1492,10 @@ mod tests {
     fn shared_handle_aliases_one_budget() {
         let a = SharedChannel::new(NetworkChannel::new(NetworkPreset::WiFi, 16));
         let b = a.clone();
-        a.set_occupancy(2);
-        assert_eq!(b.occupancy(), 2);
+        let _m = a.join(LinkShare::default());
+        let _n = b.join(LinkShare::default());
+        assert_eq!(a.occupancy(), 2, "joins through either handle count");
+        assert_eq!(b.members(), 2);
         a.download_ms(1_000.0);
         b.download_ms(1_000.0);
         assert_eq!(a.transfers(), 2, "both handles hit the same channel");

@@ -274,3 +274,42 @@ fn without_session_resums_client_and_carries_infrastructure_energy() {
         full.energy.client_mj
     );
 }
+
+#[test]
+fn admission_cell_runs_its_controllers_roster_degraded_shares_included() {
+    // Under admission a cell runs exactly what its controller admitted:
+    // degraded joiners at their degraded share, rejected joiners not at
+    // all. Weighted fairness makes the degraded share move the link
+    // allocation, so running the requested share instead would diverge.
+    let policy = AdmissionPolicy {
+        probe_frames: 6,
+        ..AdmissionPolicy::default()
+    };
+    let mut t = template(6, 9);
+    t.fairness = FairnessPolicy::Weighted;
+    let roster: Vec<SessionSpec> = (0..6).map(mixed_spec).collect();
+
+    let mut controller = AdmissionController::with_capacity(
+        t.system,
+        t.fairness,
+        policy.clone(),
+        cell_seed(t.seed, 0),
+        t.server_units,
+        t.link_streams,
+    )
+    .with_server_policy(t.server_policy);
+    controller.offer_all(roster.iter().cloned());
+    let degraded = controller.count(AdmissionDecision::Degraded);
+    assert!(degraded > 0, "the roster must force a degraded join");
+    let mut fleet_config = t.clone();
+    fleet_config.sessions = controller.admitted().to_vec();
+    let fleet = Fleet::run(fleet_config);
+
+    let shard = Shard::run(ShardConfig::new(t, 1, 8, roster).with_admission(policy));
+    assert_eq!(shard.sessions, controller.admitted().len());
+    assert_eq!(shard.degraded, degraded);
+    assert!(
+        shard.matches_fleet(&fleet),
+        "the admission cell must run its controller's roster"
+    );
+}
