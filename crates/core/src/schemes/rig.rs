@@ -18,6 +18,7 @@ use qvr_net::{NetworkChannel, SharedChannel};
 use qvr_scene::AppProfile;
 use qvr_sim::{DepList, PoolId, ResourceId, SharedEngine, TaskId};
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// The server-side resources a fleet of sessions contends for: a pool of
 /// remote GPU units and a matching pool of hardware encoders (one per GPU).
@@ -128,17 +129,49 @@ pub struct Rig {
     /// eagerly is exact and keeps no TaskId alive).
     display_ends: Vec<f64>,
     records: Vec<FrameRecord>,
-    /// Reusable scratch for remote-chain submission (see [`ChainScratch`]).
-    scratch: ChainScratch,
+    /// Interned chunk labels of every chain this rig has submitted (see
+    /// [`ChainLabels`]).
+    chain_labels: ChainLabels,
 }
 
-/// Reusable per-rig scratch threaded through [`Rig::remote_chain`]: chunk
-/// labels compose into one buffer instead of allocating a `String` per
-/// submitted task, so a steady-state frame costs no label allocations (the
-/// engine interns the composed text).
+/// The rig's chain-label table, threaded through [`Rig::remote_chain`]:
+/// for each chain label the rig has used, the engine-interned handles of
+/// chunk `i`'s labels `{label}:rr{i}`, `:enc{i}`, `:tx{i}` and `:vd{i}`,
+/// for every chunk in submission order. A chain's labels are formatted and
+/// interned on its first use; every later chain submits each chunk with a
+/// reference-count increment. A rig uses at most three chain labels
+/// (`remote`, `periph`, or StaticCollab's `bg:prefetch`, `bg:sync` and
+/// `bg:refetch`), so a lookup is a text comparison over at most three
+/// entries.
 #[derive(Debug, Clone, Default)]
-struct ChainScratch {
-    label: String,
+struct ChainLabels(Vec<(Box<str>, Vec<ChunkLabels>)>);
+
+/// One chunk's interned `rr`, `enc`, `tx` and `vd` labels.
+type ChunkLabels = [Rc<str>; 4];
+
+impl ChainLabels {
+    /// The per-chunk label handles of chain `label` split into `chunks`
+    /// chunks, interned into `engine` on first use.
+    fn of(&mut self, engine: &SharedEngine, label: &str, chunks: u32) -> &[ChunkLabels] {
+        let idx = match self.0.iter().position(|(l, _)| **l == *label) {
+            Some(idx) => idx,
+            None => {
+                let mut text = String::new();
+                let handles = (0..chunks)
+                    .map(|i| {
+                        ["rr", "enc", "tx", "vd"].map(|stage| {
+                            text.clear();
+                            let _ = write!(text, "{label}:{stage}{i}");
+                            engine.intern(&text)
+                        })
+                    })
+                    .collect();
+                self.0.push((label.into(), handles));
+                self.0.len() - 1
+            }
+        };
+        &self.0[idx].1
+    }
 }
 
 /// Result of one remote render→encode→transmit→decode chain.
@@ -253,7 +286,7 @@ impl Rig {
             ),
             display_ends: Vec::new(),
             records: Vec::new(),
-            scratch: ChainScratch::default(),
+            chain_labels: ChainLabels::default(),
         }
     }
 
@@ -413,6 +446,12 @@ impl Rig {
     /// and the decoder. With a 1-unit pool this reduces exactly to the
     /// classic single-resource schedule.
     ///
+    /// Chunk `i`'s tasks are labelled `{label}:rr{i}`, `:enc{i}`, `:tx{i}`
+    /// and `:vd{i}`. The rig interns them on the label's first chain and
+    /// reuses the handles afterwards, so `label` should be one of a few
+    /// fixed names: each new one adds `4 × tx_chunks` labels to the
+    /// engine's pool for good.
+    ///
     /// * `render_ms` — total remote render time for the frame;
     /// * `bytes` — total downlink bytes (already stereo-adjusted);
     /// * `decode_px` — total pixels the mobile decoder reconstructs;
@@ -437,20 +476,17 @@ impl Rig {
         let mut tx_total_ms = 0.0;
         let mut last_decode: Option<TaskId> = None;
         let mut prev_tx: Option<TaskId> = None;
-        // Chunk labels compose into the rig's scratch buffer (taken out of
-        // `self` so submissions can borrow the engine); the engine interns
-        // the text, so steady-state chains allocate no label storage.
-        let mut lbl = std::mem::take(&mut self.scratch.label);
-        for i in 0..k {
-            lbl.clear();
-            let _ = write!(lbl, "{label}:rr{i}");
-            let rr = self.engine.submit(&lbl, Some(rgpu), render_ms / kf, deps);
+        let labels = self.chain_labels.of(&self.engine, label, k);
+        for (i, [rr_label, enc_label, tx_label, vd_label]) in labels.iter().enumerate() {
+            let rr = self
+                .engine
+                .submit_interned(rr_label, Some(rgpu), render_ms / kf, deps);
             self.pending_spans
                 .render
                 .widen(self.engine.start_of(rr), self.engine.end_of(rr));
-            lbl.clear();
-            let _ = write!(lbl, "{label}:enc{i}");
-            let enc = self.engine.submit(&lbl, Some(senc), encode_ms / kf, &[rr]);
+            let enc = self
+                .engine
+                .submit_interned(enc_label, Some(senc), encode_ms / kf, &[rr]);
             self.pending_spans
                 .encode
                 .widen(self.engine.start_of(enc), self.engine.end_of(enc));
@@ -462,29 +498,27 @@ impl Rig {
                 self.channel.transfer_only_ms(bytes / f64::from(k))
             };
             tx_total_ms += tx_ms;
-            lbl.clear();
-            let _ = write!(lbl, "{label}:tx{i}");
             let tx = match prev_tx {
-                Some(p) => self
+                Some(p) => {
+                    self.engine
+                        .submit_interned(tx_label, Some(self.net_down), tx_ms, &[enc, p])
+                }
+                None => self
                     .engine
-                    .submit(&lbl, Some(self.net_down), tx_ms, &[enc, p]),
-                None => self.engine.submit(&lbl, Some(self.net_down), tx_ms, &[enc]),
+                    .submit_interned(tx_label, Some(self.net_down), tx_ms, &[enc]),
             };
             self.pending_spans
                 .network
                 .widen(self.engine.start_of(tx), self.engine.end_of(tx));
             prev_tx = Some(tx);
-            lbl.clear();
-            let _ = write!(lbl, "{label}:vd{i}");
             let vd = self
                 .engine
-                .submit(&lbl, Some(self.vdec), decode_ms / kf, &[tx]);
+                .submit_interned(vd_label, Some(self.vdec), decode_ms / kf, &[tx]);
             self.pending_spans
                 .decode
                 .widen(self.engine.start_of(vd), self.engine.end_of(vd));
             last_decode = Some(vd);
         }
-        self.scratch.label = lbl;
         let done = last_decode.expect("k >= 1");
         // Per-stage busy attribution for the telemetry stream: everything
         // this chain put on the server pool and the link, and where.
@@ -663,6 +697,47 @@ impl Rig {
             makespan_ms: span,
             busy,
             energy,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A chain's chunk labels in submission order, composed per task: the
+    /// text the rig's label table must reproduce.
+    fn composed(label: &str, chunks: u32) -> Vec<String> {
+        (0..chunks)
+            .flat_map(|i| ["rr", "enc", "tx", "vd"].map(|stage| format!("{label}:{stage}{i}")))
+            .collect()
+    }
+
+    #[test]
+    fn chain_chunks_carry_the_composed_labels_in_submission_order() {
+        // 12 chunks reach the two-digit indices; the repeated `remote`
+        // chain runs from the rig's label table.
+        for chunks in [1, 4, 12] {
+            let config = SystemConfig {
+                tx_chunks: chunks,
+                ..SystemConfig::default()
+            };
+            let mut rig = Rig::new(&config, 7);
+            for label in ["remote", "bg:prefetch", "remote"] {
+                let before = rig.engine.with(|e| e.tasks().len());
+                let chain = rig.remote_chain(label, 6.0, 240_000.0, 2.0e6, &[]);
+                let tasks = rig.engine.with(|e| e.tasks()[before..].to_vec());
+                let got: Vec<&str> = tasks.iter().map(|t| &*t.label).collect();
+                assert_eq!(got, composed(label, chunks), "{label} x{chunks}");
+                for t in &tasks {
+                    assert!(
+                        Rc::ptr_eq(&t.label, &rig.engine.intern(&t.label)),
+                        "{} must share the engine's pooled allocation",
+                        t.label
+                    );
+                }
+                assert_eq!(rig.engine.end_of(chain.done), tasks[tasks.len() - 1].end);
+            }
         }
     }
 }

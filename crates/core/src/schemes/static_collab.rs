@@ -16,6 +16,7 @@ use super::rig::{RemoteChain, Rig};
 use super::Stepper;
 use crate::metrics::FrameRecord;
 use qvr_scene::{AppProfile, AppSession, FrameState, MotionDelta};
+use qvr_sim::DepList;
 use std::collections::VecDeque;
 
 /// Per-frame stepper for static collaborative rendering.
@@ -86,7 +87,7 @@ impl Stepper for StaticStepper {
             self.prefetched.push_back(None);
         } else {
             let chain = rig.remote_chain(
-                &format!("bg{}", i + self.lookahead),
+                "bg:prefetch",
                 bg_render_ms,
                 bg_bytes,
                 self.native_px * 2.0,
@@ -157,8 +158,11 @@ impl Stepper for StaticStepper {
 
         // Depth-based embedding composition + ATW, both on the GPU.
         let c_ms = rig.stereo_pass_ms(&self.profile, config.static_composition_cycles_per_px);
-        let mut c_deps = vec![lr];
-        c_deps.extend(bg_done);
+        let mut c_deps = DepList::new();
+        c_deps.push(lr);
+        if let Some(bg) = bg_done {
+            c_deps.push(bg);
+        }
         let c = rig.engine.submit("C", Some(rig.gpu), c_ms, &c_deps);
         let atw_ms = rig.stereo_pass_ms(&self.profile, config.atw_cycles_per_px);
         let atw = rig.engine.submit("ATW", Some(rig.gpu), atw_ms, &[c]);

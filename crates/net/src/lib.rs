@@ -344,6 +344,9 @@ struct Member {
 pub struct NetworkChannel {
     preset: NetworkPreset,
     snr_db: f64,
+    /// `10^(−snr_db/20)`, fixed with the SNR at construction (see
+    /// [`NetworkChannel::jitter_sigma`]).
+    jitter_sigma: f64,
     rng: StdRng,
     /// EMA of effective downlink throughput, Mbps (the "ACK monitor").
     observed_mbps: f64,
@@ -384,6 +387,7 @@ impl NetworkChannel {
         NetworkChannel {
             preset,
             snr_db,
+            jitter_sigma: 10f64.powf(-snr_db / 20.0),
             rng: StdRng::seed_from_u64(seed),
             observed_mbps: preset.download_mbps(),
             alpha: 0.25,
@@ -623,14 +627,14 @@ impl NetworkChannel {
     /// by the SNR: noise amplitude is `10^(−SNR/20)` of the signal.
     #[must_use]
     pub fn jitter_sigma(&self) -> f64 {
-        10f64.powf(-self.snr_db / 20.0)
+        self.jitter_sigma
     }
 
     /// Samples this transfer's effective throughput factor in `(0.5, 1.0]`-
     /// ish territory: AWGN reduces effective capacity; deep fades hurt more
     /// than lucky frames help.
     fn throughput_factor(&mut self) -> f64 {
-        let sigma = self.jitter_sigma();
+        let sigma = self.jitter_sigma;
         // Two-sided Gaussian jitter with a slight downward bias (noise can
         // only destroy capacity on average).
         let g: f64 = {
@@ -1057,6 +1061,20 @@ mod tests {
             var.sqrt() / mean
         };
         assert!(spread(40.0) < spread(10.0));
+    }
+
+    #[test]
+    fn jitter_sigma_is_the_snr_power_law_bit_for_bit() {
+        // σ is computed once at construction; it must be the very value
+        // the per-transfer `powf` used to produce, for any finite SNR.
+        for snr in [20.0, 0.0, -3.0, 7.5, 12.345, -0.25, 60.0] {
+            let ch = NetworkChannel::with_snr(NetworkPreset::WiFi, snr, 1);
+            assert_eq!(
+                ch.jitter_sigma().to_bits(),
+                10f64.powf(-snr / 20.0).to_bits(),
+                "SNR {snr} dB"
+            );
+        }
     }
 
     #[test]

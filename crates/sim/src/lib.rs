@@ -49,6 +49,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// Identifies a resource within one [`Engine`].
@@ -158,6 +159,37 @@ pub struct ScheduledTask {
     pub end: f64,
 }
 
+/// The label pool's hasher: FxHash's rotate-xor-multiply over 8-byte
+/// words. Labels are the engine's own text and never feed a simulated
+/// number, so SipHash's resistance to crafted collisions buys nothing here.
+#[derive(Default)]
+struct LabelHasher(u64);
+
+impl LabelHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for LabelHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(tail));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The incremental discrete-event engine.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
@@ -174,7 +206,7 @@ pub struct Engine {
     /// Interned task labels: a steady-state frame loop reuses the same
     /// label set every frame, so after warm-up submission allocates nothing
     /// for labels.
-    label_pool: HashSet<Rc<str>>,
+    label_pool: HashSet<Rc<str>, BuildHasherDefault<LabelHasher>>,
     /// Scratch for composed labels (release gates) — reused across calls.
     label_scratch: String,
     /// Scratch for [`Engine::verify_exclusivity`] — sorted into in place,
@@ -455,15 +487,44 @@ impl Engine {
         duration_ms: f64,
         deps: &[TaskId],
     ) -> TaskId {
+        let label = self.intern(label);
         let deps_ready = self.deps_ready_ms(deps);
         self.submit_ready(label, resource, duration_ms, deps_ready)
     }
 
-    /// [`Engine::submit`] with the dependency frontier already reduced to a
-    /// readiness time — the shared tail of every submission path.
+    /// [`Engine::submit`] with a label already interned by
+    /// [`Engine::intern`]: the task shares the handle's allocation, so a
+    /// caller that submits the same labels every frame interns them once
+    /// and pays no formatting or hashing per task.
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::submit`]. Debug builds also panic if `label` is not
+    /// this engine's pooled allocation (tasks sharing a label must share
+    /// one allocation; see [`ScheduledTask::label`]).
+    pub fn submit_interned(
+        &mut self,
+        label: &Rc<str>,
+        resource: Option<ResourceId>,
+        duration_ms: f64,
+        deps: &[TaskId],
+    ) -> TaskId {
+        debug_assert!(
+            self.label_pool
+                .get(&**label)
+                .is_some_and(|pooled| Rc::ptr_eq(pooled, label)),
+            "label {label:?} was not interned by this engine"
+        );
+        let deps_ready = self.deps_ready_ms(deps);
+        self.submit_ready(Rc::clone(label), resource, duration_ms, deps_ready)
+    }
+
+    /// Submission with the label interned and the dependency frontier
+    /// already reduced to a readiness time — the shared tail of every
+    /// submission path.
     fn submit_ready(
         &mut self,
-        label: &str,
+        label: Rc<str>,
         resource: Option<ResourceId>,
         duration_ms: f64,
         deps_ready: f64,
@@ -483,7 +544,6 @@ impl Engine {
             r.busy_ms += duration_ms;
             r.intervals.push((start, end));
         }
-        let label = self.intern(label);
         self.tasks.push(ScheduledTask {
             label,
             resource,
@@ -493,8 +553,10 @@ impl Engine {
         TaskId(self.retired + self.tasks.len() - 1)
     }
 
-    /// Looks up (or creates) the shared allocation for a task label.
-    fn intern(&mut self, label: &str) -> Rc<str> {
+    /// Looks up (or creates) the shared allocation for a task label — the
+    /// handle [`Engine::submit_interned`] takes. The pool never shrinks,
+    /// so a handle stays this engine's pooled allocation for good.
+    pub fn intern(&mut self, label: &str) -> Rc<str> {
         if let Some(l) = self.label_pool.get(label) {
             return Rc::clone(l);
         }
@@ -610,6 +672,7 @@ impl Engine {
         let _ = write!(gate_label, "{label}:release");
         let gate = self.submit(&gate_label, None, ready_at_ms.max(0.0), &[]);
         self.label_scratch = gate_label;
+        let label = self.intern(label);
         let deps_ready = self.deps_ready_ms(deps).max(self.task(gate).end);
         self.submit_ready(label, resource, duration_ms, deps_ready)
     }
@@ -824,6 +887,24 @@ impl SharedEngine {
         self.0
             .borrow_mut()
             .submit(label, resource, duration_ms, deps)
+    }
+
+    /// See [`Engine::intern`].
+    pub fn intern(&self, label: &str) -> Rc<str> {
+        self.0.borrow_mut().intern(label)
+    }
+
+    /// See [`Engine::submit_interned`].
+    pub fn submit_interned(
+        &self,
+        label: &Rc<str>,
+        resource: Option<ResourceId>,
+        duration_ms: f64,
+        deps: &[TaskId],
+    ) -> TaskId {
+        self.0
+            .borrow_mut()
+            .submit_interned(label, resource, duration_ms, deps)
     }
 
     /// See [`Engine::submit_at`].
@@ -1474,6 +1555,71 @@ mod tests {
             "same label must share one allocation"
         );
         assert_eq!(&*tasks[b.0].label, "LR");
+    }
+
+    #[test]
+    fn interned_submission_schedules_exactly_like_submission_by_text() {
+        // One pseudo-random submission sequence (mixed resources, delays,
+        // dependency chains, periodic retirement) through `submit(&str)`
+        // on one engine and `submit_interned` on another.
+        let names = ["LR", "C", "remote:rr0", "remote:tx11", "pose", "ATW"];
+        let mut by_text = Engine::new();
+        let mut by_handle = Engine::new();
+        let res_t = ["GPU", "NET", "CPU"].map(|n| by_text.resource(n));
+        let res_h = ["GPU", "NET", "CPU"].map(|n| by_handle.resource(n));
+        let handles = names.map(|n| by_handle.intern(n));
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut prev: Option<TaskId> = None;
+        for step in 0..400 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let pick = (x >> 33) as usize;
+            let n = pick % names.len();
+            let r = (pick / names.len()) % 4;
+            let duration = f64::from((x >> 44) as u32 % 1000) / 64.0;
+            let mut deps = DepList::new();
+            if let Some(p) = prev.filter(|_| !pick.is_multiple_of(3)) {
+                deps.push(p);
+            }
+            let a = by_text.submit(names[n], res_t.get(r).copied(), duration, &deps);
+            let b = by_handle.submit_interned(&handles[n], res_h.get(r).copied(), duration, &deps);
+            assert_eq!(a, b, "step {step}");
+            assert_eq!(
+                by_text.start_of(a).to_bits(),
+                by_handle.start_of(b).to_bits()
+            );
+            assert_eq!(by_text.end_of(a).to_bits(), by_handle.end_of(b).to_bits());
+            let pooled = by_text.intern(names[n]);
+            let (ta, tb) = (by_text.tasks().last(), by_handle.tasks().last());
+            let (ta, tb) = (ta.expect("submitted"), tb.expect("submitted"));
+            assert_eq!(ta.resource, tb.resource);
+            assert!(Rc::ptr_eq(&tb.label, &handles[n]), "handle path shares");
+            assert!(Rc::ptr_eq(&ta.label, &pooled), "text path shares");
+            prev = Some(a);
+            if step % 50 == 49 {
+                let cut = by_text.end_of(a) - 40.0;
+                assert_eq!(by_text.retire_before(cut), by_handle.retire_before(cut));
+            }
+        }
+        assert_eq!(by_text.makespan().to_bits(), by_handle.makespan().to_bits());
+        for (ra, rb) in res_t.iter().zip(&res_h) {
+            assert_eq!(
+                by_text.busy_ms(*ra).to_bits(),
+                by_handle.busy_ms(*rb).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not interned")]
+    fn foreign_label_handles_are_rejected_in_debug_builds() {
+        let mut sim = Engine::new();
+        let gpu = sim.resource("GPU");
+        let _ = sim.intern("LR");
+        let foreign: Rc<str> = Rc::from("LR");
+        sim.submit_interned(&foreign, Some(gpu), 1.0, &[]);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! A counting global allocator wraps `System` and tallies every
 //! `alloc`/`realloc` the measuring thread makes while armed. The fleet
 //! tests warm an 8-session fleet past its start-up transient (label
-//! interning pool, scratch buffers, engine vectors), then count
-//! allocations over a steady-state window and pin the per-frame average to
-//! a small constant. Any change that reintroduces a per-frame allocation
-//! site (dep-list `Vec`s, `format!`ed labels, interval clones, per-event
-//! telemetry fan-out) shows up here as a multiple-allocations-per-frame
-//! jump, long before it is visible in wall-clock numbers. The app-session
-//! test pins a whole session, from profile to last frame, at zero, and the
-//! triangle-fraction test pins the foveal ring table's new-gaze path at
-//! zero.
+//! interning pool, chain-label tables, scratch buffers, engine vectors),
+//! then count allocations over a steady-state window and pin the per-frame
+//! average to a small constant, for every scheme. Any change that
+//! reintroduces a per-frame allocation site (dep-list `Vec`s, `format!`ed
+//! labels, interval clones, per-event telemetry fan-out) shows up here as
+//! a multiple-allocations-per-frame jump, long before it is visible in
+//! wall-clock numbers. The app-session test pins a whole session, from
+//! profile to last frame, at zero, and the triangle-fraction test pins the
+//! foveal ring table's new-gaze path at zero.
 //!
 //! This lives in the root integration-test crate on purpose: every library
 //! crate in the workspace is `#![forbid(unsafe_code)]`, and a
@@ -84,12 +84,12 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Steady-state allocations-per-frame ceiling for an 8-session Q-VR fleet
-/// round. The hot path itself (dep lists, labels, pacing, telemetry
-/// fan-out) is allocation-free; what remains is amortized `Vec` doubling
-/// in the engine's task/interval history and the aggregate sink's sample
-/// series, which averages out well under one allocation per frame over the
-/// measurement window.
+/// Steady-state allocations-per-frame ceiling for an 8-session fleet round
+/// of any one scheme. The hot path itself (dep lists, labels, pacing,
+/// telemetry fan-out) is allocation-free; what remains is amortized `Vec`
+/// doubling in the engine's task/interval history and the aggregate sink's
+/// sample series, which averages out well under one allocation per frame
+/// over the measurement window.
 const MAX_ALLOCS_PER_FRAME: f64 = 2.0;
 
 /// Ceiling with 1-in-32 span-trace sampling on: the sampled slot's event
@@ -103,19 +103,24 @@ const MAX_ALLOCS_PER_FRAME_TRACED: f64 = 4.0;
 /// its start-up transient, then returns the steady-state allocations per
 /// frame over the measured window.
 fn measured_per_frame(telemetry: TelemetryConfig) -> f64 {
-    measured_per_frame_with(SystemConfig::default(), telemetry)
+    measured_per_frame_with(SystemConfig::default(), SchemeKind::Qvr, telemetry)
 }
 
-/// [`measured_per_frame`] under an explicit system config (the rate-control
-/// gate runs the same window with the controller active).
-fn measured_per_frame_with(system: SystemConfig, telemetry: TelemetryConfig) -> f64 {
+/// [`measured_per_frame`] under an explicit system config and scheme (the
+/// rate-control gate runs the same window with the controller active, the
+/// steady-state gate runs it once per scheme).
+fn measured_per_frame_with(
+    system: SystemConfig,
+    scheme: SchemeKind,
+    telemetry: TelemetryConfig,
+) -> f64 {
     let _serial = serial();
     let sessions = 8;
     let warmup_rounds = 24;
     let measured_rounds = 32;
     let mut config = FleetConfig::uniform(
         system,
-        SchemeKind::Qvr,
+        scheme,
         Benchmark::Hl2H.profile(),
         sessions,
         warmup_rounds + measured_rounds,
@@ -137,7 +142,10 @@ fn measured_per_frame_with(system: SystemConfig, telemetry: TelemetryConfig) -> 
 
     let frames = (measured_rounds * sessions) as f64;
     let per_frame = allocs as f64 / frames;
-    eprintln!("steady-state: {allocs} allocations / {frames} frames = {per_frame:.3} per frame");
+    eprintln!(
+        "steady-state {}: {allocs} allocations / {frames} frames = {per_frame:.3} per frame",
+        scheme.label()
+    );
     per_frame
 }
 
@@ -145,13 +153,20 @@ fn measured_per_frame_with(system: SystemConfig, telemetry: TelemetryConfig) -> 
 fn steady_state_fleet_round_is_allocation_free() {
     // The default telemetry config leaves tracing, metrics, and health
     // disabled, so holding this bound is also the receipt that the
-    // observability hooks add zero allocations per frame when off.
-    let per_frame = measured_per_frame(TelemetryConfig::default());
-    assert!(
-        per_frame <= MAX_ALLOCS_PER_FRAME,
-        "steady-state hot path regressed: {per_frame:.2} allocations/frame \
-         (limit {MAX_ALLOCS_PER_FRAME})"
-    );
+    // observability hooks add zero allocations per frame when off. Every
+    // scheme runs the window: a label that names its frame (say, a
+    // prefetch chain labelled after its frame number) interns new text
+    // every frame, which costs at least two allocations per frame.
+    for scheme in SchemeKind::all() {
+        let per_frame =
+            measured_per_frame_with(SystemConfig::default(), scheme, TelemetryConfig::default());
+        assert!(
+            per_frame <= MAX_ALLOCS_PER_FRAME,
+            "{} steady-state hot path regressed: {per_frame:.2} allocations/frame \
+             (limit {MAX_ALLOCS_PER_FRAME})",
+            scheme.label()
+        );
+    }
 }
 
 #[test]
@@ -161,6 +176,7 @@ fn rate_controlled_fleet_round_is_allocation_free() {
     // state — turning it on must not add a single per-frame allocation.
     let per_frame = measured_per_frame_with(
         SystemConfig::default().with_rate_control(RateControlConfig::on()),
+        SchemeKind::Qvr,
         TelemetryConfig::default(),
     );
     assert!(
