@@ -124,18 +124,33 @@ impl FoveationPlan {
         mar: &MarModel,
         gaze: GazePoint,
     ) -> Self {
-        let e1 = e1_deg.clamp(LayerPartition::MIN_E1, LayerPartition::MAX_E1);
-        let part =
-            LayerPartition::with_optimal_middle(e1, display, mar).expect("clamped e1 is valid");
-        let budget = part.layer_budget(display, mar, gaze);
+        let part = LayerPartition::with_optimal_middle(clamp_e1(e1_deg), display, mar)
+            .expect("clamped e1 is valid");
+        FoveationPlan::from_partition(part, display, mar, gaze)
+    }
+
+    /// The plan for a partition already resolved on `display` under `mar`:
+    /// [`FoveationPlan::resolve`] is `from_partition` applied to
+    /// [`LayerPartition::with_optimal_middle`] of the clamped `e1`, so a
+    /// caller that keeps those partitions skips the Eq. (1) search.
+    #[must_use]
+    pub fn from_partition(
+        part: LayerPartition,
+        display: &DisplayGeometry,
+        mar: &MarModel,
+        gaze: GazePoint,
+    ) -> Self {
+        let e1 = part.fovea_eccentricity();
         let native = display.pixels_per_eye() as f64;
+        let fovea_area = display.fovea_area_fraction(e1, gaze);
+        // `display.fovea_pixels(e1, gaze)`, from the disc just integrated.
+        let budget = part.layer_budget_with_fovea(display, mar, gaze, fovea_area * native);
 
         let mid_scale_mar = part.layer_scale(LayerKind::Middle, display, mar);
         let out_scale_mar = part.layer_scale(LayerKind::Outer, display, mar);
         let middle_rate = VrsRate::quantize(mid_scale_mar);
         let outer_rate = VrsRate::quantize(out_scale_mar);
 
-        let fovea_area = display.fovea_area_fraction(e1, gaze);
         // Region extents in native pixels. Q-VR's server transmits only
         // what the client does not render locally: the middle rectangle
         // minus the fovea disc, and the remainder of the panel beyond the
@@ -231,6 +246,54 @@ impl FoveationPlan {
     #[must_use]
     pub fn resolution_reduction(&self) -> f64 {
         (1.0 - self.mean_linear_scale).clamp(0.0, 1.0)
+    }
+}
+
+/// `e1` clamped into the controller's range `[MIN_E1, MAX_E1]`.
+fn clamp_e1(e1_deg: f64) -> f64 {
+    e1_deg.clamp(LayerPartition::MIN_E1, LayerPartition::MAX_E1)
+}
+
+/// Eq. (1) partitions for one display and MAR model, kept per clamped e1.
+///
+/// [`LayerPartition::with_optimal_middle`] searches ~290 middle
+/// eccentricities and integrates the fovea disc, at the panel centre
+/// whatever the gaze, so its result depends only on e1, the display and
+/// the MAR. A foveated stepper's display (its profile's) and MAR (its
+/// config's) are fixed when it is built, so it keeps one memo and
+/// resolves each e1 once. Every call to one memo must pass the same
+/// display and MAR model; [`PartitionMemo::plan`] then equals
+/// [`FoveationPlan::resolve`] bit for bit.
+///
+/// The memo is keyed by the bits of the clamped e1 and holds one entry per
+/// distinct key, in key order. It allocates nothing until its first entry
+/// and nothing once every e1 its session visits is in it.
+#[derive(Debug, Default)]
+pub(crate) struct PartitionMemo {
+    entries: Vec<(u64, LayerPartition)>,
+}
+
+impl PartitionMemo {
+    /// `FoveationPlan::resolve(e1_deg, display, mar, gaze)`.
+    pub(crate) fn plan(
+        &mut self,
+        e1_deg: f64,
+        display: &DisplayGeometry,
+        mar: &MarModel,
+        gaze: GazePoint,
+    ) -> FoveationPlan {
+        let e1 = clamp_e1(e1_deg);
+        let key = e1.to_bits();
+        let part = match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.entries[i].1,
+            Err(i) => {
+                let part = LayerPartition::with_optimal_middle(e1, display, mar)
+                    .expect("clamped e1 is valid");
+                self.entries.insert(i, (key, part));
+                part
+            }
+        };
+        FoveationPlan::from_partition(part, display, mar, gaze)
     }
 }
 
@@ -341,6 +404,60 @@ mod tests {
         assert_eq!(plan.e1_deg, LayerPartition::MIN_E1);
         let plan = FoveationPlan::resolve(500.0, &d, &m, GazePoint::center());
         assert_eq!(plan.e1_deg, LayerPartition::MAX_E1);
+    }
+
+    /// Every field of a plan, floats as bits.
+    fn plan_bits(p: &FoveationPlan) -> ([u64; 8], VrsRate, VrsRate) {
+        let floats = [
+            p.e1_deg,
+            p.e2_deg,
+            p.max_extent_deg,
+            p.fovea_area_fraction,
+            p.middle_region_px,
+            p.outer_region_px,
+            p.rendered_px,
+            p.mean_linear_scale,
+        ];
+        (floats.map(f64::to_bits), p.middle_rate, p.outer_rate)
+    }
+
+    #[test]
+    fn memoized_plans_equal_resolve_bit_for_bit() {
+        let mar = MarModel::default();
+        // Every integer e1 from 5 to 90, twice; off-grid values, one a
+        // single ulp above 5; and values the clamp maps onto 5 and 90.
+        let mut e1s: Vec<f64> = (5..=90).chain((5..=90).rev()).map(f64::from).collect();
+        let off_grid = [5.000000000000001, 7.25, 33.3, 89.99];
+        e1s.extend(off_grid.iter().chain(&[4.0, 120.0]).chain(&off_grid));
+        let keys: std::collections::BTreeSet<u64> =
+            e1s.iter().map(|&e1| clamp_e1(e1).to_bits()).collect();
+        let gazes = [
+            GazePoint::center(),
+            GazePoint::clamped(0.4, -0.3),
+            GazePoint::clamped(-1.0, 1.0),
+            GazePoint::clamped(0.93, 0.1),
+            GazePoint::clamped(0.0, -1.0),
+        ];
+        for display in [
+            DisplayGeometry::vive_pro_class(),
+            DisplayGeometry::low_res_class(),
+        ] {
+            let mut memo = PartitionMemo::default();
+            assert_eq!(memo.entries.capacity(), 0, "allocates nothing when built");
+            for (k, &e1) in e1s.iter().enumerate() {
+                let gaze = gazes[k % gazes.len()];
+                let memoized = memo.plan(e1, &display, &mar, gaze);
+                let resolved = FoveationPlan::resolve(e1, &display, &mar, gaze);
+                assert_eq!(
+                    plan_bits(&memoized),
+                    plan_bits(&resolved),
+                    "e1={e1} at {gaze:?} on {display}"
+                );
+            }
+            // One entry per distinct clamped e1, in key order.
+            let held: Vec<u64> = memo.entries.iter().map(|&(key, _)| key).collect();
+            assert_eq!(held, keys.iter().copied().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use super::rig::Rig;
 use super::{Stepper, SystemConfig};
-use crate::foveation::FoveationPlan;
+use crate::foveation::{FoveationPlan, PartitionMemo};
 use crate::liwc::{LatencyPredictor, Liwc, SoftwareController};
 use crate::metrics::FrameRecord;
 use qvr_codec::RateController;
@@ -70,12 +70,14 @@ fn border_fraction(plan: &FoveationPlan, display: &DisplayGeometry, tile_px: u32
 pub(crate) struct FoveatedStepper {
     profile: AppProfile,
     options: Options,
-    native_px: f64,
     liwc: Liwc,
     sw: SoftwareController,
     prev_compose: Option<TaskId>,
     /// Per-gaze triangle-fraction ring table (bit-identical reuse).
     fovea_cache: TriangleFractionCache,
+    /// Eq. (1) partitions per e1 on this session's display and MAR model
+    /// (bit-identical reuse).
+    partitions: PartitionMemo,
     /// Per-tenant closed-loop rate controller. Lives inside the stepper, so
     /// churn recycling a slot builds a fresh controller and a sharded cell
     /// carries exactly its own sessions' state — consulted only when
@@ -90,9 +92,6 @@ impl FoveatedStepper {
         seed: u64,
         options: Options,
     ) -> Self {
-        let native_px =
-            f64::from(profile.display.width_px()) * f64::from(profile.display.height_px());
-
         // Initial P(GPU) estimate: the full frame's triangles over its render
         // time, as a rough prior LIWC refines online.
         let prior_frame = AppSession::start(profile.clone(), seed).advance();
@@ -115,11 +114,11 @@ impl FoveatedStepper {
         FoveatedStepper {
             profile,
             options,
-            native_px,
             liwc,
             sw,
             prev_compose: None,
             fovea_cache: TriangleFractionCache::new(),
+            partitions: PartitionMemo::default(),
             rc: RateController::new(config.rate_control),
         }
     }
@@ -160,13 +159,14 @@ impl Stepper for FoveatedStepper {
                 let detail = frame.content_detail;
                 let profile = &self.profile;
                 let fovea_cache = &mut self.fovea_cache;
+                let partitions = &mut self.partitions;
                 self.liwc
                     .select(
                         &frame.delta,
                         frame.triangles,
                         |e| profile.fovea_triangle_fraction_cached(&frame, e, fovea_cache),
                         |e| {
-                            let plan = FoveationPlan::resolve(e, &display, &mar, gaze);
+                            let plan = partitions.plan(e, &display, &mar, gaze);
                             // LIWC's byte predictor must model the same
                             // path the frame will actually ship on, or the
                             // equilibrium it finds is for the wrong system.
@@ -182,7 +182,9 @@ impl Stepper for FoveatedStepper {
                     .e1_deg
             }
         };
-        let plan = FoveationPlan::resolve(e1, &display, &config.mar, frame.sample.gaze);
+        let plan = self
+            .partitions
+            .plan(e1, &display, &config.mar, frame.sample.gaze);
 
         // --- control logic + setup --------------------------------------
         let mut pace = rig.pace_deps();
@@ -222,10 +224,11 @@ impl Stepper for FoveatedStepper {
         let mid_px = plan.middle_region_px * plan.middle_rate.linear_scale().powi(2);
         let out_px = plan.outer_region_px * plan.outer_rate.linear_scale().powi(2);
         let periph_px = mid_px + out_px;
+        let native_px = f64::from(display.width_px()) * f64::from(display.height_px());
         let periph_wl = self
             .profile
             .full_workload(&frame)
-            .scaled_region(periph_px / self.native_px, 1.0);
+            .scaled_region(periph_px / native_px, 1.0);
         let rr_ms = rig.remote_render_ms(&periph_wl);
         let bytes = match rc_quality {
             Some(q) => plan.periphery_entropy_bytes(frame.content_detail, motion, q),

@@ -9,6 +9,7 @@
 
 use crate::error::HvsError;
 use std::fmt;
+use std::ops::Range;
 
 /// An angle in visual degrees.
 ///
@@ -221,15 +222,19 @@ impl DisplayGeometry {
     /// 19×19 gazes over the panel, 400 radii in (0, 200°]); a test holds it
     /// under 5e-4.
     ///
-    /// Returns a value in `[0, 1]`.
+    /// Returns a value in `[0, 1]`, or NaN when the radius or a gaze
+    /// coordinate is NaN.
     #[must_use]
     pub fn fovea_area_fraction(&self, e_deg: f64, gaze: GazePoint) -> f64 {
+        if any_nan(e_deg, gaze) {
+            return f64::NAN;
+        }
         if e_deg <= 0.0 {
             return 0.0;
         }
         let (w, h, gx, gy) = self.panel_about(gaze);
         let mut widths = [0.0; STRIPS];
-        strip_widths(e_deg, gx, gy, w, h, &mut widths);
+        Panel::new(gx, gy, h).strip_widths(&Strips::new(e_deg, gx, w), &mut widths);
         let area = widths.iter().fold(0.0, |sum, width| sum + width);
         (area / (w * h)).clamp(0.0, 1.0)
     }
@@ -238,32 +243,30 @@ impl DisplayGeometry {
     /// at one gaze, written to the same index of `out`.
     ///
     /// Each result is bit-identical to the single-radius call. Discs run
-    /// four at a time: their strip widths are summed in lockstep, one
-    /// accumulator per disc, each adding in strip order, so no sum is
-    /// reassociated.
+    /// four at a time in one pass over the strips, one accumulator per
+    /// disc, each adding its disc's strip areas in strip order, so no sum
+    /// is reassociated. Where all four discs' chords span the full panel
+    /// height, a strip's area is a per-disc constant and the pass takes no
+    /// square root.
     ///
     /// # Panics
     ///
     /// Panics if `radii` and `out` differ in length.
     pub fn fovea_area_fractions(&self, radii: &[f64], gaze: GazePoint, out: &mut [f64]) {
-        const LANES: usize = 4;
         assert_eq!(radii.len(), out.len(), "one output per radius");
         let (w, h, gx, gy) = self.panel_about(gaze);
-        let mut widths = [[0.0; STRIPS]; LANES];
+        let panel = Panel::new(gx, gy, h);
         for (rs, os) in radii.chunks(LANES).zip(out.chunks_mut(LANES)) {
-            for (&r, lane) in rs.iter().zip(widths.iter_mut()) {
-                strip_widths(r, gx, gy, w, h, lane);
+            // The absent lanes of a short tail chunk have no strips.
+            let mut discs = [Strips::NONE; LANES];
+            for (disc, &r) in discs.iter_mut().zip(rs) {
+                *disc = Strips::new(r, gx, w);
             }
-            // Lanes past a short tail chunk still hold the previous chunk's
-            // widths; their sums are computed and dropped.
-            let mut sums = [0.0; LANES];
-            for i in 0..STRIPS {
-                for (sum, lane) in sums.iter_mut().zip(&widths) {
-                    *sum += lane[i];
-                }
-            }
+            let sums = panel.lane_sums(&discs);
             for ((o, &r), area) in os.iter_mut().zip(rs).zip(sums) {
-                *o = if r <= 0.0 {
+                *o = if any_nan(r, gaze) {
+                    f64::NAN
+                } else if r <= 0.0 {
                     0.0
                 } else {
                     (area / (w * h)).clamp(0.0, 1.0)
@@ -324,47 +327,205 @@ impl fmt::Display for DisplayGeometry {
     }
 }
 
-/// Strips per disc in [`strip_widths`].
+/// Strips per disc in the strip pass.
 const STRIPS: usize = 256;
 
-/// The strip pass behind the area of the intersection of a circle (radius
-/// `r`, centre `(cx, cy)` with the panel centre at the origin) with the
-/// rectangle `[-w/2, w/2] x [-h/2, h/2]`.
-///
-/// Splits the circle's clipped horizontal extent into 256 equal strips and
-/// writes each strip's area — the clipped chord height at the strip's
-/// midpoint times its width — into `widths`; the area is their sum, taken in
-/// strip order. A strip outside the disc, or clipped to nothing, writes
-/// `+0.0`, and so does every strip when the clipped extent is empty. The
-/// sum starts at `+0.0` and every term is `≥ +0.0`, so it never becomes
-/// `−0.0` and each `+0.0` term leaves its bits unchanged: the area is
-/// bit-identical to a loop that skips those strips. The loop has no
-/// branches, so it vectorizes. The midpoint rule's worst relative error
-/// against the exact area is 2.0e-4 as measured (see
-/// [`DisplayGeometry::fovea_area_fraction`]).
-fn strip_widths(r: f64, cx: f64, cy: f64, w: f64, h: f64, widths: &mut [f64; STRIPS]) {
-    let (x_lo, x_hi) = (-w / 2.0, w / 2.0);
-    let (y_lo, y_hi) = (-h / 2.0, h / 2.0);
-    let left = (cx - r).max(x_lo);
-    let right = (cx + r).min(x_hi);
-    if left >= right {
-        widths.fill(0.0);
-        return;
+/// Discs per pass in [`DisplayGeometry::fovea_area_fractions`]: each
+/// per-disc quantity fills two SSE2 registers.
+const LANES: usize = 4;
+
+/// Whether a disc radius or either gaze coordinate is NaN. `min` and `max`
+/// drop a NaN operand, so without this check such a disc would clip to
+/// the whole panel.
+fn any_nan(r: f64, gaze: GazePoint) -> bool {
+    r.is_nan() || gaze.x.is_nan() || gaze.y.is_nan()
+}
+
+/// A disc's strips: the disc's horizontal extent, clipped to the panel,
+/// starts at `left` and is cut into [`STRIPS`] strips of width `dx`.
+/// `r_sq` is the disc's squared radius.
+#[derive(Debug, Clone, Copy)]
+struct Strips {
+    left: f64,
+    dx: f64,
+    r_sq: f64,
+}
+
+impl Strips {
+    /// Strips of zero width: every one has area `+0.0`, in or out of a
+    /// band.
+    const NONE: Strips = Strips {
+        left: 0.0,
+        dx: 0.0,
+        r_sq: 0.0,
+    };
+
+    /// The strips of the disc of radius `r` whose centre sits `cx` degrees
+    /// right of the centre of a panel `w` degrees wide; [`Strips::NONE`]
+    /// when the clipped extent is empty.
+    fn new(r: f64, cx: f64, w: f64) -> Self {
+        let left = (cx - r).max(-w / 2.0);
+        let right = (cx + r).min(w / 2.0);
+        if left >= right {
+            return Strips::NONE;
+        }
+        Strips {
+            left,
+            dx: (right - left) / STRIPS as f64,
+            r_sq: r * r,
+        }
     }
-    let dx = (right - left) / STRIPS as f64;
-    let r_sq = r * r;
-    for (i, width) in widths.iter_mut().enumerate() {
-        let x = left + (i as f64 + 0.5) * dx;
-        let half_chord_sq = r_sq - (x - cx) * (x - cx);
+
+    /// The midpoint of strip `i`.
+    fn mid(&self, i: usize) -> f64 {
+        self.left + (i as f64 + 0.5) * self.dx
+    }
+}
+
+/// What the strip pass needs besides each disc's [`Strips`]: the disc
+/// centre `(cx, cy)` and the panel rows `[y_lo, y_hi]`, in degrees about
+/// the panel centre.
+///
+/// The pass computes the area of the intersection of a circle with the
+/// rectangle `[-w/2, w/2] x [-h/2, h/2]` as the sum of its 256 strip
+/// areas, each the clipped chord height at the strip's midpoint times the
+/// strip width, taken in strip order. A strip outside the disc, or clipped
+/// to nothing, has area `+0.0`, and so does every strip when the clipped
+/// extent is empty. The sum starts at `+0.0` and every term is `≥ +0.0`,
+/// so it never becomes `−0.0` and each `+0.0` term leaves its bits
+/// unchanged: the area is bit-identical to a loop that skips those
+/// strips. The midpoint rule's worst relative error against the exact
+/// area is 2.0e-4 as measured (see
+/// [`DisplayGeometry::fovea_area_fraction`]).
+#[derive(Debug, Clone, Copy)]
+struct Panel {
+    cx: f64,
+    cy: f64,
+    y_lo: f64,
+    y_hi: f64,
+}
+
+impl Panel {
+    /// Discs centred at `(cx, cy)` on a panel `h` degrees tall.
+    fn new(cx: f64, cy: f64, h: f64) -> Self {
+        Panel {
+            cx,
+            cy,
+            y_lo: -h / 2.0,
+            y_hi: h / 2.0,
+        }
+    }
+
+    /// The area of a strip of width `dx` with midpoint `x`, of the disc of
+    /// squared radius `r_sq`: the chord height at `x`, clipped to the
+    /// panel rows, times `dx`. It has no branches, so loops over it
+    /// vectorize.
+    #[inline(always)]
+    fn strip_area(&self, x: f64, dx: f64, r_sq: f64) -> f64 {
+        let half_chord_sq = r_sq - (x - self.cx) * (x - self.cx);
         // NaN when the strip is outside the disc; the select below drops it.
         let half_chord = half_chord_sq.sqrt();
-        let top = (cy + half_chord).min(y_hi);
-        let bottom = (cy - half_chord).max(y_lo);
-        *width = if half_chord_sq <= 0.0 || top <= bottom {
+        let top = (self.cy + half_chord).min(self.y_hi);
+        let bottom = (self.cy - half_chord).max(self.y_lo);
+        if half_chord_sq <= 0.0 || top <= bottom {
             0.0
         } else {
             (top - bottom) * dx
+        }
+    }
+
+    /// Whether the chord at `x` reaches both the top and the bottom panel
+    /// edge, by [`Panel::strip_area`]'s own operations. Where it holds,
+    /// `top` is `y_hi` and `bottom` is `y_lo`, so the strip's area is
+    /// exactly `(y_hi − y_lo)·dx` whatever its square root.
+    fn spans(&self, x: f64, r_sq: f64) -> bool {
+        let half_chord_sq = r_sq - (x - self.cx) * (x - self.cx);
+        let half_chord = half_chord_sq.sqrt();
+        half_chord_sq > 0.0
+            && self.cy + half_chord >= self.y_hi
+            && self.cy - half_chord <= self.y_lo
+    }
+
+    /// Writes the area of each of `disc`'s strips into `widths`.
+    fn strip_widths(&self, disc: &Strips, widths: &mut [f64; STRIPS]) {
+        for (i, width) in widths.iter_mut().enumerate() {
+            *width = self.strip_area(disc.mid(i), disc.dx, disc.r_sq);
+        }
+    }
+
+    /// The strip sums of [`LANES`] discs in one pass over the strips: one
+    /// accumulator per disc adds that disc's strip areas in strip order,
+    /// so each sum is bit-identical to folding [`Panel::strip_widths`] from
+    /// `+0.0`. The lanes are discs, and LLVM vectorizes across them.
+    ///
+    /// The pass's band is the intersection of the discs'
+    /// [`Panel::full_height_band`]s. Inside it every strip area is its
+    /// disc's constant `(y_hi − y_lo)·dx`, so the accumulators add that
+    /// and no square root is taken.
+    fn lane_sums(&self, discs: &[Strips; LANES]) -> [f64; LANES] {
+        let band = discs.iter().fold(0..STRIPS, |band, disc| {
+            let own = self.full_height_band(disc);
+            band.start.max(own.start)..band.end.min(own.end)
+        });
+        let (lo, hi) = (band.start, band.end.max(band.start));
+        let left = discs.map(|d| d.left);
+        let dx = discs.map(|d| d.dx);
+        let r_sq = discs.map(|d| d.r_sq);
+        let full = dx.map(|dx| (self.y_hi - self.y_lo) * dx);
+        let mut sums = [0.0; LANES];
+        let add_strips = |strips: Range<usize>, sums: &mut [f64; LANES]| {
+            for i in strips {
+                // Lane `l`'s midpoint is `discs[l].mid(i)`, op for op.
+                let m = i as f64 + 0.5;
+                for (l, sum) in sums.iter_mut().enumerate() {
+                    *sum += self.strip_area(left[l] + m * dx[l], dx[l], r_sq[l]);
+                }
+            }
         };
+        add_strips(0..lo, &mut sums);
+        for _ in lo..hi {
+            for (sum, full) in sums.iter_mut().zip(full) {
+                *sum += full;
+            }
+        }
+        add_strips(hi..STRIPS, &mut sums);
+        sums
+    }
+
+    /// A range of `disc`'s strips on which [`Panel::spans`] holds at
+    /// every midpoint: all of them when the strips have zero width (their
+    /// areas are `+0.0` in or out of a band), otherwise the band found
+    /// below, or an empty range.
+    ///
+    /// The strips where `spans` holds form one interval. Rounding is
+    /// monotone, so the computed midpoints never decrease with `i`; so
+    /// the computed `half_chord_sq` rises and then falls, and `spans` is
+    /// monotone in it. The band's candidate is the strips whose midpoints
+    /// lie within `s = √(r² − reach²)` of `cx`, with `reach` the larger
+    /// distance from `cy` to a panel edge, shrunk by one strip at each end
+    /// against rounding. It is accepted only if `spans` holds at both of
+    /// its ends, which by the interval property proves it for every strip
+    /// in between.
+    fn full_height_band(&self, disc: &Strips) -> Range<usize> {
+        if disc.dx == 0.0 {
+            return 0..STRIPS;
+        }
+        let reach = (self.y_hi - self.cy).max(self.cy - self.y_lo);
+        let slack = disc.r_sq - reach * reach;
+        if slack > 0.0 {
+            let s = slack.sqrt();
+            // Strip i's midpoint is left + (i + ½)·dx.
+            let first = ((self.cx - s - disc.left) / disc.dx - 0.5).ceil() + 1.0;
+            let last = ((self.cx + s - disc.left) / disc.dx - 0.5).floor() - 1.0;
+            let (first, last) = (first.max(0.0), last.min((STRIPS - 1) as f64));
+            if first <= last {
+                let (first, last) = (first as usize, last as usize);
+                if self.spans(disc.mid(first), disc.r_sq) && self.spans(disc.mid(last), disc.r_sq) {
+                    return first..last + 1;
+                }
+            }
+        }
+        0..0
     }
 }
 
@@ -376,52 +537,108 @@ mod tests {
 
     const EPS: f64 = 1e-6;
 
-    /// The two shipped panels plus a non-square one with unequal fields of
-    /// view.
-    fn panels() -> [DisplayGeometry; 3] {
+    /// The two shipped panels plus a wide and a tall one with unequal
+    /// fields of view.
+    fn panels() -> [DisplayGeometry; 4] {
         [
             DisplayGeometry::vive_pro_class(),
             DisplayGeometry::low_res_class(),
             DisplayGeometry::per_eye(2560, 1440, 100.0, 62.0),
+            DisplayGeometry::per_eye(1440, 2560, 62.0, 100.0),
         ]
     }
 
-    /// The strip loop as it stood before the branch-free kernel: it skips
-    /// strips outside the disc or clipped to nothing instead of writing
-    /// `+0.0`, and sums as it goes. Both kernels must match it bit for bit.
-    fn branchy_clipped_circle_area(r: f64, cx: f64, cy: f64, w: f64, h: f64) -> f64 {
+    /// The strip loop as it stood before the branch-free kernel, strip by
+    /// strip: `None` for a strip it skips (outside the disc, or clipped to
+    /// nothing), else the strip's area and whether its chord was clipped
+    /// at both the top and the bottom panel edge. An empty clipped extent
+    /// has no strips.
+    fn branchy_strips(r: f64, cx: f64, cy: f64, w: f64, h: f64) -> Vec<Option<(f64, bool)>> {
         let (x_lo, x_hi) = (-w / 2.0, w / 2.0);
         let (y_lo, y_hi) = (-h / 2.0, h / 2.0);
         let left = (cx - r).max(x_lo);
         let right = (cx + r).min(x_hi);
         if left >= right {
-            return 0.0;
+            return Vec::new();
         }
         let dx = (right - left) / STRIPS as f64;
-        let mut area = 0.0;
-        for i in 0..STRIPS {
-            let x = left + (i as f64 + 0.5) * dx;
-            let half_chord_sq = r * r - (x - cx) * (x - cx);
-            if half_chord_sq <= 0.0 {
-                continue;
-            }
-            let half_chord = half_chord_sq.sqrt();
-            let top = (cy + half_chord).min(y_hi);
-            let bottom = (cy - half_chord).max(y_lo);
-            if top > bottom {
-                area += (top - bottom) * dx;
-            }
-        }
-        area
+        (0..STRIPS)
+            .map(|i| {
+                let x = left + (i as f64 + 0.5) * dx;
+                let half_chord_sq = r * r - (x - cx) * (x - cx);
+                if half_chord_sq <= 0.0 {
+                    return None;
+                }
+                let half_chord = half_chord_sq.sqrt();
+                let top = (cy + half_chord).min(y_hi);
+                let bottom = (cy - half_chord).max(y_lo);
+                let both = cy + half_chord >= y_hi && cy - half_chord <= y_lo;
+                (top > bottom).then_some(((top - bottom) * dx, both))
+            })
+            .collect()
     }
 
-    /// `fovea_area_fraction` over the branchy oracle.
+    /// The old loop's area: it skips the strips the kernels set to `+0.0`
+    /// and sums as it goes. Both kernels must match it bit for bit.
+    fn branchy_clipped_circle_area(r: f64, cx: f64, cy: f64, w: f64, h: f64) -> f64 {
+        branchy_strips(r, cx, cy, w, h)
+            .iter()
+            .flatten()
+            .fold(0.0, |area, &(width, _)| area + width)
+    }
+
+    /// `fovea_area_fraction` over the branchy oracle, with the same NaN
+    /// rule.
     fn branchy_fraction(d: &DisplayGeometry, e_deg: f64, gaze: GazePoint) -> f64 {
+        if e_deg.is_nan() || gaze.x.is_nan() || gaze.y.is_nan() {
+            return f64::NAN;
+        }
         if e_deg <= 0.0 {
             return 0.0;
         }
         let (w, h, gx, gy) = d.panel_about(gaze);
         (branchy_clipped_circle_area(e_deg, gx, gy, w, h) / (w * h)).clamp(0.0, 1.0)
+    }
+
+    /// `r` moved by `k` units in the last place (`r > 0`).
+    fn ulps(r: f64, k: i64) -> f64 {
+        f64::from_bits(r.to_bits().wrapping_add_signed(k))
+    }
+
+    /// A gaze coordinate: NaN, a panel edge, the centre, or a point on or
+    /// just beyond the panel.
+    fn gaze_coord(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..40u32) {
+            0 => f64::NAN,
+            1..=4 => -1.0,
+            5..=8 => 0.0,
+            9..=12 => 1.0,
+            _ => rng.gen_range(-1.2..1.2),
+        }
+    }
+
+    /// A disc radius for the kernel tests at `gaze`: zero or negative
+    /// (an empty extent), NaN, ±∞, the saturation radius or a few ulps off
+    /// it, a few ulps off the larger distance from the gaze to a panel
+    /// edge (where the full-height band's `r² − reach²` crosses 0), a few
+    /// ulps wide, or anything from −10° to 210°.
+    fn kernel_radius(rng: &mut StdRng, d: &DisplayGeometry, gaze: GazePoint) -> f64 {
+        let (_, h, _, gy) = d.panel_about(gaze);
+        let reach = (h / 2.0 - gy).max(gy + h / 2.0);
+        let sat = d.saturation_radius_deg(gaze);
+        match rng.gen_range(0..15u32) {
+            0 => 0.0,
+            1 => -rng.gen_range(0.0..5.0),
+            2 => f64::NAN,
+            8 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2usize)],
+            3 => sat,
+            4 => ulps(sat, rng.gen_range(-4..5)),
+            5 | 6 => ulps(reach, rng.gen_range(-4..5)),
+            // Discs a few ulps of the gaze offset wide: rounded strip
+            // midpoints fall outside them.
+            7 => rng.gen_range(1e-14..1e-11),
+            _ => rng.gen_range(-10.0..210.0),
+        }
     }
 
     /// Exact area of the disc of radius `r` centred at `(cx, cy)` clipped to
@@ -490,34 +707,94 @@ mod tests {
         assert!(worst <= 5e-4, "worst relative gap {worst:.3e}");
     }
 
+    /// Both kernels against the branchy oracle, `to_bits`, on one batch.
+    fn assert_kernels_match(d: &DisplayGeometry, radii: &[f64], gaze: GazePoint) {
+        let mut out = [0.0; 9];
+        let out = &mut out[..radii.len()];
+        d.fovea_area_fractions(radii, gaze, out);
+        for (&r, &batch) in radii.iter().zip(out.iter()) {
+            let single = d.fovea_area_fraction(r, gaze);
+            let oracle = branchy_fraction(d, r, gaze);
+            assert_eq!(
+                single.to_bits(),
+                oracle.to_bits(),
+                "single r={r} {gaze:?} {d}"
+            );
+            assert_eq!(
+                batch.to_bits(),
+                oracle.to_bits(),
+                "batch r={r} {gaze:?} {d}"
+            );
+        }
+    }
+
     #[test]
     fn kernels_match_the_branchy_loop_bit_for_bit() {
+        let cases = if cfg!(debug_assertions) { 400 } else { 4_000 };
         let mut rng = StdRng::seed_from_u64(0x0571_21b5);
-        let mut out = [0.0; 9];
         for d in panels() {
-            for _ in 0..400 {
+            for _ in 0..cases {
                 let gaze = GazePoint {
-                    x: rng.gen_range(-1.2..1.2),
-                    y: rng.gen_range(-1.2..1.2),
+                    x: gaze_coord(&mut rng),
+                    y: gaze_coord(&mut rng),
                 };
+                // Batches of 0 to 9 discs: full chunks and tails of 1-3.
                 let len = rng.gen_range(0..10usize);
                 let mut radii = [0.0; 9];
                 for r in &mut radii[..len] {
-                    *r = match rng.gen_range(0..10u32) {
-                        0 => 0.0,
-                        1 => d.saturation_radius_deg(gaze),
-                        // Discs a few ulps of the gaze offset wide: rounded
-                        // strip midpoints fall outside them.
-                        2 => rng.gen_range(1e-14..1e-11),
-                        _ => rng.gen_range(-10.0..210.0),
-                    };
+                    *r = kernel_radius(&mut rng, &d, gaze);
                 }
-                d.fovea_area_fractions(&radii[..len], gaze, &mut out[..len]);
-                for (&r, &batch) in radii[..len].iter().zip(&out[..len]) {
-                    let single = d.fovea_area_fraction(r, gaze);
-                    let oracle = branchy_fraction(&d, r, gaze);
-                    assert_eq!(single.to_bits(), oracle.to_bits(), "single, r={r} {gaze:?}");
-                    assert_eq!(batch.to_bits(), oracle.to_bits(), "batch, r={r} {gaze:?}");
+                assert_kernels_match(&d, &radii[..len], gaze);
+                // A chunk that mixes empty-extent lanes with saturated
+                // ones, and its tails.
+                let sat = d.saturation_radius_deg(gaze);
+                let mixed = [0.0, sat, -1.0, sat + 1.0, sat];
+                assert_kernels_match(&d, &mixed[..rng.gen_range(1..6usize)], gaze);
+            }
+        }
+    }
+
+    #[test]
+    fn full_height_band_is_clipped_at_both_edges() {
+        // Every strip the kernel puts in a disc's band must be clipped at
+        // the top and the bottom panel edge in the branchy loop, the band
+        // must lie in the one interval of strips where the kernel's own
+        // test holds, and a saturated disc's band must not be empty, or
+        // the band would go untested.
+        let cases = if cfg!(debug_assertions) { 300 } else { 3_000 };
+        let mut rng = StdRng::seed_from_u64(0xba2d);
+        for d in panels() {
+            for _ in 0..cases {
+                let gaze = GazePoint {
+                    x: gaze_coord(&mut rng),
+                    y: gaze_coord(&mut rng),
+                };
+                let r = kernel_radius(&mut rng, &d, gaze);
+                let (w, h, gx, gy) = d.panel_about(gaze);
+                let disc = Strips::new(r, gx, w);
+                if disc.dx == 0.0 {
+                    // Zero-width strips: no strip of the old loop to compare.
+                    continue;
+                }
+                let panel = Panel::new(gx, gy, h);
+                let band = panel.full_height_band(&disc);
+                let strips = branchy_strips(r, gx, gy, w, h);
+                for i in band.clone() {
+                    assert!(
+                        matches!(strips[i], Some((_, true))),
+                        "strip {i} of {band:?}, r={r} {gaze:?} on {d}"
+                    );
+                }
+                let spans: Vec<usize> = (0..STRIPS)
+                    .filter(|&i| panel.spans(disc.mid(i), disc.r_sq))
+                    .collect();
+                if let (Some(&first), Some(&last)) = (spans.first(), spans.last()) {
+                    assert_eq!(spans.len(), last - first + 1, "r={r} {gaze:?} on {d}");
+                    assert!(band.is_empty() || (first..=last).contains(&band.start));
+                    assert!(band.is_empty() || band.end <= last + 1);
+                }
+                if r >= d.saturation_radius_deg(gaze) {
+                    assert!(!band.is_empty(), "saturated r={r} {gaze:?} on {d}");
                 }
             }
         }

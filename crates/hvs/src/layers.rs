@@ -199,9 +199,22 @@ impl LayerPartition {
         mar: &MarModel,
         gaze: GazePoint,
     ) -> LayerBudget {
-        let total_px = display.pixels_per_eye() as f64;
         let fovea_px = display.fovea_pixels(self.e1, gaze);
+        self.layer_budget_with_fovea(display, mar, gaze, fovea_px)
+    }
 
+    /// [`LayerPartition::layer_budget`] for a caller that already holds the
+    /// fovea disc's pixels, `display.fovea_pixels(e1, gaze)`: the disc is
+    /// not integrated again.
+    #[must_use]
+    pub fn layer_budget_with_fovea(
+        &self,
+        display: &DisplayGeometry,
+        mar: &MarModel,
+        gaze: GazePoint,
+        fovea_px: f64,
+    ) -> LayerBudget {
+        let total_px = display.pixels_per_eye() as f64;
         let mid_extent = rect_fraction(self.e2, display, gaze);
         let mid_scale = self.layer_scale(LayerKind::Middle, display, mar);
         // The middle rectangle excludes the fovea disc it encloses: those

@@ -73,7 +73,8 @@ impl ComplexityField {
     }
 
     /// Fraction of the frame's triangles inside the eccentricity disc of
-    /// radius `e1` centred at `gaze`, in `[0, 1]`.
+    /// radius `e1` centred at `gaze`, in `[0, 1]`, or NaN when `e1` or a
+    /// gaze coordinate is NaN.
     ///
     /// Ring weights are the derivative of the clipped disc area, so gaze
     /// points near the panel edge integrate correctly.
@@ -84,6 +85,9 @@ impl ComplexityField {
         display: &DisplayGeometry,
         gaze: GazePoint,
     ) -> f64 {
+        if any_nan(e1_deg, gaze) {
+            return f64::NAN;
+        }
         if e1_deg <= 0.0 {
             return 0.0;
         }
@@ -111,6 +115,9 @@ impl ComplexityField {
         gaze: GazePoint,
         cache: &mut TriangleFractionCache,
     ) -> f64 {
+        if any_nan(e1_deg, gaze) {
+            return f64::NAN;
+        }
         if e1_deg <= 0.0 {
             return 0.0;
         }
@@ -257,6 +264,13 @@ impl ComplexityField {
     }
 }
 
+/// Whether `e1` or either gaze coordinate is NaN. The integral's `min`
+/// and `max` drop a NaN operand, so without this check such a call would
+/// read as the whole panel.
+fn any_nan(e1_deg: f64, gaze: GazePoint) -> bool {
+    e1_deg.is_nan() || gaze.x.is_nan() || gaze.y.is_nan()
+}
+
 /// Per-gaze ring table for [`ComplexityField::triangle_fraction_cached`].
 ///
 /// Keyed by the gaze point's raw bits: a new gaze reruns the denominator
@@ -376,6 +390,26 @@ mod tests {
                 for _ in 0..calls {
                     let gaze = gazes[rng.gen_range(0..gazes.len())];
                     let e1 = e1(&mut rng, e_max);
+                    // A NaN e1 or gaze coordinate reads as NaN on both
+                    // paths, and leaves the cache as it was.
+                    let (e1, gaze) = match rng.gen_range(0..16u32) {
+                        0 => (f64::NAN, gaze),
+                        1 => (
+                            e1,
+                            GazePoint {
+                                x: f64::NAN,
+                                ..gaze
+                            },
+                        ),
+                        2 => (
+                            e1,
+                            GazePoint {
+                                y: f64::NAN,
+                                ..gaze
+                            },
+                        ),
+                        _ => (e1, gaze),
+                    };
                     let cached = field.triangle_fraction_cached(e1, &d, gaze, &mut cache);
                     let uncached = field.triangle_fraction(e1, &d, gaze);
                     assert_eq!(
@@ -383,6 +417,8 @@ mod tests {
                         uncached.to_bits(),
                         "{field} on {d}, e1={e1} at {gaze:?}: {cached} vs {uncached}"
                     );
+                    let nan_in = e1.is_nan() || gaze.x.is_nan() || gaze.y.is_nan();
+                    assert_eq!(cached.is_nan(), nan_in, "e1={e1} at {gaze:?}");
                 }
             }
         }
