@@ -65,13 +65,24 @@ fn border_fraction(plan: &FoveationPlan, display: &DisplayGeometry, tile_px: u32
     (seam_tiles / total_tiles).clamp(0.0, 1.0)
 }
 
+/// The state of the stepper's eccentricity controller: a stepper runs
+/// exactly one, so it holds only that one's state.
+#[derive(Debug)]
+enum ControlState {
+    /// Fixed eccentricity, degrees.
+    Fixed(f64),
+    /// The LIWC hardware controller.
+    Liwc(Liwc),
+    /// The lagged software controller.
+    Software(SoftwareController),
+}
+
 /// Per-frame stepper for the foveated family (FFR/DFR/Q-VR-SW/Q-VR).
 #[derive(Debug)]
 pub(crate) struct FoveatedStepper {
     profile: AppProfile,
     options: Options,
-    liwc: Liwc,
-    sw: SoftwareController,
+    control: ControlState,
     prev_compose: Option<TaskId>,
     /// Per-gaze triangle-fraction ring table (bit-identical reuse).
     fovea_cache: TriangleFractionCache,
@@ -92,30 +103,37 @@ impl FoveatedStepper {
         seed: u64,
         options: Options,
     ) -> Self {
-        // Initial P(GPU) estimate: the full frame's triangles over its render
-        // time, as a rough prior LIWC refines online.
-        let prior_frame = AppSession::start(profile.clone(), seed).advance();
-        let full_ms = qvr_gpu::GpuTimingModel::new(config.gpu)
-            .stereo_frame_time(&profile.full_workload(&prior_frame))
-            .total_ms();
-        let p0 = prior_frame.triangles as f64 / full_ms.max(0.1);
-
-        let liwc = Liwc::new(
-            config.initial_e1_deg,
-            config.liwc_initial_gradient,
-            config.liwc_reward_alpha,
-            LatencyPredictor::new(p0, config.liwc_predictor_alpha, config.cl_ms + config.ls_ms),
-        );
-        let sw = SoftwareController::new(
-            config.initial_e1_deg,
-            config.sw_gain_deg_per_ms,
-            config.sw_lag_frames,
-        );
+        let control = match options.controller {
+            Controller::Fixed(e) => ControlState::Fixed(e),
+            Controller::Liwc => {
+                // Initial P(GPU) estimate: the full frame's triangles over
+                // its render time, as a rough prior LIWC refines online.
+                let prior_frame = AppSession::start(profile.clone(), seed).advance();
+                let full_ms = qvr_gpu::GpuTimingModel::new(config.gpu)
+                    .stereo_frame_time(&profile.full_workload(&prior_frame))
+                    .total_ms();
+                let p0 = prior_frame.triangles as f64 / full_ms.max(0.1);
+                ControlState::Liwc(Liwc::new(
+                    config.initial_e1_deg,
+                    config.liwc_initial_gradient,
+                    config.liwc_reward_alpha,
+                    LatencyPredictor::new(
+                        p0,
+                        config.liwc_predictor_alpha,
+                        config.cl_ms + config.ls_ms,
+                    ),
+                ))
+            }
+            Controller::Software => ControlState::Software(SoftwareController::new(
+                config.initial_e1_deg,
+                config.sw_gain_deg_per_ms,
+                config.sw_lag_frames,
+            )),
+        };
         FoveatedStepper {
             profile,
             options,
-            liwc,
-            sw,
+            control,
             prev_compose: None,
             fovea_cache: TriangleFractionCache::new(),
             partitions: PartitionMemo::default(),
@@ -145,10 +163,10 @@ impl Stepper for FoveatedStepper {
         let motion = super::motion_index(&frame.delta);
 
         // --- eccentricity selection -------------------------------------
-        let e1 = match options.controller {
-            Controller::Fixed(e) => e,
-            Controller::Software => self.sw.select(),
-            Controller::Liwc => {
+        let e1 = match &mut self.control {
+            ControlState::Fixed(e) => *e,
+            ControlState::Software(sw) => sw.select(),
+            ControlState::Liwc(liwc) => {
                 let observed = rig.channel.observed_download_mbps();
                 let base = config.network.base_latency_ms();
                 let mar = config.mar;
@@ -160,26 +178,25 @@ impl Stepper for FoveatedStepper {
                 let profile = &self.profile;
                 let fovea_cache = &mut self.fovea_cache;
                 let partitions = &mut self.partitions;
-                self.liwc
-                    .select(
-                        &frame.delta,
-                        frame.triangles,
-                        |e| profile.fovea_triangle_fraction_cached(&frame, e, fovea_cache),
-                        |e| {
-                            let plan = partitions.plan(e, &display, &mar, gaze);
-                            // LIWC's byte predictor must model the same
-                            // path the frame will actually ship on, or the
-                            // equilibrium it finds is for the wrong system.
-                            let layer_bytes = match rc_quality {
-                                Some(q) => plan.periphery_entropy_bytes(detail, motion, q),
-                                None => plan.periphery_bytes(&size_model, detail, pq),
-                            };
-                            layer_bytes * stereo
-                        },
-                        observed,
-                        base,
-                    )
-                    .e1_deg
+                liwc.select(
+                    &frame.delta,
+                    frame.triangles,
+                    |e| profile.fovea_triangle_fraction_cached(&frame, e, fovea_cache),
+                    |e| {
+                        let plan = partitions.plan(e, &display, &mar, gaze);
+                        // LIWC's byte predictor must model the same
+                        // path the frame will actually ship on, or the
+                        // equilibrium it finds is for the wrong system.
+                        let layer_bytes = match rc_quality {
+                            Some(q) => plan.periphery_entropy_bytes(detail, motion, q),
+                            None => plan.periphery_bytes(&size_model, detail, pq),
+                        };
+                        layer_bytes * stereo
+                    },
+                    observed,
+                    base,
+                )
+                .e1_deg
             }
         };
         let plan = self
@@ -275,12 +292,12 @@ impl Stepper for FoveatedStepper {
         // --- feedback ------------------------------------------------------
         let t_local = lr_ms;
         let t_remote = rig.chain_latency_ms(&chain);
-        match options.controller {
-            Controller::Liwc => {
+        match &mut self.control {
+            ControlState::Liwc(liwc) => {
                 let fovea_frac =
                     self.profile
                         .fovea_triangle_fraction_cached(&frame, e1, &mut self.fovea_cache);
-                self.liwc.observe(
+                liwc.observe(
                     frame.triangles,
                     fovea_frac,
                     t_local,
@@ -293,8 +310,8 @@ impl Stepper for FoveatedStepper {
                 rig.engine
                     .submit("LIWC:update", Some(rig.liwc), 0.003, &[compose_done]);
             }
-            Controller::Software => self.sw.observe(t_local, t_remote),
-            Controller::Fixed(_) => {}
+            ControlState::Software(sw) => sw.observe(t_local, t_remote),
+            ControlState::Fixed(_) => {}
         }
         if rc_quality.is_some() {
             // Close the rate loop against this tenant's allocated share of

@@ -334,9 +334,9 @@ const STRIPS: usize = 256;
 /// per-disc quantity fills two SSE2 registers.
 const LANES: usize = 4;
 
-/// Whether a disc radius or either gaze coordinate is NaN. `min` and `max`
-/// drop a NaN operand, so without this check such a disc would clip to
-/// the whole panel.
+/// Whether a disc radius or either gaze coordinate is NaN. `min`, `max`
+/// and the strip pass's clips pick the panel edge over a NaN operand, so
+/// without this check such a disc would clip to the whole panel.
 fn any_nan(r: f64, gaze: GazePoint) -> bool {
     r.is_nan() || gaze.x.is_nan() || gaze.y.is_nan()
 }
@@ -420,13 +420,25 @@ impl Panel {
     /// squared radius `r_sq`: the chord height at `x`, clipped to the
     /// panel rows, times `dx`. It has no branches, so loops over it
     /// vectorize.
+    ///
+    /// Each chord end is clipped by a compare-select whose fallback
+    /// operand is the panel edge: one `minpd`/`maxpd`. `f64::min` and
+    /// `f64::max` must return the non-NaN operand, which costs a
+    /// four-instruction fix-up per clip at the SSE2 baseline. The bits
+    /// are the same: a chord end is NaN only when `half_chord_sq < 0`,
+    /// which the guard zeroes, and then the select returns the edge, as
+    /// `min`/`max` do; a chord end equal to an edge selects the edge, and
+    /// neither edge is `±0.0` (`y_lo < 0 < y_hi`), so no signed zero can
+    /// differ.
     #[inline(always)]
     fn strip_area(&self, x: f64, dx: f64, r_sq: f64) -> f64 {
         let half_chord_sq = r_sq - (x - self.cx) * (x - self.cx);
-        // NaN when the strip is outside the disc; the select below drops it.
+        // NaN when the strip is outside the disc; the guard below zeroes
+        // the strip.
         let half_chord = half_chord_sq.sqrt();
-        let top = (self.cy + half_chord).min(self.y_hi);
-        let bottom = (self.cy - half_chord).max(self.y_lo);
+        let (up, down) = (self.cy + half_chord, self.cy - half_chord);
+        let top = if up < self.y_hi { up } else { self.y_hi };
+        let bottom = if down > self.y_lo { down } else { self.y_lo };
         if half_chord_sq <= 0.0 || top <= bottom {
             0.0
         } else {
@@ -474,12 +486,15 @@ impl Panel {
         let full = dx.map(|dx| (self.y_hi - self.y_lo) * dx);
         let mut sums = [0.0; LANES];
         let add_strips = |strips: Range<usize>, sums: &mut [f64; LANES]| {
-            for i in strips {
-                // Lane `l`'s midpoint is `discs[l].mid(i)`, op for op.
-                let m = i as f64 + 0.5;
+            // Strip `i`'s `i + 0.5`, stepped as a float: every value up to
+            // `STRIPS` is exact, so lane `l`'s midpoint is
+            // `discs[l].mid(i)`, op for op, with no integer conversion.
+            let mut m = strips.start as f64 + 0.5;
+            for _ in strips {
                 for (l, sum) in sums.iter_mut().enumerate() {
                     *sum += self.strip_area(left[l] + m * dx[l], dx[l], r_sq[l]);
                 }
+                m += 1.0;
             }
         };
         add_strips(0..lo, &mut sums);
@@ -555,7 +570,6 @@ mod tests {
     /// has no strips.
     fn branchy_strips(r: f64, cx: f64, cy: f64, w: f64, h: f64) -> Vec<Option<(f64, bool)>> {
         let (x_lo, x_hi) = (-w / 2.0, w / 2.0);
-        let (y_lo, y_hi) = (-h / 2.0, h / 2.0);
         let left = (cx - r).max(x_lo);
         let right = (cx + r).min(x_hi);
         if left >= right {
@@ -563,19 +577,24 @@ mod tests {
         }
         let dx = (right - left) / STRIPS as f64;
         (0..STRIPS)
-            .map(|i| {
-                let x = left + (i as f64 + 0.5) * dx;
-                let half_chord_sq = r * r - (x - cx) * (x - cx);
-                if half_chord_sq <= 0.0 {
-                    return None;
-                }
-                let half_chord = half_chord_sq.sqrt();
-                let top = (cy + half_chord).min(y_hi);
-                let bottom = (cy - half_chord).max(y_lo);
-                let both = cy + half_chord >= y_hi && cy - half_chord <= y_lo;
-                (top > bottom).then_some(((top - bottom) * dx, both))
-            })
+            .map(|i| branchy_strip(left + (i as f64 + 0.5) * dx, dx, r * r, cx, cy, h))
             .collect()
+    }
+
+    /// One strip of the old loop, of width `dx` with midpoint `x`, of the
+    /// disc of squared radius `r_sq` centred at `(cx, cy)` on a panel `h`
+    /// degrees tall: what [`branchy_strips`] gives for it.
+    fn branchy_strip(x: f64, dx: f64, r_sq: f64, cx: f64, cy: f64, h: f64) -> Option<(f64, bool)> {
+        let (y_lo, y_hi) = (-h / 2.0, h / 2.0);
+        let half_chord_sq = r_sq - (x - cx) * (x - cx);
+        if half_chord_sq <= 0.0 {
+            return None;
+        }
+        let half_chord = half_chord_sq.sqrt();
+        let top = (cy + half_chord).min(y_hi);
+        let bottom = (cy - half_chord).max(y_lo);
+        let both = cy + half_chord >= y_hi && cy - half_chord <= y_lo;
+        (top > bottom).then_some(((top - bottom) * dx, both))
     }
 
     /// The old loop's area: it skips the strips the kernels set to `+0.0`
@@ -752,6 +771,95 @@ mod tests {
                 assert_kernels_match(&d, &mixed[..rng.gen_range(1..6usize)], gaze);
             }
         }
+    }
+
+    /// [`Panel::strip_area`] against the old loop's strip `want`,
+    /// `to_bits`: a strip the old loop skips must be `+0.0`.
+    fn assert_strip_matches(panel: &Panel, want: Option<(f64, bool)>, x: f64, dx: f64, r_sq: f64) {
+        let want = want.map_or(0.0, |(area, _)| area);
+        let got = panel.strip_area(x, dx, r_sq);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "x={x} dx={dx} r_sq={r_sq} {panel:?}"
+        );
+    }
+
+    #[test]
+    fn strip_area_matches_the_branchy_loop_strip_by_strip() {
+        // Every strip, not only the summed area. Random discs cover gazes
+        // past the panel edges (so `cy` can lie outside the panel rows),
+        // ±∞ radii, and discs a multiple of half an ulp of `cx` wide: a
+        // whole number of ulps puts rounded midpoints on the rim
+        // (`half_chord_sq` = +0.0), and a rounded extent end can fall
+        // past it (negative). No radius makes `r²` −0.0, so no disc strip
+        // has `half_chord_sq` = −0.0: hand-made strips add it.
+        let cases = if cfg!(debug_assertions) { 200 } else { 2_000 };
+        let mut rng = StdRng::seed_from_u64(0x5791_b175);
+        // Strips seen with `half_chord_sq` negative, +0.0 and −0.0, and
+        // with `cy` outside the panel rows.
+        let mut seen = [0usize; 4];
+        let mut tally = |panel: &Panel, x: f64, r_sq: f64| {
+            let half_chord_sq = r_sq - (x - panel.cx) * (x - panel.cx);
+            seen[0] += usize::from(half_chord_sq < 0.0);
+            seen[1] += usize::from(half_chord_sq.to_bits() == 0.0f64.to_bits());
+            seen[2] += usize::from(half_chord_sq.to_bits() == (-0.0f64).to_bits());
+            seen[3] += usize::from(!(panel.y_lo..=panel.y_hi).contains(&panel.cy));
+        };
+        for d in panels() {
+            for _ in 0..cases {
+                let gaze = GazePoint {
+                    x: gaze_coord(&mut rng),
+                    y: gaze_coord(&mut rng),
+                };
+                let (w, h, gx, gy) = d.panel_about(gaze);
+                let r = match rng.gen_range(0..4u32) {
+                    0 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2usize)],
+                    // A multiple of half an ulp of `gx`.
+                    1 => f64::from(rng.gen_range(1..17u32)) / 2.0 * (ulps(gx.abs(), 1) - gx.abs()),
+                    _ => kernel_radius(&mut rng, &d, gaze),
+                };
+                let disc = Strips::new(r, gx, w);
+                let panel = Panel::new(gx, gy, h);
+                // An empty extent has no strips in the old loop, and every
+                // one of `Strips::NONE`'s must be +0.0.
+                let strips = branchy_strips(r, gx, gy, w, h);
+                for i in 0..STRIPS {
+                    let want = strips.get(i).copied().flatten();
+                    assert_strip_matches(&panel, want, disc.mid(i), disc.dx, disc.r_sq);
+                    if !strips.is_empty() {
+                        tally(&panel, disc.mid(i), disc.r_sq);
+                    }
+                }
+            }
+        }
+        // Hand-made strips: `r²` of −0.0 and +0.0 at the disc centre, a
+        // negative `r²`, ±∞, and chords that end inside, on and beyond the
+        // panel edges, with `cy` inside, on and outside the rows.
+        let h = DisplayGeometry::vive_pro_class().fov_v().0;
+        let cx = 1.5;
+        for cy in [-0.6 * h, -h / 2.0, -3.0, 0.0, h / 2.0, 0.6 * h] {
+            let panel = Panel::new(cx, cy, h);
+            let to_top = (h / 2.0 - cy) * (h / 2.0 - cy);
+            for r_sq in [
+                -0.0,
+                0.0,
+                -1.0,
+                1e-300,
+                4.0,
+                to_top,
+                1e6,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ] {
+                for x in [cx, cx + 1e-9, cx - 1.0, cx + 2.0] {
+                    let want = branchy_strip(x, 0.25, r_sq, cx, cy, h);
+                    assert_strip_matches(&panel, want, x, 0.25, r_sq);
+                    tally(&panel, x, r_sq);
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "strips seen: {seen:?}");
     }
 
     #[test]
