@@ -300,32 +300,59 @@ impl BlockStats {
     }
 }
 
+/// Below this exponent `p_big = exp(x)` is under `exp(−37)` ≈ 8.5e-17,
+/// less than 2⁻⁵² (half an ulp of 2.0), so `2.0 + p_big` rounds to 2.0
+/// exactly and [`block_cost`] skips the `exp`.
+const P_BIG_INERT: f64 = -37.0;
+
+/// Above this `t = θΔ/2b` an AC coefficient's term cannot reach the sum:
+/// `p_nz = exp(−t^ρ) < exp(−261^0.65) ≈ exp(−37.2)`, and `p_big ≤ 1`, so
+/// `p_nz·(2 + p_big) < 3·exp(−37.2)` ≈ 2.1e-16, less than 2⁻⁵². The block
+/// cost starts at 2.0 and only grows, so that is under half an ulp of it
+/// and adding the term leaves every bit unchanged.
+const P_NZ_INERT: f64 = 261.0;
+
+/// The quantiser step Δᵢ of every zigzag index at `quant_scale`.
+fn quant_steps(quant_scale: f64) -> [f64; 64] {
+    std::array::from_fn(|zi| f64::from(QUANT_BASE[zi]) * quant_scale / 255.0)
+}
+
 /// Expected payload bytes of one coded 8×8 block with coefficient scales
-/// `b` at quantiser scale `quant_scale`, mirroring the real coder's cost
-/// structure: `BLOCK_CODED` + `RLE_END` markers, and per surviving
-/// coefficient a run byte plus VLC bytes.
-fn block_cost(b: &[f64; 64], quant_scale: f64) -> f64 {
+/// `b` at quantiser steps `delta` (from [`quant_steps`]), mirroring the
+/// real coder's cost structure: `BLOCK_CODED` + `RLE_END` markers, and per
+/// surviving coefficient a run byte plus VLC bytes.
+///
+/// An AC term under half an ulp of the running cost is skipped, and so is
+/// an `exp` that cannot move `2.0 + p_big` (see [`P_NZ_INERT`] and
+/// [`P_BIG_INERT`]): the sum is bit-identical to adding every term. A NaN
+/// `t` or exponent fails both tests and takes the full path.
+fn block_cost(b: &[f64; 64], delta: &[f64; 64]) -> f64 {
     let mut cost = 2.0;
     for zi in 0..64 {
-        let delta = f64::from(QUANT_BASE[zi]) * quant_scale / 255.0;
-        if b[zi] <= 0.0 {
+        let (b, delta) = (b[zi], delta[zi]);
+        if b <= 0.0 {
             continue;
         }
         if zi == 0 {
             // DC is a concentrated magnitude (block mean × 8), not a
             // zero-centred Laplacian: code its typical VLC length.
-            let q_typ = b[0] / delta;
+            let q_typ = b / delta;
             if q_typ >= 0.5 {
                 cost += 1.0 + vlc_bytes(2.0 * q_typ);
             } else {
-                cost += 2.0 * (-THETA * delta / (2.0 * b[0])).exp();
+                cost += 2.0 * (-THETA * delta / (2.0 * b)).exp();
             }
         } else {
-            let p_nz = (-(THETA * delta / (2.0 * b[zi])).powf(RHO)).exp();
+            let t = THETA * delta / (2.0 * b);
+            if t > P_NZ_INERT {
+                continue;
+            }
+            let p_nz = (-t.powf(RHO)).exp();
             // Probability the coefficient needs a second VLC byte
             // (|q| > 63), conditional on being nonzero.
-            let p_big = (-63.0 * delta / b[zi]).exp();
-            cost += p_nz * (2.0 + p_big);
+            let x = -63.0 * delta / b;
+            let bytes = if x < P_BIG_INERT { 2.0 } else { 2.0 + x.exp() };
+            cost += p_nz * bytes;
         }
     }
     cost
@@ -420,13 +447,13 @@ impl EntropyModel {
     /// Predicted encoded size in bytes at an explicit quantiser scale.
     #[must_use]
     pub fn bytes_at_step(&self, quant_scale: f64) -> f64 {
-        let qs = quant_scale.max(1e-6);
+        let delta = quant_steps(quant_scale.max(1e-6));
         // 4:2:0 → one full-resolution luma plane and two quarter-resolution
         // chroma planes, all in 8×8 blocks.
         let luma_blocks = self.pixels / 64.0;
         let chroma_blocks = self.pixels / 256.0;
-        16.0 + luma_blocks * block_cost(&self.stats.luma, qs)
-            + 2.0 * chroma_blocks * block_cost(&self.stats.chroma, qs)
+        16.0 + luma_blocks * block_cost(&self.stats.luma, &delta)
+            + 2.0 * chroma_blocks * block_cost(&self.stats.chroma, &delta)
     }
 }
 
@@ -542,6 +569,175 @@ mod tests {
                 EntropyModel::layer(64.0 * 64.0, 0.5, 1.0, 0.5, 0.0).frame_bytes(quality);
             let err = (predicted / actual - 1.0).abs();
             assert!(err <= 0.3, "quality {quality}: err {err:.3}");
+        }
+    }
+
+    /// `block_cost` as it was before the inert-term skips and the hoisted
+    /// quantiser steps: every term computed and added. The oracle of
+    /// [`bytes_at_step_matches_the_unskipped_model_bit_for_bit`].
+    fn block_cost_reference(b: &[f64; 64], quant_scale: f64) -> f64 {
+        let mut cost = 2.0;
+        for zi in 0..64 {
+            let delta = f64::from(QUANT_BASE[zi]) * quant_scale / 255.0;
+            if b[zi] <= 0.0 {
+                continue;
+            }
+            if zi == 0 {
+                let q_typ = b[0] / delta;
+                if q_typ >= 0.5 {
+                    cost += 1.0 + vlc_bytes(2.0 * q_typ);
+                } else {
+                    cost += 2.0 * (-THETA * delta / (2.0 * b[0])).exp();
+                }
+            } else {
+                let p_nz = (-(THETA * delta / (2.0 * b[zi])).powf(RHO)).exp();
+                let p_big = (-63.0 * delta / b[zi]).exp();
+                cost += p_nz * (2.0 + p_big);
+            }
+        }
+        cost
+    }
+
+    /// Asserts `bytes_at_step` equals the unskipped model bit for bit, or
+    /// is NaN where it is NaN (Rust leaves a NaN's sign and payload to
+    /// the codegen, so two NaNs from the same operations may differ).
+    fn assert_matches_reference(model: &EntropyModel, quant_scale: f64) {
+        let qs = quant_scale.max(1e-6);
+        let reference = 16.0
+            + model.pixels / 64.0 * block_cost_reference(&model.stats.luma, qs)
+            + 2.0 * (model.pixels / 256.0) * block_cost_reference(&model.stats.chroma, qs);
+        let fast = model.bytes_at_step(quant_scale);
+        if reference.is_nan() {
+            assert!(fast.is_nan(), "{model:?} at step {quant_scale}: {fast}");
+        } else {
+            assert_eq!(
+                fast.to_bits(),
+                reference.to_bits(),
+                "{model:?} at step {quant_scale}: {fast} vs {reference}"
+            );
+        }
+    }
+
+    /// A splitmix64 stream of uniform draws (the codec has no RNG
+    /// dependency).
+    struct Draws(u64);
+
+    impl Draws {
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            lo + (hi - lo) * ((z >> 11) as f64 / (1u64 << 53) as f64)
+        }
+    }
+
+    /// `x` moved by `k` ulps (`x > 0`).
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(k))
+    }
+
+    /// How many AC terms of `b` at `quant_scale` each skip drops: the
+    /// whole term, and the `exp` of `p_big` alone.
+    fn skips(b: &[f64; 64], quant_scale: f64) -> (usize, usize) {
+        let delta = quant_steps(quant_scale.max(1e-6));
+        let (mut terms, mut exps) = (0, 0);
+        for zi in 1..64 {
+            if b[zi] > 0.0 {
+                if THETA * delta[zi] / (2.0 * b[zi]) > P_NZ_INERT {
+                    terms += 1;
+                } else if -63.0 * delta[zi] / b[zi] < P_BIG_INERT {
+                    exps += 1;
+                }
+            }
+        }
+        (terms, exps)
+    }
+
+    #[test]
+    fn bytes_at_step_matches_the_unskipped_model_bit_for_bit() {
+        let mut draws = Draws(0x00c0_dec5);
+        let (mut terms, mut exps) = (0, 0);
+        for _ in 0..2_000 {
+            // Every input a little past its clamp on both sides.
+            let detail = draws.range(-0.2, 1.2);
+            let motion = draws.range(-0.2, 1.2);
+            let scale = draws.range(0.0, 1.2);
+            let eccentricity = draws.range(-5.0, 130.0);
+            let quality = draws.range(-0.1, 1.1);
+            let pixels = draws.range(0.0, 2.5e6);
+            let model = EntropyModel::layer(pixels, detail, motion, scale, eccentricity);
+            let step = EntropyModel::quant_scale_for_quality(quality);
+            assert_matches_reference(&model, step);
+            for b in [&model.stats.luma, &model.stats.chroma] {
+                let (t, e) = skips(b, step);
+                terms += t;
+                exps += e;
+            }
+        }
+        // Both skips fire on this sweep, so it tests them.
+        assert!(terms > 0 && exps > 0, "skipped terms {terms}, exps {exps}");
+    }
+
+    #[test]
+    fn inert_term_cutoffs_hold_a_few_ulps_either_side() {
+        // Each AC scale sits k ulps from the `b` that puts its term exactly
+        // on a cutoff, k = −4..=4: luma on θΔ/2b = 261, chroma on
+        // −63Δ/b = −37.
+        for quant_scale in [0.04, 0.3, 1.0, 3.5] {
+            let delta = quant_steps(quant_scale);
+            let mut stats = BlockStats {
+                luma: [1.0; 64],
+                chroma: [1.0; 64],
+            };
+            for (zi, &d) in delta.iter().enumerate().skip(1) {
+                let k = (zi % 9) as i64 - 4;
+                stats.luma[zi] = ulps(THETA * d / (2.0 * P_NZ_INERT), k);
+                stats.chroma[zi] = ulps(-63.0 * d / P_BIG_INERT, k);
+            }
+            let model = EntropyModel::new(4096.0, stats);
+            assert_matches_reference(&model, quant_scale);
+            // The computed ratios land on both sides of each cutoff.
+            let t = |zi: usize| THETA * delta[zi] / (2.0 * stats.luma[zi]);
+            let x = |zi: usize| -63.0 * delta[zi] / stats.chroma[zi];
+            assert!((1..64).any(|zi| t(zi) > P_NZ_INERT));
+            assert!((1..64).any(|zi| t(zi) <= P_NZ_INERT));
+            assert!((1..64).any(|zi| x(zi) < P_BIG_INERT));
+            assert!((1..64).any(|zi| x(zi) >= P_BIG_INERT));
+        }
+    }
+
+    #[test]
+    fn non_positive_nan_and_infinite_scales_match_the_unskipped_model() {
+        let special = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::MAX,
+        ];
+        let base = EntropyModel::layer(4096.0, 0.5, 1.0, 1.0, 20.0).stats;
+        for quant_scale in [0.0, 0.04, 1.0, f64::INFINITY, f64::NAN] {
+            for (i, &v) in special.iter().enumerate() {
+                // One special scale in an ordinary block, at the DC and at
+                // an AC index; and a whole block of it.
+                for zi in [0, 1 + i, 63] {
+                    let mut stats = base;
+                    stats.luma[zi] = v;
+                    stats.chroma[zi] = v;
+                    assert_matches_reference(&EntropyModel::new(4096.0, stats), quant_scale);
+                }
+                let stats = BlockStats {
+                    luma: [v; 64],
+                    chroma: [v; 64],
+                };
+                assert_matches_reference(&EntropyModel::new(4096.0, stats), quant_scale);
+            }
         }
     }
 

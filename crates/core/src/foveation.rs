@@ -9,6 +9,7 @@
 
 use qvr_codec::{EntropyModel, SizeModel};
 use qvr_hvs::{DisplayGeometry, GazePoint, LayerKind, LayerPartition, MarModel};
+use qvr_scene::TriangleFractionCache;
 use std::fmt;
 
 /// Hardware variable-rate-shading rates available on the server renderer
@@ -124,26 +125,36 @@ impl FoveationPlan {
         mar: &MarModel,
         gaze: GazePoint,
     ) -> Self {
-        let part = LayerPartition::with_optimal_middle(clamp_e1(e1_deg), display, mar)
-            .expect("clamped e1 is valid");
-        FoveationPlan::from_partition(part, display, mar, gaze)
+        let e1 = clamp_e1(e1_deg);
+        let part =
+            LayerPartition::with_optimal_middle(e1, display, mar).expect("clamped e1 is valid");
+        FoveationPlan::from_partition(
+            part,
+            display,
+            mar,
+            gaze,
+            display.fovea_area_fraction(e1, gaze),
+        )
     }
 
-    /// The plan for a partition already resolved on `display` under `mar`:
-    /// [`FoveationPlan::resolve`] is `from_partition` applied to
-    /// [`LayerPartition::with_optimal_middle`] of the clamped `e1`, so a
-    /// caller that keeps those partitions skips the Eq. (1) search.
+    /// The plan for a partition already resolved on `display` under `mar`,
+    /// given `fovea_area`, the disc's `display.fovea_area_fraction(e1,
+    /// gaze)` at the partition's e1: [`FoveationPlan::resolve`] is
+    /// `from_partition` applied to [`LayerPartition::with_optimal_middle`]
+    /// of the clamped `e1` and that area. A caller that keeps those
+    /// partitions skips the Eq. (1) search, and one that holds the area
+    /// (say, in a ring table of the gaze) skips the disc integral.
     #[must_use]
     pub fn from_partition(
         part: LayerPartition,
         display: &DisplayGeometry,
         mar: &MarModel,
         gaze: GazePoint,
+        fovea_area: f64,
     ) -> Self {
         let e1 = part.fovea_eccentricity();
         let native = display.pixels_per_eye() as f64;
-        let fovea_area = display.fovea_area_fraction(e1, gaze);
-        // `display.fovea_pixels(e1, gaze)`, from the disc just integrated.
+        // `display.fovea_pixels(e1, gaze)`, from the area the caller holds.
         let budget = part.layer_budget_with_fovea(display, mar, gaze, fovea_area * native);
 
         let mid_scale_mar = part.layer_scale(LayerKind::Middle, display, mar);
@@ -268,19 +279,26 @@ fn clamp_e1(e1_deg: f64) -> f64 {
 /// The memo is keyed by the bits of the clamped e1 and holds one entry per
 /// distinct key, in key order. It allocates nothing until its first entry
 /// and nothing once every e1 its session visits is in it.
+///
+/// The plan's fovea area comes from a ring table of the gaze
+/// ([`TriangleFractionCache::fovea_area_fraction`]): a table that holds
+/// the gaze and the clamped e1 serves the area it recorded, and any other
+/// reads the disc itself, so the plan is the same either way.
 #[derive(Debug, Default)]
 pub(crate) struct PartitionMemo {
     entries: Vec<(u64, LayerPartition)>,
 }
 
 impl PartitionMemo {
-    /// `FoveationPlan::resolve(e1_deg, display, mar, gaze)`.
+    /// `FoveationPlan::resolve(e1_deg, display, mar, gaze)`, with the
+    /// fovea area read from `rings` where it holds it.
     pub(crate) fn plan(
         &mut self,
         e1_deg: f64,
         display: &DisplayGeometry,
         mar: &MarModel,
         gaze: GazePoint,
+        rings: &TriangleFractionCache,
     ) -> FoveationPlan {
         let e1 = clamp_e1(e1_deg);
         let key = e1.to_bits();
@@ -293,7 +311,8 @@ impl PartitionMemo {
                 part
             }
         };
-        FoveationPlan::from_partition(part, display, mar, gaze)
+        let fovea_area = rings.fovea_area_fraction(display, e1, gaze);
+        FoveationPlan::from_partition(part, display, mar, gaze, fovea_area)
     }
 }
 
@@ -438,21 +457,35 @@ mod tests {
             GazePoint::clamped(0.93, 0.1),
             GazePoint::clamped(0.0, -1.0),
         ];
+        let field = qvr_scene::ComplexityField::default();
         for display in [
             DisplayGeometry::vive_pro_class(),
             DisplayGeometry::low_res_class(),
         ] {
             let mut memo = PartitionMemo::default();
             assert_eq!(memo.entries.capacity(), 0, "allocates nothing when built");
+            // Each gaze's ring table, whose recorded areas the plan reads,
+            // and an empty table, with which the plan integrates the disc.
+            let tables = gazes.map(|gaze| {
+                let mut rings = TriangleFractionCache::new();
+                field.record_rings(&display, gaze, &mut rings);
+                rings
+            });
+            let empty = TriangleFractionCache::new();
             for (k, &e1) in e1s.iter().enumerate() {
                 let gaze = gazes[k % gazes.len()];
-                let memoized = memo.plan(e1, &display, &mar, gaze);
                 let resolved = FoveationPlan::resolve(e1, &display, &mar, gaze);
-                assert_eq!(
-                    plan_bits(&memoized),
-                    plan_bits(&resolved),
-                    "e1={e1} at {gaze:?} on {display}"
-                );
+                // The gaze's own table, another gaze's and the empty one.
+                let own = &tables[k % gazes.len()];
+                let other = &tables[(k + 1) % gazes.len()];
+                for rings in [own, other, &empty] {
+                    let memoized = memo.plan(e1, &display, &mar, gaze, rings);
+                    assert_eq!(
+                        plan_bits(&memoized),
+                        plan_bits(&resolved),
+                        "e1={e1} at {gaze:?} on {display}"
+                    );
+                }
             }
             // One entry per distinct clamped e1, in key order.
             let held: Vec<u64> = memo.entries.iter().map(|&(key, _)| key).collect();

@@ -161,37 +161,51 @@ impl Stepper for FoveatedStepper {
         // keeps the legacy closed-form byte path bit-identical).
         let rc_quality = config.rate_control.enabled.then(|| self.rc.quality());
         let motion = super::motion_index(&frame.delta);
+        let gaze = frame.sample.gaze;
+
+        // The ring table of this frame's gaze, recorded once: LIWC's
+        // probes, the plan, the fovea workload and the feedback read their
+        // triangle shares and disc areas from it.
+        let profile = &self.profile;
+        let field = profile.complexity;
+        field.record_rings(&display, gaze, &mut self.fovea_cache);
+        let rings = &self.fovea_cache;
+        let partitions = &mut self.partitions;
+        // The plan at `e` and the bytes its periphery streams ship (both
+        // eyes). LIWC's byte predictor must model the same path the frame
+        // will actually ship on, or the equilibrium it finds is for the
+        // wrong system, so LIWC's probe and the frame share this one body.
+        let mut plan_and_bytes = |e: f64| {
+            let plan = partitions.plan(e, &display, &config.mar, gaze, rings);
+            let bytes = match rc_quality {
+                Some(q) => plan.periphery_entropy_bytes(frame.content_detail, motion, q),
+                None => plan.periphery_bytes(
+                    &config.size_model,
+                    frame.content_detail,
+                    config.periphery_quality,
+                ),
+            } * config.stereo_stream_factor;
+            (plan, bytes)
+        };
 
         // --- eccentricity selection -------------------------------------
+        // LIWC's probe: the bits of the e1 it probed, and that e1's plan
+        // and bytes, which the frame reuses when it ships the same e1.
+        let mut probed = None;
         let e1 = match &mut self.control {
             ControlState::Fixed(e) => *e,
             ControlState::Software(sw) => sw.select(),
             ControlState::Liwc(liwc) => {
                 let observed = rig.channel.observed_download_mbps();
                 let base = config.network.base_latency_ms();
-                let mar = config.mar;
-                let size_model = config.size_model;
-                let pq = config.periphery_quality;
-                let stereo = config.stereo_stream_factor;
-                let gaze = frame.sample.gaze;
-                let detail = frame.content_detail;
-                let profile = &self.profile;
-                let fovea_cache = &mut self.fovea_cache;
-                let partitions = &mut self.partitions;
                 liwc.select(
                     &frame.delta,
                     frame.triangles,
-                    |e| profile.fovea_triangle_fraction_cached(&frame, e, fovea_cache),
+                    |e| field.triangle_fraction_recorded(e, &display, gaze, rings),
                     |e| {
-                        let plan = partitions.plan(e, &display, &mar, gaze);
-                        // LIWC's byte predictor must model the same
-                        // path the frame will actually ship on, or the
-                        // equilibrium it finds is for the wrong system.
-                        let layer_bytes = match rc_quality {
-                            Some(q) => plan.periphery_entropy_bytes(detail, motion, q),
-                            None => plan.periphery_bytes(&size_model, detail, pq),
-                        };
-                        layer_bytes * stereo
+                        let (plan, bytes) = plan_and_bytes(e);
+                        probed = Some((e.to_bits(), plan, bytes));
+                        bytes
                     },
                     observed,
                     base,
@@ -199,9 +213,10 @@ impl Stepper for FoveatedStepper {
                 .e1_deg
             }
         };
-        let plan = self
-            .partitions
-            .plan(e1, &display, &config.mar, frame.sample.gaze);
+        let (plan, bytes) = match probed {
+            Some((bits, plan, bytes)) if bits == e1.to_bits() => (plan, bytes),
+            _ => plan_and_bytes(e1),
+        };
 
         // --- control logic + setup --------------------------------------
         let mut pace = rig.pace_deps();
@@ -231,9 +246,7 @@ impl Stepper for FoveatedStepper {
         let (send, send_ms) = rig.upload("pose+cfg", 1_536.0, &[ls]);
 
         // --- local fovea rendering ---------------------------------------
-        let fovea_wl = self
-            .profile
-            .fovea_workload_cached(&frame, e1, &mut self.fovea_cache);
+        let fovea_wl = profile.fovea_workload_recorded(&frame, e1, rings);
         let lr_ms = rig.mobile.stereo_frame_time(&fovea_wl).total_ms();
         let lr = rig.engine.submit("LR", Some(rig.gpu), lr_ms, &[ls]);
 
@@ -242,19 +255,10 @@ impl Stepper for FoveatedStepper {
         let out_px = plan.outer_region_px * plan.outer_rate.linear_scale().powi(2);
         let periph_px = mid_px + out_px;
         let native_px = f64::from(display.width_px()) * f64::from(display.height_px());
-        let periph_wl = self
-            .profile
+        let periph_wl = profile
             .full_workload(&frame)
             .scaled_region(periph_px / native_px, 1.0);
         let rr_ms = rig.remote_render_ms(&periph_wl);
-        let bytes = match rc_quality {
-            Some(q) => plan.periphery_entropy_bytes(frame.content_detail, motion, q),
-            None => plan.periphery_bytes(
-                &config.size_model,
-                frame.content_detail,
-                config.periphery_quality,
-            ),
-        } * config.stereo_stream_factor;
         let chain = rig.remote_chain("periph", rr_ms, bytes, periph_px * 2.0, &[send]);
 
         // --- composition + ATW -------------------------------------------
@@ -277,11 +281,11 @@ impl Stepper for FoveatedStepper {
                 .submit("UCA:border", Some(rig.uca), late_ms, &[lr, early]);
             (late, late_ms)
         } else {
-            let c_ms = rig.stereo_pass_ms(&self.profile, config.composition_cycles_per_px);
+            let c_ms = rig.stereo_pass_ms(profile, config.composition_cycles_per_px);
             let c = rig
                 .engine
                 .submit("C", Some(rig.gpu), c_ms, &[lr, chain.done]);
-            let atw_ms = rig.stereo_pass_ms(&self.profile, config.atw_cycles_per_px);
+            let atw_ms = rig.stereo_pass_ms(profile, config.atw_cycles_per_px);
             let atw = rig.engine.submit("ATW", Some(rig.gpu), atw_ms, &[c]);
             (atw, c_ms + atw_ms)
         };
@@ -294,9 +298,7 @@ impl Stepper for FoveatedStepper {
         let t_remote = rig.chain_latency_ms(&chain);
         match &mut self.control {
             ControlState::Liwc(liwc) => {
-                let fovea_frac =
-                    self.profile
-                        .fovea_triangle_fraction_cached(&frame, e1, &mut self.fovea_cache);
+                let fovea_frac = field.triangle_fraction_recorded(e1, &display, gaze, rings);
                 liwc.observe(
                     frame.triangles,
                     fovea_frac,

@@ -430,6 +430,16 @@ impl Panel {
     /// `min`/`max` do; a chord end equal to an edge selects the edge, and
     /// neither edge is `±0.0` (`y_lo < 0 < y_hi`), so no signed zero can
     /// differ.
+    ///
+    /// The zero guard takes three mask operations per lane pair: one
+    /// compare and one mask zero the height outside the disc, and one
+    /// `maxpd` clamps a non-positive height to `+0.0`. This equals
+    /// zeroing the strip when `half_chord_sq <= 0 || top <= bottom`:
+    /// neither `top` nor `bottom` is NaN (each select falls back to its
+    /// edge), `top` is never `+∞` and `bottom` never `−∞`, so
+    /// `top − bottom` is never NaN, and it is `> 0` exactly when
+    /// `top > bottom`. A zeroed strip is `+0.0 · dx = +0.0`, since `dx` is
+    /// finite and `≥ 0`.
     #[inline(always)]
     fn strip_area(&self, x: f64, dx: f64, r_sq: f64) -> f64 {
         let half_chord_sq = r_sq - (x - self.cx) * (x - self.cx);
@@ -439,11 +449,12 @@ impl Panel {
         let (up, down) = (self.cy + half_chord, self.cy - half_chord);
         let top = if up < self.y_hi { up } else { self.y_hi };
         let bottom = if down > self.y_lo { down } else { self.y_lo };
-        if half_chord_sq <= 0.0 || top <= bottom {
+        let height = if half_chord_sq <= 0.0 {
             0.0
         } else {
-            (top - bottom) * dx
-        }
+            top - bottom
+        };
+        (if height > 0.0 { height } else { 0.0 }) * dx
     }
 
     /// Whether the chord at `x` reaches both the top and the bottom panel

@@ -99,7 +99,9 @@ impl AppProfile {
 
     /// [`AppProfile::fovea_workload`] through a per-gaze triangle-fraction
     /// ring table (bit-identical results; the cache belongs to one session's
-    /// profile — see [`TriangleFractionCache`]).
+    /// profile — see [`TriangleFractionCache`]): records the frame's gaze
+    /// in `cache` ([`ComplexityField::record_rings`]), then
+    /// [`AppProfile::fovea_workload_recorded`].
     #[must_use]
     pub fn fovea_workload_cached(
         &self,
@@ -107,13 +109,28 @@ impl AppProfile {
         e1_deg: f64,
         cache: &mut TriangleFractionCache,
     ) -> FrameWorkload {
-        let area = self.display.fovea_area_fraction(e1_deg, frame.sample.gaze);
-        let tris = self.complexity.triangle_fraction_cached(
-            e1_deg,
-            &self.display,
-            frame.sample.gaze,
-            cache,
-        );
+        self.complexity
+            .record_rings(&self.display, frame.sample.gaze, cache);
+        self.fovea_workload_recorded(frame, e1_deg, cache)
+    }
+
+    /// [`AppProfile::fovea_workload`] read from a ring table, through a
+    /// shared borrow: the disc area from
+    /// [`TriangleFractionCache::fovea_area_fraction`], the triangle share
+    /// from [`ComplexityField::triangle_fraction_recorded`] (bit-identical
+    /// results).
+    #[must_use]
+    pub fn fovea_workload_recorded(
+        &self,
+        frame: &FrameState,
+        e1_deg: f64,
+        rings: &TriangleFractionCache,
+    ) -> FrameWorkload {
+        let gaze = frame.sample.gaze;
+        let area = rings.fovea_area_fraction(&self.display, e1_deg, gaze);
+        let tris = self
+            .complexity
+            .triangle_fraction_recorded(e1_deg, &self.display, gaze, rings);
         self.full_workload(frame).scaled_region(area, tris)
     }
 

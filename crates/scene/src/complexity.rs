@@ -98,15 +98,10 @@ impl ComplexityField {
     }
 
     /// `triangle_fraction` through a per-gaze ring table (see
-    /// [`TriangleFractionCache`]). The first call at a gaze runs the
-    /// gaze-wide denominator pass once, computing its disc areas in one
-    /// [`DisplayGeometry::fovea_area_fractions`] batch, and records the
-    /// running sum after each full ring. Every numerator at that gaze is a
-    /// prefix of that pass: it reads the record at its last full ring and
-    /// integrates at most one partial ring, with one area call (none when
-    /// `e1` is on the 0.5° grid, as every integer `e1` is). Results are
-    /// bit-identical to [`ComplexityField::triangle_fraction`]: the same
-    /// terms are added in the same order.
+    /// [`TriangleFractionCache`]): [`ComplexityField::record_rings`] for
+    /// `gaze` when `e1` is positive, then
+    /// [`ComplexityField::triangle_fraction_recorded`]. Results are
+    /// bit-identical to [`ComplexityField::triangle_fraction`].
     #[must_use]
     pub fn triangle_fraction_cached(
         &self,
@@ -115,30 +110,58 @@ impl ComplexityField {
         gaze: GazePoint,
         cache: &mut TriangleFractionCache,
     ) -> f64 {
-        if any_nan(e1_deg, gaze) {
+        if e1_deg > 0.0 {
+            self.record_rings(display, gaze, cache);
+        }
+        self.triangle_fraction_recorded(e1_deg, display, gaze, cache)
+    }
+
+    /// `triangle_fraction` read from a ring table that holds `gaze` (see
+    /// [`ComplexityField::record_rings`]), through a shared borrow. Every
+    /// numerator at a recorded gaze is a prefix of the recorded pass: it
+    /// reads the record at its last full ring and integrates at most one
+    /// partial ring, with one area call (none when `e1` is on the 0.5°
+    /// grid, as every integer `e1` is). Results are bit-identical to
+    /// [`ComplexityField::triangle_fraction`]: the same terms are added in
+    /// the same order. A table that does not hold `gaze` is not read; the
+    /// call then runs the uncached integral.
+    #[must_use]
+    pub fn triangle_fraction_recorded(
+        &self,
+        e1_deg: f64,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        rings: &TriangleFractionCache,
+    ) -> f64 {
+        if !rings.holds(gaze) {
+            return self.triangle_fraction(e1_deg, display, gaze);
+        }
+        if e1_deg.is_nan() {
             return f64::NAN;
         }
         if e1_deg <= 0.0 {
             return 0.0;
         }
         let e_max = display.max_eccentricity().0 * 1.5;
-        let key = (gaze.x.to_bits(), gaze.y.to_bits());
-        if cache.gaze != Some(key) {
-            self.record_rings(e_max, display, gaze, cache);
-            cache.gaze = Some(key);
-        }
-        let num = self.integrate_from(cache, e1_deg.min(e_max), display, gaze);
-        Self::fraction_of(num, cache.den)
+        let num = self.integrate_from(rings, e1_deg.min(e_max), display, gaze);
+        Self::fraction_of(num, rings.den)
     }
 
-    /// The denominator pass `integrate(e_max)`, recording every full ring.
-    fn record_rings(
+    /// Records `gaze`'s ring table in `cache`, unless it already holds it
+    /// or a gaze coordinate is NaN: the gaze-wide denominator pass
+    /// `integrate(e_max)`, with its disc areas computed in one
+    /// [`DisplayGeometry::fovea_area_fractions`] batch and the running sum
+    /// recorded after each full ring.
+    pub fn record_rings(
         &self,
-        e_max: f64,
         display: &DisplayGeometry,
         gaze: GazePoint,
         cache: &mut TriangleFractionCache,
     ) {
+        if cache.holds(gaze) || gaze.x.is_nan() || gaze.y.is_nan() {
+            return;
+        }
+        let e_max = display.max_eccentricity().0 * 1.5;
         let TriangleFractionCache {
             radii,
             areas,
@@ -188,6 +211,7 @@ impl ComplexityField {
             sum += ring * self.density(e_max - rem / 2.0);
         }
         *den = sum;
+        cache.gaze = Some(gaze_key(gaze));
     }
 
     /// `integrate(upto_deg)` from a recorded denominator pass at the same
@@ -271,6 +295,11 @@ fn any_nan(e1_deg: f64, gaze: GazePoint) -> bool {
     e1_deg.is_nan() || gaze.x.is_nan() || gaze.y.is_nan()
 }
 
+/// A gaze point's raw bits: the key of a [`TriangleFractionCache`].
+fn gaze_key(gaze: GazePoint) -> (u64, u64) {
+    (gaze.x.to_bits(), gaze.y.to_bits())
+}
+
 /// Per-gaze ring table for [`ComplexityField::triangle_fraction_cached`].
 ///
 /// Keyed by the gaze point's raw bits: a new gaze reruns the denominator
@@ -279,7 +308,9 @@ fn any_nan(e1_deg: f64, gaze: GazePoint) -> bool {
 /// buffers are sized once, at the first call, from the display's ring
 /// bound, so later gazes allocate nothing. One cache belongs to ONE (field,
 /// display) pair — steppers own one per session; sharing across profiles
-/// would mix incompatible integrals.
+/// would mix incompatible integrals. Its disc areas depend on the display
+/// and the gaze only, so [`TriangleFractionCache::fovea_area_fraction`]
+/// serves them to any caller on that display.
 #[derive(Debug, Clone, Default)]
 pub struct TriangleFractionCache {
     gaze: Option<(u64, u64)>,
@@ -297,6 +328,31 @@ impl TriangleFractionCache {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Whether the table is `gaze`'s.
+    fn holds(&self, gaze: GazePoint) -> bool {
+        self.gaze == Some(gaze_key(gaze))
+    }
+
+    /// `display.fovea_area_fraction(e_deg, gaze)`, read from the table
+    /// when it holds `gaze` and `e_deg` is one of its radii (every grid
+    /// radius up to the pass's stop, integer `e1` among them). A recorded
+    /// area comes from the batched pass, which is bit-identical to the
+    /// single call. `display` must be the table's display.
+    #[must_use]
+    pub fn fovea_area_fraction(
+        &self,
+        display: &DisplayGeometry,
+        e_deg: f64,
+        gaze: GazePoint,
+    ) -> f64 {
+        // The radii ascend, so a NaN or out-of-table radius finds no match.
+        let i = self.radii.partition_point(|&r| r < e_deg);
+        match self.radii.get(i) {
+            Some(&r) if r == e_deg && self.holds(gaze) => self.areas[i],
+            _ => display.fovea_area_fraction(e_deg, gaze),
+        }
     }
 }
 
@@ -421,6 +477,52 @@ mod tests {
                     assert_eq!(cached.is_nan(), nan_in, "e1={e1} at {gaze:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ring_table_areas_equal_the_single_disc_bit_for_bit() {
+        // Grid, off-grid, past-saturation and past-`e_max` radii from
+        // `e1`, plus non-positive, NaN and infinite ones; each read from
+        // the gaze's own table, from another gaze's and from an empty
+        // one. Only the first serves recorded areas; the others integrate
+        // the disc.
+        let mut rng = StdRng::seed_from_u64(0x000a_4ea5);
+        let field = ComplexityField::default();
+        let special = [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let empty = TriangleFractionCache::new();
+        for d in displays() {
+            let e_max = d.max_eccentricity().0 * 1.5;
+            let gazes = gazes(&mut rng);
+            let tables = gazes.map(|gaze| {
+                let mut rings = TriangleFractionCache::new();
+                field.record_rings(&d, gaze, &mut rings);
+                rings
+            });
+            let mut served = 0;
+            for (k, &gaze) in gazes.iter().enumerate() {
+                let r_sat = d.saturation_radius_deg(gaze) + 1.0;
+                let radii = (0..200)
+                    .map(|_| e1(&mut rng, e_max))
+                    .chain((1..=4).map(|i| r_sat.ceil() + f64::from(i)))
+                    .chain(special);
+                for e in radii {
+                    let single = d.fovea_area_fraction(e, gaze);
+                    let own = &tables[k];
+                    let other = &tables[(k + 1) % tables.len()];
+                    for rings in [own, other, &empty] {
+                        let read = rings.fovea_area_fraction(&d, e, gaze);
+                        assert_eq!(
+                            read.to_bits(),
+                            single.to_bits(),
+                            "{d} at {gaze:?}, radius {e}: {read} vs {single}"
+                        );
+                    }
+                    served += usize::from(tables[k].radii.contains(&e));
+                }
+            }
+            // Many radii were recorded ones, so the table path ran.
+            assert!(served > 100, "{d}: {served} radii served from a table");
         }
     }
 

@@ -10,8 +10,10 @@
 //! labels, interval clones, per-event telemetry fan-out) shows up here as
 //! a multiple-allocations-per-frame jump, long before it is visible in
 //! wall-clock numbers. The app-session test pins a whole session, from
-//! profile to last frame, at zero, and the triangle-fraction test pins the
-//! foveal ring table's new-gaze path at zero.
+//! profile to last frame, at zero, the triangle-fraction test pins the
+//! foveal ring table's new-gaze path at zero, and two more pin the
+//! entropy model's periphery bytes and the ring table's disc-area read at
+//! zero.
 //!
 //! This lives in the root integration-test crate on purpose: every library
 //! crate in the workspace is `#![forbid(unsafe_code)]`, and a
@@ -256,5 +258,61 @@ fn triangle_fraction_ring_table_never_grows() {
     assert_eq!(
         allocs, 0,
         "1,000 gazes x 3 e1 through one cache allocated {allocs} times"
+    );
+}
+
+#[test]
+fn periphery_entropy_bytes_never_allocates() {
+    // The rate-controlled byte model (LIWC calls it once per probed e1,
+    // the frame once more) is stack arithmetic: its quantiser steps and
+    // block statistics live in fixed-size arrays.
+    let _serial = serial();
+    let display = DisplayGeometry::vive_pro_class();
+    let mar = MarModel::default();
+    let plans: Vec<FoveationPlan> = [5.0, 17.0, 42.0, 90.0]
+        .into_iter()
+        .map(|e1| FoveationPlan::resolve(e1, &display, &mar, GazePoint::center()))
+        .collect();
+    ALLOCS.store(0, Ordering::Relaxed);
+    ARMED.set(true);
+    for plan in &plans {
+        for i in 0..250u32 {
+            let t = f64::from(i) / 250.0;
+            std::hint::black_box(plan.periphery_entropy_bytes(t, 1.0 - t, 0.2 + 0.8 * t));
+        }
+    }
+    ARMED.set(false);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "1,000 periphery byte estimates allocated {allocs} times"
+    );
+}
+
+#[test]
+fn ring_table_area_read_never_allocates() {
+    // A recorded radius reads the table's area; any other radius, and a
+    // gaze the table does not hold, integrates the disc on the stack.
+    let _serial = serial();
+    let field = ComplexityField::default();
+    let display = DisplayGeometry::vive_pro_class();
+    let mut rings = TriangleFractionCache::new();
+    field.record_rings(&display, GazePoint::center(), &mut rings);
+    let gazes =
+        [(0.0, 0.0), (0.45, -0.3), (-1.0, 1.0), (0.93, 0.1)].map(|(x, y)| GazePoint::clamped(x, y));
+    ALLOCS.store(0, Ordering::Relaxed);
+    ARMED.set(true);
+    for gaze in gazes {
+        field.record_rings(&display, gaze, &mut rings);
+        for e in (5..=90).map(f64::from).chain([7.25, 33.3, 150.0]) {
+            std::hint::black_box(rings.fovea_area_fraction(&display, e, gaze));
+            std::hint::black_box(rings.fovea_area_fraction(&display, e, GazePoint::center()));
+        }
+    }
+    ARMED.set(false);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "ring-table area reads at 4 gazes allocated {allocs} times"
     );
 }

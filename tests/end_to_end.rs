@@ -87,6 +87,27 @@ fn qvr_transmits_far_less_than_remote_only() {
 }
 
 #[test]
+fn rate_controlled_qvr_never_transmits_more_than_remote_only() {
+    // The metamorphic law behind Fig. 13 on the content-true byte path:
+    // with rate control on, both schemes size every frame with the entropy
+    // model and close the loop on the same link share, and Q-VR streams
+    // only the periphery the client does not render, so for every app and
+    // seed its mean tx bytes stay at or under full-frame streaming's.
+    let cfg = config().with_rate_control(RateControlConfig::on());
+    for bench in Benchmark::all() {
+        for seed in [3, 11, 29] {
+            let remote = SchemeKind::RemoteOnly.run(&cfg, bench.profile(), 80, seed);
+            let qvr = SchemeKind::Qvr.run(&cfg, bench.profile(), 80, seed);
+            let (q, r) = (qvr.mean_tx_bytes(), remote.mean_tx_bytes());
+            assert!(
+                q <= r,
+                "{bench} seed {seed}: Q-VR ships {q:.0} B/frame, RemoteOnly {r:.0}"
+            );
+        }
+    }
+}
+
+#[test]
 fn qvr_saves_energy_vs_baseline() {
     // Fig. 15: ~73% average energy reduction vs local rendering.
     let cfg = config();
