@@ -7,8 +7,8 @@
 //!
 //! * [`transform`] — a real 8×8 DCT transform codec (quantisation, zigzag,
 //!   run-length + variable-length byte coding) producing actual bitstreams
-//!   from [`qvr_gpu::Framebuffer`] contents, with intra and inter (frame
-//!   delta) modes. Round-trip quality is measured in PSNR.
+//!   from [`qvr_gpu::Framebuffer`] contents, coding every frame intra.
+//!   Round-trip quality is measured in PSNR.
 //! * [`size_model`] — a closed-form compressed-size model,
 //!   `bytes = pixels × bpp(detail) × scaleᵞ / 8`, used by the frame-level
 //!   simulation where running the full transform per frame would be wasteful.

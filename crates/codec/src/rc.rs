@@ -101,12 +101,6 @@ impl RateController {
         self.quality
     }
 
-    /// The controller's configuration.
-    #[must_use]
-    pub fn config(&self) -> &RateControlConfig {
-        &self.config
-    }
-
     /// Target bytes per frame for an allocated link share at a frame rate.
     #[must_use]
     pub fn target_bytes(allocated_mbps: f64, target_fps: f64) -> f64 {
@@ -133,15 +127,6 @@ impl RateController {
         let clamped = desired.clamp(step / bound, step * bound);
         self.quality =
             quality_for_step(clamped).clamp(self.config.min_quality, self.config.max_quality);
-    }
-
-    /// Resets to the initial quality (a recycled tenant slot must not
-    /// inherit the previous occupant's operating point).
-    pub fn reset(&mut self) {
-        self.quality = self
-            .config
-            .initial_quality
-            .clamp(self.config.min_quality, self.config.max_quality);
     }
 }
 
@@ -234,17 +219,6 @@ mod tests {
         assert_eq!(rc.quality().to_bits(), q.to_bits());
         assert_eq!(RateController::target_bytes(8.0, 0.0), 0.0);
         assert_eq!(RateController::target_bytes(8.0, 50.0), 20_000.0);
-    }
-
-    #[test]
-    fn reset_restores_initial_quality() {
-        let mut rc = RateController::new(RateControlConfig::on());
-        for _ in 0..20 {
-            rc.observe(50_000.0, 10_000.0);
-        }
-        assert_ne!(rc.quality(), RateControlConfig::default().initial_quality);
-        rc.reset();
-        assert_eq!(rc.quality(), RateControlConfig::default().initial_quality);
     }
 
     #[test]

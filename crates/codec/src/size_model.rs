@@ -49,12 +49,6 @@ impl SizeModel {
         }
     }
 
-    /// The resolution-scaling exponent γ.
-    #[must_use]
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
     /// Bits per pixel at native resolution for content `detail ∈ [0, 1]`.
     #[must_use]
     pub fn bits_per_pixel(&self, detail: f64) -> f64 {
@@ -224,7 +218,9 @@ mod tests {
             .size_bytes() as f64;
         // bytes(s) = bytes(1) * s^gamma  =>  gamma = ln(ratio)/ln(scale).
         let gamma = (b_quarter / b_full).ln() / (0.25f64).ln();
-        let model_gamma = SizeModel::default().gamma();
+        let m = SizeModel::default();
+        let model_gamma =
+            (m.frame_bytes(4096, 0.3, 0.25) / m.frame_bytes(4096, 0.3, 1.0)).ln() / (0.25f64).ln();
         assert!(
             (gamma - model_gamma).abs() < 0.5,
             "fitted gamma {gamma:.2} vs model {model_gamma}"

@@ -276,7 +276,7 @@ impl BlockStats {
     ///
     /// * `detail` — scene content detail in `[0, 1]` (clamped).
     /// * `motion` — normalised frame-to-frame motion magnitude; `0` is a
-    ///   static scene (residuals shrink toward [`MOTION_FLOOR`]), `1` a
+    ///   static scene (residuals shrink toward `MOTION_FLOOR`), `1` a
     ///   brisk head turn (intra-like statistics). Values above 1 clamp.
     /// * `linear_scale` — VRS linear shading scale in `(0, 1]`; coarser
     ///   shading concentrates energy, boosting amplitudes by `s^−β`.
@@ -429,13 +429,6 @@ impl EntropyModel {
     pub fn quant_scale_for_quality(quality: f64) -> f64 {
         let q = quality.clamp(0.01, 1.0);
         f64::from((3.5 * (-3.2 * q).exp()).max(0.04) as f32)
-    }
-
-    /// Inverse of [`EntropyModel::quant_scale_for_quality`] (before the
-    /// 0.04 floor, which lies outside the codec's quality range anyway).
-    #[must_use]
-    pub fn quality_for_quant_scale(quant_scale: f64) -> f64 {
-        (-(quant_scale.max(1e-9) / 3.5).ln() / 3.2).clamp(0.01, 1.0)
     }
 
     /// Predicted encoded size in bytes at the codec `quality` knob.
@@ -738,15 +731,6 @@ mod tests {
                 };
                 assert_matches_reference(&EntropyModel::new(4096.0, stats), quant_scale);
             }
-        }
-    }
-
-    #[test]
-    fn quality_step_mapping_round_trips() {
-        for q in [0.1, 0.4, 0.6, 0.9] {
-            let step = EntropyModel::quant_scale_for_quality(q);
-            let back = EntropyModel::quality_for_quant_scale(step);
-            assert!((back - q).abs() < 1e-6, "q {q} -> {step} -> {back}");
         }
     }
 }

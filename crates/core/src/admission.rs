@@ -453,14 +453,6 @@ impl AdmissionController {
         self.probes_run
     }
 
-    /// Offers a sequence of sessions in order; returns one decision each.
-    pub fn offer_all(
-        &mut self,
-        specs: impl IntoIterator<Item = SessionSpec>,
-    ) -> Vec<AdmissionDecision> {
-        specs.into_iter().map(|s| self.offer(s)).collect()
-    }
-
     /// The accepted roster, in admission order (degraded members carry
     /// their degraded share).
     #[must_use]
@@ -668,7 +660,7 @@ mod tests {
         );
         // Admit as many as the SLO allows, then verify the roster stops
         // growing while decisions keep accruing.
-        let decisions = tight.offer_all((0..12).map(|_| spec()));
+        let decisions: Vec<_> = (0..12).map(|_| tight.offer(spec())).collect();
         let joined = decisions.iter().filter(|d| d.joined()).count();
         assert_eq!(tight.admitted().len(), joined);
         assert_eq!(tight.offered(), 12);
@@ -736,7 +728,7 @@ mod tests {
             8,
             2,
         );
-        let decisions = c.offer_all((0..4).map(|_| heavy()));
+        let decisions: Vec<_> = (0..4).map(|_| c.offer(heavy())).collect();
         assert_eq!(
             decisions,
             vec![

@@ -223,9 +223,6 @@ pub struct ChurnConfig {
     /// Windowed engine-history retirement (see
     /// [`crate::fleet::FleetConfig::retire_window_ms`]).
     pub retire_window_ms: Option<f64>,
-    /// Whether joiners warm-start their LIWC at the live fleet's mean
-    /// operating eccentricity instead of the cold default.
-    pub warm_start: bool,
     /// Which built-in telemetry sinks stream this run's frame events
     /// (default-on). With [`TelemetryConfig::window_ms`] set, the MTP
     /// timeline streams through a [`crate::telemetry::WindowedStatsSink`]
@@ -236,7 +233,7 @@ pub struct ChurnConfig {
 impl ChurnConfig {
     /// A config over the system's full server array and a link provisioned
     /// like [`crate::fleet::FleetConfig::uniform`], equal-share, no
-    /// admission gate, warm starts on, no retirement.
+    /// admission gate, no retirement.
     #[must_use]
     pub fn new(
         system: SystemConfig,
@@ -258,7 +255,6 @@ impl ChurnConfig {
             server_policy: ServerPolicy::default(),
             admission: None,
             retire_window_ms: None,
-            warm_start: true,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -308,14 +304,6 @@ impl ChurnConfig {
     #[must_use]
     pub fn with_rate_control(mut self, rate_control: qvr_codec::RateControlConfig) -> Self {
         self.system = self.system.with_rate_control(rate_control);
-        self
-    }
-
-    /// Returns a copy with warm starts disabled (joiners cold-start their
-    /// controllers at the configured `initial_e1_deg`).
-    #[must_use]
-    pub fn cold_start(mut self) -> Self {
-        self.warm_start = false;
         self
     }
 }
@@ -462,7 +450,6 @@ pub struct ChurnFleet {
     cell: Cell,
     horizon_ms: f64,
     retire_window_ms: Option<f64>,
-    warm_start: bool,
     clock: FleetClock,
     /// Indexed by arrival ordinal; `None` once departed (or never
     /// admitted). Boxed so a long-running open system pays one pointer —
@@ -549,7 +536,6 @@ impl ChurnFleet {
             cell,
             horizon_ms: config.horizon_ms,
             retire_window_ms: config.retire_window_ms,
-            warm_start: config.warm_start,
             clock: FleetClock::new(),
             live: Vec::new(),
             slots: Vec::new(),
@@ -713,7 +699,7 @@ impl ChurnFleet {
         };
         // Warm start: begin at the crowd's operating point instead of the
         // cold default (only meaningful for adaptive-controller schemes).
-        let warm_e1 = self.warm_start.then(|| self.warm_e1()).flatten();
+        let warm_e1 = self.warm_e1();
         // Recycle a departed tenant's engine/clock slot when one is free
         // (the rig baselines the reused resources' busy time, and the join
         // gate pins their frontiers to the join instant).
@@ -1076,31 +1062,28 @@ mod tests {
     fn warm_started_joiners_skip_the_cold_start() {
         // A joiner into a converged fleet: warm-started LIWC must begin
         // near the crowd's operating eccentricity, so its first frames are
-        // far less imbalanced than a cold joiner's.
-        let run = |warm: bool| {
+        // far less imbalanced than a cold joiner's. A joiner into an empty
+        // fleet has no live eccentricity to warm from, so it cold-starts.
+        let run = |initial: Vec<SessionSpec>| {
             let trace = ChurnTrace::script(vec![ChurnEvent::join(700.0, spec())]);
-            let mut config = ChurnConfig::new(
+            ChurnFleet::run(ChurnConfig::new(
                 SystemConfig::default(),
-                vec![spec(), spec()],
+                initial,
                 trace,
                 1_200.0,
                 17,
-            );
-            if !warm {
-                config = config.cold_start();
-            }
-            ChurnFleet::run(config)
+            ))
         };
-        let warm = run(true);
-        let cold = run(false);
-        let first_e1 = |s: &ChurnSummary| {
+        let warm = run(vec![spec(), spec()]);
+        let cold = run(Vec::new());
+        let first_e1 = |s: &ChurnSummary, ordinal: usize| {
             s.tenants
                 .iter()
-                .find(|t| t.ordinal == 2)
+                .find(|t| t.ordinal == ordinal)
                 .and_then(|t| t.summary.frames.first().and_then(|f| f.e1_deg))
                 .expect("joiner's first frame has an eccentricity")
         };
-        let (we1, ce1) = (first_e1(&warm), first_e1(&cold));
+        let (we1, ce1) = (first_e1(&warm, 2), first_e1(&cold, 0));
         // (The very first select already refines off the start point, so
         // compare the two starts rather than pinning the cold value.)
         assert!(

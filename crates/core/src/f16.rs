@@ -74,12 +74,6 @@ impl F16 {
         };
         f32::from_bits(bits)
     }
-
-    /// The raw storage bits.
-    #[must_use]
-    pub fn bits(self) -> u16 {
-        self.0
-    }
 }
 
 impl From<f32> for F16 {
@@ -107,7 +101,7 @@ mod tests {
     #[test]
     fn zero_and_sign() {
         assert_eq!(F16::from_f32(0.0).to_f32(), 0.0);
-        assert_eq!(F16::from_f32(-0.0).bits(), 0x8000);
+        assert_eq!(F16::from_f32(-0.0).0, 0x8000);
         assert_eq!(F16::ZERO.to_f32(), 0.0);
     }
 

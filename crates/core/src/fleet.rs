@@ -257,18 +257,6 @@ impl Fleet {
         self.cell.sinks.load.ewma(slot)
     }
 
-    /// Number of sessions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether the fleet has no sessions (never true after construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
     /// The sessions, in index order.
     #[must_use]
     pub fn sessions(&self) -> &[Session] {
@@ -318,12 +306,6 @@ impl Fleet {
             }
         }
         self.cell.sinks.close_windows_before(frontier);
-    }
-
-    /// Rounds stepped so far.
-    #[must_use]
-    pub fn rounds_done(&self) -> usize {
-        self.rounds_done
     }
 
     /// A handle to the engine all sessions submit into (for retention

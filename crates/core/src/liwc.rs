@@ -282,12 +282,6 @@ impl Liwc {
         self.e1_deg
     }
 
-    /// Read-only access to the predictor.
-    #[must_use]
-    pub fn predictor(&self) -> &LatencyPredictor {
-        &self.predictor
-    }
-
     /// Read-only access to the mapping table.
     #[must_use]
     pub fn table(&self) -> &MappingTable {

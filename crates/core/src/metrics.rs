@@ -271,12 +271,6 @@ impl Histogram {
         }
     }
 
-    /// The relative-error bound this histogram was built with.
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        self.accuracy
-    }
-
     /// Records one sample. Non-positive and non-finite-negative values go
     /// to the zero bucket; everything else to its log-linear bucket.
     pub fn record(&mut self, v: f64) {
@@ -336,34 +330,16 @@ impl Histogram {
             .map_or(0.0, |(&k, _)| self.representative(k))
     }
 
-    /// Median (nearest-rank p50).
-    #[must_use]
-    pub fn p50(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
     /// 95th percentile.
     #[must_use]
     pub fn p95(&self) -> f64 {
         self.percentile(95.0)
     }
 
-    /// 99th percentile.
-    #[must_use]
-    pub fn p99(&self) -> f64 {
-        self.percentile(99.0)
-    }
-
     /// Total samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Whether the histogram has recorded nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Occupied buckets in ascending value order as
@@ -572,15 +548,19 @@ mod tests {
     #[test]
     fn histogram_zero_and_empty_cases() {
         let empty = Histogram::default();
-        assert!(empty.is_empty());
+        assert_eq!(empty.count(), 0);
         assert_eq!(empty.p95(), 0.0);
         let mut h = Histogram::default();
         h.record(0.0);
         h.record(-3.0);
         h.record(10.0);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.p50(), 0.0, "two of three samples sit in the zero bucket");
-        assert!((h.p99() - 10.0).abs() <= 0.1);
+        assert_eq!(
+            h.percentile(50.0),
+            0.0,
+            "two of three samples sit in the zero bucket"
+        );
+        assert!((h.percentile(99.0) - 10.0).abs() <= 0.1);
     }
 
     #[test]

@@ -134,12 +134,6 @@ impl TraceSink {
         }
     }
 
-    /// The sampling configuration.
-    #[must_use]
-    pub fn config(&self) -> TraceConfig {
-        self.config
-    }
-
     /// Recorded events, in stream order.
     #[must_use]
     pub fn events(&self) -> &[FrameEvent] {
@@ -487,9 +481,6 @@ pub struct HealthRules {
     /// `[k·w, (k+1)·w)` keyed on frame display end, like the windowed
     /// stats sink).
     pub window_ms: f64,
-    /// Windows with fewer frames than this are skipped — no evidence
-    /// either way, so incident state holds across them.
-    pub min_frames: u64,
     /// Breach when the window's p95 MTP exceeds this ceiling, ms.
     pub mtp_p95_ceiling_ms: Option<f64>,
     /// Breach when any session's in-window frame rate falls below this
@@ -515,7 +506,6 @@ impl HealthRules {
         );
         HealthRules {
             window_ms,
-            min_frames: 1,
             mtp_p95_ceiling_ms: None,
             fps_floor: None,
             energy_per_frame_mj: None,
@@ -548,14 +538,6 @@ impl HealthRules {
     #[must_use]
     pub fn with_utilization_band(mut self, low: f64, high: f64) -> Self {
         self.utilization_band = Some((low, high));
-        self
-    }
-
-    /// Returns a copy with a minimum per-window frame count for
-    /// evaluation.
-    #[must_use]
-    pub fn with_min_frames(mut self, min_frames: u64) -> Self {
-        self.min_frames = min_frames;
         self
     }
 }
@@ -725,12 +707,6 @@ impl HealthMonitor {
         }
     }
 
-    /// The rule set being evaluated.
-    #[must_use]
-    pub fn rules(&self) -> HealthRules {
-        self.rules
-    }
-
     /// Incidents fully recorded so far (open ones included once opened).
     #[must_use]
     pub fn incidents(&self) -> &[Incident] {
@@ -773,9 +749,6 @@ impl HealthMonitor {
         let Some(accum) = self.open.remove(&window) else {
             return;
         };
-        if accum.frames < self.rules.min_frames {
-            return;
-        }
         let start_ms = window as f64 * self.rules.window_ms;
         let rules = self.rules;
         if let Some(ceiling) = rules.mtp_p95_ceiling_ms {
@@ -1174,30 +1147,5 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn sparse_windows_hold_incident_state() {
-        // Below-min windows are no evidence: an open incident must not
-        // close on a window with a single stray frame.
-        let mut m = HealthMonitor::new(
-            rules(100.0).with_min_frames(4),
-            ServerPowerModel::default(),
-            4,
-        );
-        for i in 0..8 {
-            m.on_frame(&ev(0, 10.0 + f64::from(i), 90.0, TenantClass::Adaptive));
-        }
-        m.on_frame(&ev(0, 150.0, 5.0, TenantClass::Adaptive)); // 1 frame < min
-        for i in 0..8 {
-            m.on_frame(&ev(0, 210.0 + f64::from(i), 91.0, TenantClass::Adaptive));
-        }
-        let incidents = m.finish();
-        assert_eq!(
-            incidents.len(),
-            1,
-            "the sparse middle window must not split the incident: {incidents:?}"
-        );
-        assert_eq!(incidents[0].close_ms, None, "still open at finish");
     }
 }

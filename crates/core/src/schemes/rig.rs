@@ -333,18 +333,6 @@ impl Rig {
         }
     }
 
-    /// Whether this rig contends with other sessions (fleet mode).
-    #[must_use]
-    pub fn contended(&self) -> bool {
-        self.contended
-    }
-
-    /// The server pools this rig renders on.
-    #[must_use]
-    pub fn server(&self) -> ServerPool {
-        self.server
-    }
-
     /// Render-ahead pacing dependencies for a new frame: at most
     /// `frames_in_flight` frames may be in the pipe. Returned inline (a
     /// [`DepList`] derefs to `&[TaskId]`), so per-frame pacing allocates

@@ -123,31 +123,12 @@ impl Session {
         self.frames_stepped
     }
 
-    /// The scheme this session runs.
-    #[must_use]
-    pub fn scheme(&self) -> SchemeKind {
-        self.scheme
-    }
-
-    /// The app this session runs.
-    #[must_use]
-    pub fn app(&self) -> &'static str {
-        self.app_name
-    }
-
     /// End time of this session's most recently displayed frame, ms —
     /// the session's virtual clock (what [`crate::clock::FleetClock`] keys
     /// on, and useful for fairness monitoring while a fleet is running).
     #[must_use]
     pub fn last_display_end(&self) -> f64 {
         self.rig.last_display_end()
-    }
-
-    /// Motion-to-photon latency of the most recent frame, if any (for
-    /// online fleet telemetry such as churn timelines).
-    #[must_use]
-    pub fn last_mtp_ms(&self) -> Option<f64> {
-        self.rig.last_record().map(|r| r.mtp_ms)
     }
 
     /// Fovea eccentricity of the most recent frame, if the scheme is
@@ -232,8 +213,8 @@ mod tests {
     fn session_exposes_identity() {
         let config = SystemConfig::default();
         let s = SchemeKind::Qvr.session(&config, Benchmark::Grid.profile(), 1);
-        assert_eq!(s.scheme(), SchemeKind::Qvr);
-        assert_eq!(s.app(), "GRID");
+        assert_eq!(s.scheme, SchemeKind::Qvr);
+        assert_eq!(s.app_name, "GRID");
         assert_eq!(s.frames_stepped(), 0);
         assert_eq!(s.last_display_end(), 0.0);
     }
@@ -250,7 +231,7 @@ mod tests {
             assert_eq!(ev.span_start_ms, prev_end, "spans tile the timeline");
             assert!(ev.end_ms > ev.span_start_ms);
             assert_eq!(ev.end_ms, s.last_display_end());
-            assert_eq!(ev.mtp_ms, s.last_mtp_ms().unwrap());
+            assert_eq!(ev.mtp_ms, s.rig.last_record().unwrap().mtp_ms);
             assert!(ev.server_render_ms > 0.0, "Q-VR streams its periphery");
             assert!(ev.radio_ms > 0.0);
             assert!(ev.unit.is_some());

@@ -297,17 +297,11 @@ impl AggregateSink {
         self.mtp_samples.len()
     }
 
-    /// Slot entries tracked so far (== highest session slot seen + 1).
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Folds another sink's state into this one — the cross-cell merge of
-    /// the sharding seam. `other`'s slots are re-based at `self.slots()`
-    /// (cells tile the shard's slot-id space, so distinct cells can never
-    /// collide on a slot), and its MTP samples are appended in stream
-    /// order. Merging K cells' sinks in ascending cell order is
+    /// the sharding seam. `other`'s slots are re-based at `self`'s slot
+    /// count (cells tile the shard's slot-id space, so distinct cells can
+    /// never collide on a slot), and its MTP samples are appended in
+    /// stream order. Merging K cells' sinks in ascending cell order is
     /// bit-identical to one sink consuming the concatenated event stream:
     /// the percentile queries sort, so sample order never matters, and the
     /// FPS statistics walk slots in the same tiled order either way.
@@ -440,12 +434,6 @@ impl WindowedStatsSink {
         self.close_frontier == 0 && self.closed.is_empty()
     }
 
-    /// The bucket width, ms.
-    #[must_use]
-    pub fn window_ms(&self) -> f64 {
-        self.window_ms
-    }
-
     /// Folds another sink's open buckets into this one, index-wise: bucket
     /// `k`'s samples are `self`'s then `other`'s, in each source's stream
     /// order. Cells share one virtual-time origin, so equal bucket indices
@@ -527,12 +515,6 @@ impl WindowedStatsSink {
         self.closed
     }
 
-    /// Closed buckets so far, in bucket order.
-    #[must_use]
-    pub fn windows(&self) -> &[(f64, usize, f64)] {
-        &self.closed
-    }
-
     /// Largest number of raw samples held live at any point — the
     /// O(window) memory claim a bounded-memory run asserts.
     #[must_use]
@@ -603,55 +585,12 @@ impl EnergyMeter {
         }
     }
 
-    /// Folds another meter's per-slot attribution into this one, re-based
-    /// at `self.slots()` (cells tile the slot-id space). The power models,
-    /// preset, and pool width must match — a merged meter describes one
-    /// homogeneous shard, and [`EnergyMeter::finalize`] on the merged
-    /// state is then bit-identical to metering the concatenated stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the meters' power models, network preset, or pool widths
-    /// differ.
-    pub fn absorb(&mut self, other: &EnergyMeter) {
-        assert!(
-            self.server == other.server
-                && self.ap == other.ap
-                && self.preset == other.preset
-                && self.units == other.units,
-            "energy-meter merge requires identical power models and pools"
-        );
-        self.per_slot.extend_from_slice(&other.per_slot);
-    }
-
-    /// Server energy attributed to one slot so far, mJ (render + encode
-    /// active energy; the idle floor belongs to the fleet, not a tenant).
-    ///
-    /// Attribution is per-*slot* over the slot's whole lifetime: in a
-    /// closed fleet that is exactly one tenant, but a churn fleet recycles
-    /// departed tenants' slots, so there this sums every tenant that ever
-    /// occupied the slot (resetting on reuse would drop the departed
-    /// tenant's share from the fleet totals, which must stay exact).
-    #[must_use]
-    pub fn slot_server_mj(&self, slot: usize) -> f64 {
-        self.per_slot.get(slot).map_or(0.0, |(r, e, _)| {
-            self.server.gpu_active_w * r + self.server.enc_active_w * e
-        })
-    }
-
-    /// Slots that have attributed any server time.
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.per_slot.len()
-    }
-
     /// Finalises the meter over a fleet span: `client_mj` is the summed
     /// mobile-side energy of every session (the caller folds it in because
     /// sessions finalise outside the event stream).
     #[must_use]
     pub fn finalize(&self, span_ms: f64, client_mj: f64) -> FleetEnergy {
-        // Totals from the per-slot sums in slot order, so per-tenant
-        // attribution is additive: Σ slot_server_mj == render + encode.
+        // Totals from the per-slot sums, in slot order.
         let render_ms: f64 = self.per_slot.iter().map(|(r, _, _)| *r).sum();
         let encode_ms: f64 = self.per_slot.iter().map(|(_, e, _)| *e).sum();
         let radio_ms: f64 = self.per_slot.iter().map(|(_, _, w)| *w).sum();
@@ -1050,7 +989,11 @@ mod tests {
         assert!(e.server_idle_mj > 0.0);
         assert!(e.ap_radio_mj > 0.0);
         assert_eq!(e.client_mj, 500.0);
-        let attributed: f64 = (0..m.slots()).map(|s| m.slot_server_mj(s)).sum();
+        let attributed: f64 = m
+            .per_slot
+            .iter()
+            .map(|(r, enc, _)| m.server.gpu_active_w * r + m.server.enc_active_w * enc)
+            .sum();
         let active = e.server_render_mj + e.server_encode_mj;
         assert!(
             (attributed - active).abs() <= 1e-9 * active.max(1.0),
@@ -1187,32 +1130,6 @@ mod tests {
         }
 
         #[test]
-        fn energy_merge_is_bit_identical_to_the_concatenated_stream(
-            raw in cells_strategy(),
-            k in 1usize..5,
-        ) {
-            let cells = cell_events(&raw, k);
-            let fresh = || {
-                EnergyMeter::new(
-                    ServerPowerModel::default(),
-                    ApPowerModel::default(),
-                    NetworkPreset::WiFi,
-                    4,
-                )
-            };
-            let mut merged = fresh();
-            for events in &cells {
-                let mut meter = fresh();
-                meter.on_batch(events);
-                merged.absorb(&meter);
-            }
-            let mut whole = fresh();
-            whole.on_batch(&concatenated(&cells));
-            prop_assert_eq!(&merged, &whole);
-            prop_assert_eq!(merged.finalize(1_000.0, 123.0), whole.finalize(1_000.0, 123.0));
-        }
-
-        #[test]
         fn windowed_merge_is_bit_identical_to_the_concatenated_stream(
             raw in cells_strategy(),
             k in 1usize..5,
@@ -1273,21 +1190,6 @@ mod tests {
         let mut a = WindowedStatsSink::deferred(50.0);
         let b = WindowedStatsSink::deferred(100.0);
         a.absorb(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical power models")]
-    fn energy_merge_rejects_mismatched_pools() {
-        let mk = |units| {
-            EnergyMeter::new(
-                ServerPowerModel::default(),
-                ApPowerModel::default(),
-                NetworkPreset::WiFi,
-                units,
-            )
-        };
-        let mut a = mk(4);
-        a.absorb(&mk(8));
     }
 
     #[test]

@@ -252,12 +252,6 @@ impl Uca {
         Uca { timing }
     }
 
-    /// The timing model.
-    #[must_use]
-    pub fn timing(&self) -> &UcaTiming {
-        &self.timing
-    }
-
     /// Baseline sequential path: composition (with seam anti-aliasing) into
     /// a full-resolution buffer, then ATW resampling — two filter passes.
     #[must_use]
@@ -289,25 +283,6 @@ impl Uca {
             for x in 0..w {
                 let (sx, sy) = Self::warp_px(frame, warp, x, y);
                 out.set_pixel(x, y, frame.sample(sx, sy));
-            }
-        }
-        out
-    }
-
-    /// Reconstructs a dropped frame by reprojecting the previous output
-    /// (classic ATW fill-in, which UCA also provides).
-    #[must_use]
-    pub fn reproject_previous(previous: &Framebuffer, warp: &WarpParams) -> Framebuffer {
-        let (w, h) = (previous.width(), previous.height());
-        let mut out = Framebuffer::new(w, h, Rgba::TRANSPARENT);
-        for y in 0..h {
-            for x in 0..w {
-                let ndc_x = 2.0 * (x as f32 + 0.5) / w as f32 - 1.0;
-                let ndc_y = 2.0 * (y as f32 + 0.5) / h as f32 - 1.0;
-                let (sx, sy) = warp.source_ndc(ndc_x, ndc_y);
-                let px = (sx + 1.0) * 0.5 * w as f32 - 0.5;
-                let py = (sy + 1.0) * 0.5 * h as f32 - 0.5;
-                out.set_pixel(x, y, previous.sample_bilinear(px, py));
             }
         }
         out
@@ -500,32 +475,6 @@ mod tests {
         assert_eq!(total, 64);
         assert!(border > 4, "seams must cross several tiles, got {border}");
         assert!(border < total, "not every tile is a seam tile");
-    }
-
-    #[test]
-    fn reprojection_shifts_content() {
-        let mut prev = Framebuffer::new(32, 32, Rgba::BLACK);
-        prev.set_pixel(16, 16, Rgba::WHITE);
-        // Shift a quarter of the frame to the left: content moves right.
-        let warp = WarpParams {
-            dx_ndc: -0.5,
-            ..WarpParams::default()
-        };
-        let out = Uca::reproject_previous(&prev, &warp);
-        // The bright pixel should now be near x = 24.
-        let mut best = (0, 0.0f32);
-        for x in 0..32 {
-            let l = out.pixel(x, 16).luma();
-            if l > best.1 {
-                best = (x, l);
-            }
-        }
-        assert!(
-            (22..=26).contains(&best.0),
-            "content at x={} luma={}",
-            best.0,
-            best.1
-        );
     }
 
     #[test]

@@ -54,47 +54,12 @@ impl Rgba {
         Rgba(out)
     }
 
-    /// Channel-wise scaling (does not clamp).
-    #[must_use]
-    pub fn scaled(&self, s: f32) -> Rgba {
-        Rgba([self.0[0] * s, self.0[1] * s, self.0[2] * s, self.0[3] * s])
-    }
-
-    /// Channel-wise addition (does not clamp).
-    #[must_use]
-    pub fn plus(&self, o: Rgba) -> Rgba {
-        Rgba([
-            self.0[0] + o.0[0],
-            self.0[1] + o.0[1],
-            self.0[2] + o.0[2],
-            self.0[3] + o.0[3],
-        ])
-    }
-
     /// Maximum channel-wise absolute difference to another color.
     #[must_use]
     pub fn max_abs_diff(&self, o: Rgba) -> f32 {
         (0..4)
             .map(|i| (self.0[i] - o.0[i]).abs())
             .fold(0.0, f32::max)
-    }
-
-    /// Quantizes to 8-bit sRGB-like storage (straight clamp, no gamma).
-    #[must_use]
-    pub fn to_rgba8(&self) -> [u8; 4] {
-        let q = |v: f32| (v.clamp(0.0, 1.0) * 255.0).round() as u8;
-        [q(self.0[0]), q(self.0[1]), q(self.0[2]), q(self.0[3])]
-    }
-
-    /// Builds a color from 8-bit storage.
-    #[must_use]
-    pub fn from_rgba8(px: [u8; 4]) -> Self {
-        Rgba([
-            f32::from(px[0]) / 255.0,
-            f32::from(px[1]) / 255.0,
-            f32::from(px[2]) / 255.0,
-            f32::from(px[3]) / 255.0,
-        ])
     }
 
     /// Perceptual luma (Rec. 601 weights), used by the codec.
@@ -181,16 +146,6 @@ impl Framebuffer {
         self.pixels[(y as usize) * (self.width as usize) + x as usize]
     }
 
-    /// Reads the pixel at `(x, y)` or `None` if out of bounds.
-    #[must_use]
-    pub fn get(&self, x: i64, y: i64) -> Option<Rgba> {
-        if x < 0 || y < 0 || x >= i64::from(self.width) || y >= i64::from(self.height) {
-            None
-        } else {
-            Some(self.pixels[(y as usize) * (self.width as usize) + x as usize])
-        }
-    }
-
     /// Writes the pixel at `(x, y)`.
     ///
     /// # Panics
@@ -202,11 +157,6 @@ impl Framebuffer {
             "pixel ({x}, {y}) out of bounds"
         );
         self.pixels[(y as usize) * (self.width as usize) + x as usize] = c;
-    }
-
-    /// Fills the whole buffer with one color.
-    pub fn clear(&mut self, c: Rgba) {
-        self.pixels.fill(c);
     }
 
     /// Bilinearly samples the buffer at fractional pixel coordinates,
@@ -229,12 +179,6 @@ impl Framebuffer {
     /// Iterator over all pixels in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = &Rgba> {
         self.pixels.iter()
-    }
-
-    /// Raw pixel slice in row-major order.
-    #[must_use]
-    pub fn as_slice(&self) -> &[Rgba] {
-        &self.pixels
     }
 
     /// Mean per-channel absolute difference to another buffer of the same
@@ -319,18 +263,6 @@ impl DepthBuffer {
         }
     }
 
-    /// Buffer width in pixels.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Buffer height in pixels.
-    #[must_use]
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Reads the depth at `(x, y)`.
     ///
     /// # Panics
@@ -360,23 +292,11 @@ impl DepthBuffer {
             false
         }
     }
-
-    /// Resets all depths to the far plane.
-    pub fn clear(&mut self) {
-        self.depth.fill(f32::INFINITY);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rgba_roundtrip_8bit() {
-        let c = Rgba::new(0.25, 0.5, 0.75, 1.0);
-        let q = Rgba::from_rgba8(c.to_rgba8());
-        assert!(c.max_abs_diff(q) < 1.0 / 255.0 + 1e-6);
-    }
 
     #[test]
     fn rgba_lerp_endpoints() {
@@ -385,12 +305,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Rgba::new(0.5, 0.5, 0.5, 1.0));
-    }
-
-    #[test]
-    fn rgba_to8_clamps() {
-        let c = Rgba::new(2.0, -1.0, 0.5, 1.0);
-        assert_eq!(c.to_rgba8(), [255, 0, 128, 255]);
     }
 
     #[test]
@@ -407,14 +321,6 @@ mod tests {
     fn framebuffer_oob_panics() {
         let fb = Framebuffer::new(4, 3, Rgba::BLACK);
         let _ = fb.pixel(4, 0);
-    }
-
-    #[test]
-    fn framebuffer_get_handles_oob() {
-        let fb = Framebuffer::new(4, 3, Rgba::BLACK);
-        assert!(fb.get(-1, 0).is_none());
-        assert!(fb.get(0, 3).is_none());
-        assert!(fb.get(3, 2).is_some());
     }
 
     #[test]
@@ -466,14 +372,6 @@ mod tests {
         assert!(!db.test_and_set(0, 0, 0.7), "farther fragment must fail");
         assert!(db.test_and_set(0, 0, 0.2), "nearer fragment must pass");
         assert_eq!(db.depth(0, 0), 0.2);
-    }
-
-    #[test]
-    fn depth_clear_resets() {
-        let mut db = DepthBuffer::new(2, 2);
-        db.test_and_set(1, 1, 0.1);
-        db.clear();
-        assert!(db.depth(1, 1).is_infinite());
     }
 
     #[test]

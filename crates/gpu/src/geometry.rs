@@ -25,45 +25,6 @@ impl Vec3 {
         Vec3 { x, y, z }
     }
 
-    /// The zero vector.
-    #[must_use]
-    pub const fn zero() -> Self {
-        Vec3::new(0.0, 0.0, 0.0)
-    }
-
-    /// Dot product.
-    #[must_use]
-    pub fn dot(self, o: Vec3) -> f32 {
-        self.x * o.x + self.y * o.y + self.z * o.z
-    }
-
-    /// Cross product.
-    #[must_use]
-    pub fn cross(self, o: Vec3) -> Vec3 {
-        Vec3::new(
-            self.y * o.z - self.z * o.y,
-            self.z * o.x - self.x * o.z,
-            self.x * o.y - self.y * o.x,
-        )
-    }
-
-    /// Euclidean length.
-    #[must_use]
-    pub fn length(self) -> f32 {
-        self.dot(self).sqrt()
-    }
-
-    /// Unit vector in this direction; returns `self` unchanged if zero.
-    #[must_use]
-    pub fn normalized(self) -> Vec3 {
-        let len = self.length();
-        if len <= f32::EPSILON {
-            self
-        } else {
-            self * (1.0 / len)
-        }
-    }
-
     /// Extends to homogeneous coordinates with the given `w`.
     #[must_use]
     pub fn extend(self, w: f32) -> Vec4 {
@@ -167,40 +128,6 @@ impl Mat4 {
         out
     }
 
-    /// Uniform scale.
-    #[must_use]
-    pub fn scale(s: f32) -> Self {
-        let mut out = Mat4::identity();
-        out.m[0][0] = s;
-        out.m[1][1] = s;
-        out.m[2][2] = s;
-        out
-    }
-
-    /// Rotation about the Y axis by `radians`.
-    #[must_use]
-    pub fn rotate_y(radians: f32) -> Self {
-        let (s, c) = radians.sin_cos();
-        let mut out = Mat4::identity();
-        out.m[0][0] = c;
-        out.m[0][2] = -s;
-        out.m[2][0] = s;
-        out.m[2][2] = c;
-        out
-    }
-
-    /// Rotation about the X axis by `radians`.
-    #[must_use]
-    pub fn rotate_x(radians: f32) -> Self {
-        let (s, c) = radians.sin_cos();
-        let mut out = Mat4::identity();
-        out.m[1][1] = c;
-        out.m[1][2] = s;
-        out.m[2][1] = -s;
-        out.m[2][2] = c;
-        out
-    }
-
     /// Right-handed perspective projection.
     ///
     /// `fov_y_rad` is the vertical field of view; depth maps to `[-1, 1]`.
@@ -223,28 +150,6 @@ impl Mat4 {
         m[2][3] = -1.0;
         m[3][2] = 2.0 * far * near / (near - far);
         Mat4 { m }
-    }
-
-    /// A view matrix looking from `eye` toward `target` with `up` up.
-    #[must_use]
-    pub fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Self {
-        let fwd = (target - eye).normalized();
-        let right = fwd.cross(up).normalized();
-        let true_up = right.cross(fwd);
-        let mut m = Mat4::identity();
-        m.m[0][0] = right.x;
-        m.m[1][0] = right.y;
-        m.m[2][0] = right.z;
-        m.m[0][1] = true_up.x;
-        m.m[1][1] = true_up.y;
-        m.m[2][1] = true_up.z;
-        m.m[0][2] = -fwd.x;
-        m.m[1][2] = -fwd.y;
-        m.m[2][2] = -fwd.z;
-        m.m[3][0] = -right.dot(eye);
-        m.m[3][1] = -true_up.dot(eye);
-        m.m[3][2] = fwd.dot(eye);
-        m
     }
 
     /// Matrix–vector product.
@@ -340,23 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_cross_are_orthogonal() {
-        let a = Vec3::new(1.0, 0.0, 0.0);
-        let b = Vec3::new(0.0, 1.0, 0.0);
-        assert_eq!(a.cross(b), Vec3::new(0.0, 0.0, 1.0));
-        assert!(close(a.cross(b).dot(a), 0.0));
-        assert!(close(a.cross(b).dot(b), 0.0));
-    }
-
-    #[test]
-    fn normalize_unit_length() {
-        let v = Vec3::new(3.0, 4.0, 0.0).normalized();
-        assert!(close(v.length(), 1.0));
-        // Zero vector survives normalization.
-        assert_eq!(Vec3::zero().normalized(), Vec3::zero());
-    }
-
-    #[test]
     fn identity_transform_is_noop() {
         let v = Vec4::new(1.0, -2.0, 3.0, 1.0);
         assert_eq!(Mat4::identity().transform(v), v);
@@ -374,19 +262,13 @@ mod tests {
     #[test]
     fn matrix_product_composes() {
         let t = Mat4::translate(Vec3::new(1.0, 0.0, 0.0));
-        let s = Mat4::scale(2.0);
+        let mut s = Mat4::identity();
+        for i in 0..3 {
+            s.m[i][i] = 2.0;
+        }
         // (t * s) applies s first, then t.
         let v = (t * s).transform(Vec4::new(1.0, 1.0, 1.0, 1.0));
         assert_eq!(v, Vec4::new(3.0, 2.0, 2.0, 1.0));
-    }
-
-    #[test]
-    fn rotation_preserves_length() {
-        let r = Mat4::rotate_y(1.2) * Mat4::rotate_x(-0.7);
-        let v = Vec4::new(1.0, 2.0, 3.0, 0.0);
-        let rv = r.transform(v);
-        let len = |v: Vec4| (v.x * v.x + v.y * v.y + v.z * v.z).sqrt();
-        assert!(close(len(v), len(rv)));
     }
 
     #[test]
@@ -409,17 +291,5 @@ mod tests {
     #[should_panic(expected = "near plane")]
     fn perspective_rejects_bad_planes() {
         let _ = Mat4::perspective(1.0, 1.0, 10.0, 1.0);
-    }
-
-    #[test]
-    fn look_at_centers_target() {
-        let view = Mat4::look_at(
-            Vec3::new(0.0, 0.0, 5.0),
-            Vec3::zero(),
-            Vec3::new(0.0, 1.0, 0.0),
-        );
-        let v = view.transform(Vec4::new(0.0, 0.0, 0.0, 1.0));
-        assert!(close(v.x, 0.0) && close(v.y, 0.0));
-        assert!(v.z < 0.0, "target must be in front of the camera (-z)");
     }
 }

@@ -53,7 +53,7 @@ pub mod workload;
 pub use config::GpuConfig;
 pub use framebuffer::{DepthBuffer, Framebuffer, Rgba};
 pub use geometry::{Mat4, Triangle, Vec3, Vec4, Vertex};
-pub use raster::{RasterPipeline, Viewport};
+pub use raster::RasterPipeline;
 pub use remote::RemoteGpuModel;
 pub use stats::RenderStats;
 pub use texture::Texture;

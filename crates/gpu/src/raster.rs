@@ -16,38 +16,11 @@ use crate::stats::RenderStats;
 use crate::texture::Texture;
 use std::collections::HashSet;
 
-/// A pixel-space viewport (subrectangle of the render target).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Viewport {
-    /// Left edge, pixels.
-    pub x: u32,
-    /// Top edge, pixels.
-    pub y: u32,
-    /// Width, pixels.
-    pub width: u32,
-    /// Height, pixels.
-    pub height: u32,
-}
-
-impl Viewport {
-    /// Viewport covering an entire target of the given size.
-    #[must_use]
-    pub fn full(width: u32, height: u32) -> Self {
-        Viewport {
-            x: 0,
-            y: 0,
-            width,
-            height,
-        }
-    }
-}
-
 /// Rasterizer state bound to one color + depth target pair.
 #[derive(Debug)]
 pub struct RasterPipeline {
     color: Framebuffer,
     depth: DepthBuffer,
-    viewport: Viewport,
     raster_tile_px: u32,
     stats: RenderStats,
     tiles: HashSet<(u32, u32)>,
@@ -68,36 +41,16 @@ impl RasterPipeline {
         RasterPipeline {
             color: Framebuffer::new(width, height, clear),
             depth: DepthBuffer::new(width, height),
-            viewport: Viewport::full(width, height),
             raster_tile_px,
             stats: RenderStats::default(),
             tiles: HashSet::new(),
         }
     }
 
-    /// Restricts rasterization to a subrectangle of the target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the viewport exceeds the target bounds.
-    pub fn set_viewport(&mut self, vp: Viewport) {
-        assert!(
-            vp.x + vp.width <= self.color.width() && vp.y + vp.height <= self.color.height(),
-            "viewport exceeds target bounds"
-        );
-        self.viewport = vp;
-    }
-
     /// The bound color buffer.
     #[must_use]
     pub fn color(&self) -> &Framebuffer {
         &self.color
-    }
-
-    /// The bound depth buffer.
-    #[must_use]
-    pub fn depth(&self) -> &DepthBuffer {
-        &self.depth
     }
 
     /// Consumes the pipeline, returning the color buffer.
@@ -112,14 +65,6 @@ impl RasterPipeline {
         let mut s = self.stats;
         s.tiles_touched = self.tiles.len() as u64;
         s
-    }
-
-    /// Clears color, depth, statistics, and tile tracking.
-    pub fn clear(&mut self, clear: Rgba) {
-        self.color.clear(clear);
-        self.depth.clear();
-        self.stats = RenderStats::default();
-        self.tiles.clear();
     }
 
     /// Draws a batch of triangles under a model-view-projection transform,
@@ -150,18 +95,12 @@ impl RasterPipeline {
 
         let ndc: Vec<Vec3> = clip.iter().map(|v| v.project()).collect();
 
-        // Viewport transform: NDC [-1,1] to pixel coordinates inside the
-        // bound viewport. y flips so +y NDC is up.
-        let vw = self.viewport.width as f32;
-        let vh = self.viewport.height as f32;
-        let vx = self.viewport.x as f32;
-        let vy = self.viewport.y as f32;
-        let to_screen = |v: &Vec3| -> (f32, f32) {
-            (
-                vx + (v.x + 1.0) * 0.5 * vw,
-                vy + (1.0 - (v.y + 1.0) * 0.5) * vh,
-            )
-        };
+        // Viewport transform: NDC [-1,1] to pixel coordinates of the
+        // whole target. y flips so +y NDC is up.
+        let vw = self.color.width() as f32;
+        let vh = self.color.height() as f32;
+        let to_screen =
+            |v: &Vec3| -> (f32, f32) { ((v.x + 1.0) * 0.5 * vw, (1.0 - (v.y + 1.0) * 0.5) * vh) };
         let p: Vec<(f32, f32)> = ndc.iter().map(to_screen).collect();
 
         // Signed area for back-face culling. Front faces are counter-
@@ -173,31 +112,31 @@ impl RasterPipeline {
             return;
         }
 
-        // Bounding box clamped to the viewport.
+        // Bounding box clamped to the target.
         let min_x = p
             .iter()
             .map(|q| q.0)
             .fold(f32::INFINITY, f32::min)
             .floor()
-            .max(vx);
+            .max(0.0);
         let max_x = p
             .iter()
             .map(|q| q.0)
             .fold(f32::NEG_INFINITY, f32::max)
             .ceil()
-            .min(vx + vw - 1.0);
+            .min(vw - 1.0);
         let min_y = p
             .iter()
             .map(|q| q.1)
             .fold(f32::INFINITY, f32::min)
             .floor()
-            .max(vy);
+            .max(0.0);
         let max_y = p
             .iter()
             .map(|q| q.1)
             .fold(f32::NEG_INFINITY, f32::max)
             .ceil()
-            .min(vy + vh - 1.0);
+            .min(vh - 1.0);
         if min_x > max_x || min_y > max_y {
             self.stats.triangles_culled += 1;
             return;
@@ -416,41 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn viewport_restricts_output() {
-        let mut rp = RasterPipeline::new(64, 64, Rgba::BLACK, 16);
-        rp.set_viewport(Viewport {
-            x: 0,
-            y: 0,
-            width: 32,
-            height: 64,
-        });
-        rp.draw_batch(&identity_mvp(), &[big_triangle(0.0, RED)], None);
-        for y in 0..64 {
-            for x in 32..64 {
-                assert_eq!(
-                    rp.color().pixel(x, y),
-                    Rgba::BLACK,
-                    "({x},{y}) outside viewport"
-                );
-            }
-        }
-        // Something was drawn inside the viewport.
-        assert!(rp.stats().fragments_shaded > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "viewport exceeds")]
-    fn oversized_viewport_panics() {
-        let mut rp = RasterPipeline::new(32, 32, Rgba::BLACK, 16);
-        rp.set_viewport(Viewport {
-            x: 16,
-            y: 0,
-            width: 32,
-            height: 32,
-        });
-    }
-
-    #[test]
     fn tiles_touched_tracks_footprint() {
         let mut rp = RasterPipeline::new(64, 64, Rgba::BLACK, 16);
         rp.draw_batch(&identity_mvp(), &[big_triangle(0.0, RED)], None);
@@ -460,16 +364,6 @@ mod tests {
             "full-ish screen triangle touches many tiles, got {tiles}"
         );
         assert!(tiles <= 16, "at most the whole 4x4 tile grid");
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut rp = RasterPipeline::new(32, 32, Rgba::BLACK, 16);
-        rp.draw_batch(&identity_mvp(), &[big_triangle(0.0, RED)], None);
-        rp.clear(Rgba::BLACK);
-        assert_eq!(rp.stats(), RenderStats::default());
-        assert_eq!(rp.color().pixel(16, 16), Rgba::BLACK);
-        assert!(rp.depth().depth(16, 16).is_infinite());
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl RemoteGpuModel {
         self.count
     }
 
-    /// Per-GPU configuration.
-    #[must_use]
-    pub fn gpu(&self) -> &GpuConfig {
-        &self.gpu
-    }
-
     /// Effective parallel speedup over one GPU.
     #[must_use]
     pub fn effective_parallelism(&self) -> f64 {
@@ -85,15 +79,6 @@ impl RemoteGpuModel {
         GpuTimingModel::new(self.gpu)
             .stereo_frame_time(per_eye)
             .total_ms()
-    }
-
-    /// Monoscopic render time across the GPU array, ms.
-    #[must_use]
-    pub fn render_ms(&self, workload: &FrameWorkload) -> f64 {
-        let single = GpuTimingModel::new(self.gpu)
-            .frame_time(workload)
-            .total_ms();
-        single / self.effective_parallelism()
     }
 }
 

@@ -82,18 +82,6 @@ impl Texture {
         Texture::from_texels(size, size, texels)
     }
 
-    /// Texture width in texels.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Texture height in texels.
-    #[must_use]
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Nearest-texel fetch with wrap addressing.
     #[must_use]
     pub fn fetch(&self, x: i64, y: i64) -> Rgba {

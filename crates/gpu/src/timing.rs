@@ -125,12 +125,6 @@ impl GpuTimingModel {
         GpuTimingModel { config }
     }
 
-    /// The underlying hardware configuration.
-    #[must_use]
-    pub fn config(&self) -> &GpuConfig {
-        &self.config
-    }
-
     /// Times one monoscopic frame.
     #[must_use]
     pub fn frame_time(&self, w: &FrameWorkload) -> FrameTime {
@@ -210,19 +204,6 @@ impl GpuTimingModel {
         let c = &self.config;
         let alu = pixels * cycles_per_pixel / c.total_lanes();
         c.cycles_to_ms(alu + c.frame_overhead_cycles * 0.2)
-    }
-
-    /// Initial estimate of the "GPU performance" term `P(GPUₘ)` in the
-    /// paper's Eq. (2): triangles processable per millisecond for a typical
-    /// fragment-heavy frame. LIWC refines this online.
-    #[must_use]
-    pub fn triangle_throughput_per_ms(&self, reference: &FrameWorkload) -> f64 {
-        let t = self.frame_time(reference).total_ms();
-        if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            reference.triangles() as f64 / t
-        }
     }
 }
 
@@ -342,13 +323,6 @@ mod tests {
         let server = GpuTimingModel::new(GpuConfig::pascal_class());
         let speedup = mobile.frame_time(&w).total_ms() / server.frame_time(&w).total_ms();
         assert!(speedup > 8.0, "server speedup {speedup}");
-    }
-
-    #[test]
-    fn triangle_throughput_positive_and_finite() {
-        let m = GpuTimingModel::new(GpuConfig::mali_g76_class());
-        let p = m.triangle_throughput_per_ms(&heavy());
-        assert!(p.is_finite() && p > 0.0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! frame without the actual geometry: triangle count, covered pixels,
 //! overdraw, per-fragment shading cost, texture intensity, and draw batch
 //! count. App profiles (`qvr-scene`) produce these analytically; the
-//! functional rasterizer's [`RenderStats`](crate::stats::RenderStats) can be
-//! converted into one for cross-validation.
+//! functional rasterizer's [`RenderStats`] can be converted into one for
+//! cross-validation.
 
 use crate::stats::RenderStats;
 use std::fmt;
@@ -158,20 +158,6 @@ impl FrameWorkload {
             ..*self
         }
     }
-
-    /// Returns a copy with the render target (and covered pixels) resized by
-    /// a linear scale factor, keeping geometry unchanged.
-    ///
-    /// Used for periphery layers rendered at reduced resolution.
-    #[must_use]
-    pub fn resized(&self, linear_scale: f64) -> Self {
-        let linear_scale = linear_scale.max(1e-3);
-        FrameWorkload {
-            width: ((f64::from(self.width) * linear_scale).round() as u32).max(1),
-            height: ((f64::from(self.height) * linear_scale).round() as u32).max(1),
-            ..*self
-        }
-    }
 }
 
 impl fmt::Display for FrameWorkload {
@@ -312,17 +298,6 @@ mod tests {
     fn scaled_region_keeps_batch_floor() {
         let full = FrameWorkload::builder(100, 100).batches(3).build();
         assert_eq!(full.scaled_region(0.5, 0.0).batches(), 1);
-    }
-
-    #[test]
-    fn resized_changes_target_only() {
-        let full = FrameWorkload::builder(1000, 800).triangles(5).build();
-        let half = full.resized(0.5);
-        assert_eq!(half.width(), 500);
-        assert_eq!(half.height(), 400);
-        assert_eq!(half.triangles(), 5);
-        // Fragments shrink quadratically with the linear scale.
-        assert!((half.fragments() / full.fragments() - 0.25).abs() < 1e-6);
     }
 
     #[test]

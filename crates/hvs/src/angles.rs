@@ -18,20 +18,6 @@ use std::ops::Range;
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Degrees(pub f64);
 
-impl Degrees {
-    /// The angle in radians.
-    #[must_use]
-    pub fn to_radians(self) -> f64 {
-        self.0.to_radians()
-    }
-
-    /// Absolute value.
-    #[must_use]
-    pub fn abs(self) -> Degrees {
-        Degrees(self.0.abs())
-    }
-}
-
 impl fmt::Display for Degrees {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}°", self.0)
@@ -76,12 +62,6 @@ impl GazePoint {
             x: x.clamp(-1.0, 1.0),
             y: y.clamp(-1.0, 1.0),
         }
-    }
-
-    /// Euclidean distance to another gaze point in NDC units.
-    #[must_use]
-    pub fn distance(&self, other: &GazePoint) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
 }
 
@@ -300,14 +280,6 @@ impl DisplayGeometry {
         let dx = (w / 2.0 - gx).max(gx + w / 2.0);
         let dy = (h / 2.0 - gy).max(gy + h / 2.0);
         (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Eccentricity of a pixel at NDC position `(x, y)` for a gaze point.
-    #[must_use]
-    pub fn eccentricity_of(&self, x: f64, y: f64, gaze: GazePoint) -> Degrees {
-        let dx = (x - gaze.x) * self.fov_h.0 / 2.0;
-        let dy = (y - gaze.y) * self.fov_v.0 / 2.0;
-        Degrees((dx * dx + dy * dy).sqrt())
     }
 }
 
@@ -987,30 +959,18 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_of_gaze_point_is_zero() {
-        let d = DisplayGeometry::vive_pro_class();
-        let g = GazePoint::clamped(0.3, -0.2);
-        assert!(d.eccentricity_of(0.3, -0.2, g).0.abs() < EPS);
-    }
-
-    #[test]
     fn eccentricity_of_corner_matches_max() {
+        // The panel corner, NDC (1, 1), lies half the horizontal and half
+        // the vertical field of view from a centred gaze.
         let d = DisplayGeometry::vive_pro_class();
-        let e = d.eccentricity_of(1.0, 1.0, GazePoint::center());
-        assert!((e.0 - d.max_eccentricity().0).abs() < EPS);
+        let corner = (d.fov_h().0 / 2.0).hypot(d.fov_v().0 / 2.0);
+        assert!((corner - d.max_eccentricity().0).abs() < EPS);
     }
 
     #[test]
     fn gaze_clamping() {
         let g = GazePoint::clamped(3.0, -7.0);
         assert_eq!(g, GazePoint { x: 1.0, y: -1.0 });
-    }
-
-    #[test]
-    fn gaze_distance_symmetric() {
-        let a = GazePoint::clamped(0.1, 0.2);
-        let b = GazePoint::clamped(-0.4, 0.9);
-        assert!((a.distance(&b) - b.distance(&a)).abs() < EPS);
     }
 
     #[test]

@@ -151,15 +151,6 @@ impl LayerPartition {
         self.e2
     }
 
-    /// Returns a copy with a different fovea eccentricity, re-optimising the
-    /// middle eccentricity, clamping `e1` into `[MIN_E1, MAX_E1]`.
-    #[must_use]
-    pub fn retargeted(&self, e1: f64, display: &DisplayGeometry, mar: &MarModel) -> Self {
-        let e1 = e1.clamp(Self::MIN_E1, Self::MAX_E1);
-        LayerPartition::with_optimal_middle(e1, display, mar)
-            .expect("clamped eccentricity is always valid")
-    }
-
     /// The layer containing eccentricity `e` degrees.
     #[must_use]
     pub fn layer_at(&self, e_deg: f64) -> LayerKind {
@@ -242,21 +233,6 @@ impl LayerPartition {
     pub fn periphery_pixels(&self, display: &DisplayGeometry, mar: &MarModel) -> f64 {
         self.layer_budget(display, mar, GazePoint::center())
             .periphery()
-    }
-
-    /// Fraction by which the total rendered pixel volume is reduced relative
-    /// to rendering the full panel at native resolution (Fig. 13's
-    /// "resolution reduction").
-    #[must_use]
-    pub fn resolution_reduction(
-        &self,
-        display: &DisplayGeometry,
-        mar: &MarModel,
-        gaze: GazePoint,
-    ) -> f64 {
-        let budget = self.layer_budget(display, mar, gaze);
-        let native = display.pixels_per_eye() as f64;
-        (1.0 - budget.total() / native).clamp(0.0, 1.0)
     }
 }
 
@@ -450,38 +426,6 @@ mod tests {
             let got = optimal_middle_eccentricity(e1, &d, &m);
             assert_eq!(got.to_bits(), best_e2.to_bits(), "e1={e1}");
         }
-    }
-
-    #[test]
-    fn resolution_reduction_in_unit_range() {
-        let (d, m) = setup();
-        for e1 in [5.0, 20.0, 45.0, 88.0] {
-            let p = LayerPartition::with_optimal_middle(e1, &d, &m).unwrap();
-            let r = p.resolution_reduction(&d, &m, GazePoint::center());
-            assert!((0.0..=1.0).contains(&r), "reduction {r} for e1={e1}");
-        }
-    }
-
-    #[test]
-    fn small_fovea_gives_large_resolution_reduction() {
-        let (d, m) = setup();
-        let p = LayerPartition::with_optimal_middle(5.0, &d, &m).unwrap();
-        // Almost all of the frame is MAR-subsampled periphery.
-        assert!(p.resolution_reduction(&d, &m, GazePoint::center()) > 0.5);
-    }
-
-    #[test]
-    fn retargeted_clamps() {
-        let (d, m) = setup();
-        let p = LayerPartition::new(10.0, 30.0).unwrap();
-        assert_eq!(
-            p.retargeted(2.0, &d, &m).fovea_eccentricity(),
-            LayerPartition::MIN_E1
-        );
-        assert_eq!(
-            p.retargeted(300.0, &d, &m).fovea_eccentricity(),
-            LayerPartition::MAX_E1
-        );
     }
 
     #[test]

@@ -85,17 +85,6 @@ impl MarModel {
         self.slope * e_deg.abs() + self.omega0
     }
 
-    /// The eccentricity at which the MAR first reaches `omega` degrees, or
-    /// zero if the foveal MAR already exceeds it.
-    #[must_use]
-    pub fn eccentricity_for_mar(&self, omega: f64) -> f64 {
-        if omega <= self.omega0 || self.slope == 0.0 {
-            0.0
-        } else {
-            (omega - self.omega0) / self.slope
-        }
-    }
-
     /// The maximum tolerable *linear* subsampling factor at eccentricity `e`
     /// for a display whose native angular resolution is `native_mar` degrees
     /// per pixel.
@@ -176,21 +165,6 @@ mod tests {
     fn mar_radially_symmetric() {
         let m = MarModel::default();
         assert_eq!(m.mar_at(-15.0), m.mar_at(15.0));
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        let m = MarModel::default();
-        for e in [0.5, 5.0, 20.0, 60.0] {
-            let omega = m.mar_at(e);
-            assert!((m.eccentricity_for_mar(omega) - e).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn eccentricity_for_small_mar_is_zero() {
-        let m = MarModel::default();
-        assert_eq!(m.eccentricity_for_mar(m.omega0() / 2.0), 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   (5-second exposures, per-image opinion scores).
 
 use crate::angles::DisplayGeometry;
-use crate::layers::{LayerKind, LayerPartition};
+use crate::layers::LayerPartition;
 use crate::mar::MarModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,12 +34,6 @@ impl PerceptionScore {
     #[must_use]
     pub fn is_lossless(&self) -> bool {
         self.0 >= 1.0 - 1e-9
-    }
-
-    /// Mean-opinion-score mapping onto the usual 1–5 scale.
-    #[must_use]
-    pub fn as_mos(&self) -> f64 {
-        1.0 + 4.0 * self.0
     }
 }
 
@@ -129,38 +123,6 @@ impl PerceptionModel {
         PerceptionScore((1.0 - mean_shortfall).clamp(0.0, 1.0))
     }
 
-    /// Scores an explicit uniform down-scaling of the periphery below the
-    /// MAR bound, as used in quality-degradation sweeps.
-    ///
-    /// `undersample` multiplies the MAR-derived layer scales; `1.0`
-    /// reproduces [`PerceptionModel::score`], values below `1.0` render the
-    /// periphery coarser than the acuity bound allows.
-    #[must_use]
-    pub fn score_undersampled(
-        &self,
-        partition: &LayerPartition,
-        undersample: f64,
-    ) -> PerceptionScore {
-        let native = self.display.native_mar();
-        let e_max = self.display.max_eccentricity().0;
-        let mut shortfall_sum = 0.0;
-        for i in 0..Self::SAMPLES {
-            let e = e_max * (i as f64 + 0.5) / Self::SAMPLES as f64;
-            let layer = partition.layer_at(e);
-            let mut scale = partition.layer_scale(layer, &self.display, &self.mar);
-            if layer != LayerKind::Fovea {
-                scale *= undersample.clamp(0.0, 1.0);
-            }
-            let delivered = native / scale.max(1e-9);
-            let required = self.mar.mar_at(e).max(native);
-            if delivered > required {
-                shortfall_sum += (delivered / required - 1.0).min(1.0);
-            }
-        }
-        let mean_shortfall = shortfall_sum / Self::SAMPLES as f64;
-        PerceptionScore((1.0 - mean_shortfall).clamp(0.0, 1.0))
-    }
-
     /// Simulates the paper's survey protocol for one partition.
     ///
     /// Each of `candidates` simulated subjects views the foveated frame and
@@ -225,25 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn undersampling_degrades_score() {
-        let m = model();
-        let p = LayerPartition::with_optimal_middle(10.0, m.display(), m.mar()).unwrap();
-        let full = m.score_undersampled(&p, 1.0);
-        let half = m.score_undersampled(&p, 0.5);
-        let tenth = m.score_undersampled(&p, 0.1);
-        assert!(full.is_lossless());
-        assert!(half.value() < full.value());
-        assert!(tenth.value() < half.value());
-    }
-
-    #[test]
-    fn score_matches_undersampled_at_unity() {
-        let m = model();
-        let p = LayerPartition::with_optimal_middle(20.0, m.display(), m.mar()).unwrap();
-        assert!((m.score(&p).value() - m.score_undersampled(&p, 1.0).value()).abs() < 1e-12);
-    }
-
-    #[test]
     fn survey_on_lossless_config_finds_no_difference() {
         let m = model();
         let p = LayerPartition::with_optimal_middle(15.0, m.display(), m.mar()).unwrap();
@@ -251,20 +194,6 @@ mod tests {
         assert_eq!(outcome.candidates, 50);
         assert_eq!(outcome.fraction_noticing, 0.0);
         assert!(outcome.mean_opinion_score > 4.8);
-    }
-
-    #[test]
-    fn survey_on_degraded_config_is_noticed() {
-        let m = model();
-        // Force heavy undersampling by scoring a partition and manually
-        // degrading: emulate via score_undersampled's path through a custom
-        // survey — here we rely on score() of a partition whose outer layer
-        // violates MAR. Construct by using a huge slope model on a modest
-        // display... simpler: degrade with the undersampled scorer and check
-        // the deterministic part.
-        let p = LayerPartition::with_optimal_middle(10.0, m.display(), m.mar()).unwrap();
-        let degraded = m.score_undersampled(&p, 0.25);
-        assert!(degraded.value() < 0.95);
     }
 
     #[test]
@@ -283,12 +212,6 @@ mod tests {
         let outcome = m.run_survey(&p, 0, 0);
         assert_eq!(outcome.fraction_noticing, 0.0);
         assert_eq!(outcome.mean_opinion_score, 0.0);
-    }
-
-    #[test]
-    fn mos_mapping() {
-        assert_eq!(PerceptionScore(1.0).as_mos(), 5.0);
-        assert_eq!(PerceptionScore(0.0).as_mos(), 1.0);
     }
 
     #[test]

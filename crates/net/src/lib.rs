@@ -30,9 +30,9 @@
 //! # Example
 //!
 //! ```
-//! use qvr_net::{NetworkChannel, NetworkPreset};
+//! use qvr_net::{NetworkChannel, NetworkPreset, SharedChannel};
 //!
-//! let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 42);
+//! let ch = SharedChannel::new(NetworkChannel::new(NetworkPreset::WiFi, 42));
 //! // A 550 KB compressed background at ~200 Mbps takes ~22 ms.
 //! let t = ch.download_ms(550.0 * 1024.0);
 //! assert!((15.0..35.0).contains(&t));
@@ -487,16 +487,6 @@ impl NetworkChannel {
         self.members.iter().filter(|m| m.active).count()
     }
 
-    /// The share member `id` registered with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a registered member.
-    #[must_use]
-    pub fn member_share(&self, id: usize) -> LinkShare {
-        self.members[id].share
-    }
-
     /// Replaces member `id`'s share (admission-control degrade/upgrade) and
     /// re-anchors every member's ACK monitor.
     ///
@@ -599,12 +589,6 @@ impl NetworkChannel {
         self.occupancy
     }
 
-    /// Concurrent full-rate streams the link can serve.
-    #[must_use]
-    pub fn concurrent_streams(&self) -> usize {
-        self.streams
-    }
-
     /// The rate divisor implied by occupancy over stream capacity, `≥ 1`.
     #[must_use]
     pub fn contention_divisor(&self) -> f64 {
@@ -667,27 +651,18 @@ impl NetworkChannel {
         }
     }
 
-    /// Downloads `bytes` over the channel; returns latency in ms and updates
-    /// the ACK-observed throughput estimate.
-    pub fn download_ms(&mut self, bytes: f64) -> f64 {
-        self.download_ms_for(None, bytes)
-    }
-
-    /// [`NetworkChannel::download_ms`] as a registered member (or
-    /// anonymously with `None`): the transfer's rate resolves through the
-    /// fairness policy for that member.
+    /// Downloads `bytes` over the channel as a registered member (or
+    /// anonymously with `None`); returns latency in ms and updates the
+    /// ACK-observed throughput estimate. The transfer's rate resolves
+    /// through the fairness policy for that member.
     pub fn download_ms_for(&mut self, member: Option<usize>, bytes: f64) -> f64 {
         self.preset.base_latency_ms() + self.transfer_only_ms_for(member, bytes)
     }
 
     /// Pure transfer time for `bytes` with throughput jitter but **without**
     /// the base propagation latency — for follow-on chunks of an already
-    /// open stream (the connection pays its RTT once).
-    pub fn transfer_only_ms(&mut self, bytes: f64) -> f64 {
-        self.transfer_only_ms_for(None, bytes)
-    }
-
-    /// [`NetworkChannel::transfer_only_ms`] as a registered member.
+    /// open stream (the connection pays its RTT once). `member` is a
+    /// registered member, or `None` for an anonymous transfer.
     ///
     /// # Panics
     ///
@@ -711,14 +686,10 @@ impl NetworkChannel {
         transfer
     }
 
-    /// Uploads `bytes` (pose/input stream); returns latency in ms.
-    pub fn upload_ms(&mut self, bytes: f64) -> f64 {
-        self.upload_ms_for(None, bytes)
-    }
-
-    /// [`NetworkChannel::upload_ms`] as a registered member: the uplink
-    /// mirrors the member's downlink share *fraction* (weights and MCS
-    /// shape both directions; caps are downlink-only).
+    /// Uploads `bytes` (pose/input stream); returns latency in ms. As a
+    /// registered member the uplink mirrors the member's downlink share
+    /// *fraction* (weights and MCS shape both directions; caps are
+    /// downlink-only); `None` uploads anonymously.
     pub fn upload_ms_for(&mut self, member: Option<usize>, bytes: f64) -> f64 {
         if let Some(id) = member {
             assert!(
@@ -766,21 +737,6 @@ impl NetworkChannel {
             (FairnessPolicy::EqualShare, _) | (_, None) => self.observed_mbps,
             (_, Some(id)) => self.members[id].observed_mbps,
         }
-    }
-
-    /// Deterministic latency estimate (no noise sampling, no state change)
-    /// for planning: `bytes` at the observed throughput.
-    #[must_use]
-    pub fn predict_download_ms(&self, bytes: f64) -> f64 {
-        self.predict_download_ms_for(None, bytes)
-    }
-
-    /// [`NetworkChannel::predict_download_ms`] using a member's own ACK
-    /// estimate.
-    #[must_use]
-    pub fn predict_download_ms_for(&self, member: Option<usize>, bytes: f64) -> f64 {
-        let observed = self.observed_download_mbps_for(member);
-        self.preset.base_latency_ms() + bytes.max(0.0) * 8.0 / (observed * 1_000.0)
     }
 }
 
@@ -914,12 +870,6 @@ impl SharedChannel {
         self.channel.borrow_mut().set_concurrent_streams(k);
     }
 
-    /// See [`NetworkChannel::concurrent_streams`].
-    #[must_use]
-    pub fn concurrent_streams(&self) -> usize {
-        self.channel.borrow().concurrent_streams()
-    }
-
     /// See [`NetworkChannel::preset`].
     #[must_use]
     pub fn preset(&self) -> NetworkPreset {
@@ -960,15 +910,6 @@ impl SharedChannel {
             .borrow()
             .observed_download_mbps_for(self.member)
     }
-
-    /// See [`NetworkChannel::predict_download_ms_for`] (as this handle's
-    /// member).
-    #[must_use]
-    pub fn predict_download_ms(&self, bytes: f64) -> f64 {
-        self.channel
-            .borrow()
-            .predict_download_ms_for(self.member, bytes)
-    }
 }
 
 impl fmt::Display for SharedChannel {
@@ -1008,7 +949,7 @@ mod tests {
         let mut sum = 0.0;
         let n = 100;
         for _ in 0..n {
-            sum += ch.download_ms(590.0 * 1024.0);
+            sum += ch.download_ms_for(None, 590.0 * 1024.0);
         }
         let avg = sum / f64::from(n);
         assert!(
@@ -1024,7 +965,10 @@ mod tests {
         let mut lte = NetworkChannel::new(NetworkPreset::Lte4G, 2);
         let mut five_g = NetworkChannel::new(NetworkPreset::Early5G, 2);
         let avg = |ch: &mut NetworkChannel| -> f64 {
-            (0..50).map(|_| ch.download_ms(bytes)).sum::<f64>() / 50.0
+            (0..50)
+                .map(|_| ch.download_ms_for(None, bytes))
+                .sum::<f64>()
+                / 50.0
         };
         let (w, l, g) = (avg(&mut wifi), avg(&mut lte), avg(&mut five_g));
         assert!(g < w && w < l, "5G {g} < WiFi {w} < LTE {l}");
@@ -1035,14 +979,19 @@ mod tests {
         let mut a = NetworkChannel::new(NetworkPreset::WiFi, 9);
         let mut b = NetworkChannel::new(NetworkPreset::WiFi, 9);
         for _ in 0..20 {
-            assert_eq!(a.download_ms(123_456.0), b.download_ms(123_456.0));
+            assert_eq!(
+                a.download_ms_for(None, 123_456.0),
+                b.download_ms_for(None, 123_456.0)
+            );
         }
     }
 
     #[test]
     fn noise_produces_jitter_but_not_chaos() {
         let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 3);
-        let times: Vec<f64> = (0..200).map(|_| ch.download_ms(400_000.0)).collect();
+        let times: Vec<f64> = (0..200)
+            .map(|_| ch.download_ms_for(None, 400_000.0))
+            .collect();
         let mean = times.iter().sum::<f64>() / times.len() as f64;
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = times.iter().cloned().fold(0.0, f64::max);
@@ -1055,7 +1004,9 @@ mod tests {
     fn higher_snr_means_less_jitter() {
         let spread = |snr: f64| -> f64 {
             let mut ch = NetworkChannel::with_snr(NetworkPreset::WiFi, snr, 4);
-            let times: Vec<f64> = (0..300).map(|_| ch.download_ms(400_000.0)).collect();
+            let times: Vec<f64> = (0..300)
+                .map(|_| ch.download_ms_for(None, 400_000.0))
+                .collect();
             let mean = times.iter().sum::<f64>() / times.len() as f64;
             let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
             var.sqrt() / mean
@@ -1081,7 +1032,7 @@ mod tests {
     fn observed_throughput_tracks_nominal() {
         let mut ch = NetworkChannel::new(NetworkPreset::Early5G, 5);
         for _ in 0..50 {
-            ch.download_ms(1_000_000.0);
+            ch.download_ms_for(None, 1_000_000.0);
         }
         let obs = ch.observed_download_mbps();
         assert!(
@@ -1091,43 +1042,25 @@ mod tests {
     }
 
     #[test]
-    fn prediction_close_to_measurement_mean() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 6);
-        for _ in 0..30 {
-            ch.download_ms(500_000.0);
-        }
-        let predicted = ch.predict_download_ms(500_000.0);
-        let mut sum = 0.0;
-        for _ in 0..50 {
-            sum += ch.download_ms(500_000.0);
-        }
-        let measured = sum / 50.0;
-        assert!(
-            (predicted - measured).abs() / measured < 0.15,
-            "predicted {predicted} vs measured {measured}"
-        );
-    }
-
-    #[test]
     fn upload_is_cheap_for_pose_data() {
         let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 7);
         // A pose + input packet is well under 2 KB.
-        let t = ch.upload_ms(2_048.0);
+        let t = ch.upload_ms_for(None, 2_048.0);
         assert!(t < 5.0, "pose upload {t} ms");
     }
 
     #[test]
     fn zero_bytes_costs_base_latency() {
         let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 8);
-        let t = ch.download_ms(0.0);
+        let t = ch.download_ms_for(None, 0.0);
         assert!((t - NetworkPreset::WiFi.base_latency_ms()).abs() < 1e-9);
     }
 
     #[test]
     fn transfer_counter_increments() {
         let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 10);
-        ch.download_ms(1.0);
-        ch.download_ms(1.0);
+        ch.download_ms_for(None, 1.0);
+        ch.download_ms_for(None, 1.0);
         assert_eq!(ch.transfers(), 2);
     }
 
@@ -1223,11 +1156,11 @@ mod tests {
         );
         for _ in 0..30 {
             assert_eq!(
-                private.transfer_only_ms(300_000.0),
+                private.transfer_only_ms_for(None, 300_000.0),
                 member.transfer_only_ms_for(Some(id), 300_000.0)
             );
             assert_eq!(
-                private.upload_ms(2_000.0),
+                private.upload_ms_for(None, 2_000.0),
                 member.upload_ms_for(Some(id), 2_000.0)
             );
             assert_eq!(
@@ -1341,6 +1274,27 @@ mod tests {
     }
 
     #[test]
+    fn prediction_close_to_measurement_mean() {
+        // The ACK-observed throughput predicts the measured transfer time:
+        // base latency plus `bytes` at the observed rate.
+        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 6);
+        for _ in 0..30 {
+            ch.download_ms_for(None, 500_000.0);
+        }
+        let predicted = NetworkPreset::WiFi.base_latency_ms()
+            + 500_000.0 * 8.0 / (ch.observed_download_mbps() * 1_000.0);
+        let mut sum = 0.0;
+        for _ in 0..50 {
+            sum += ch.download_ms_for(None, 500_000.0);
+        }
+        let measured = sum / 50.0;
+        assert!(
+            (predicted - measured).abs() / measured < 0.15,
+            "predicted {predicted} vs measured {measured}"
+        );
+    }
+
+    #[test]
     fn joining_members_drives_occupancy() {
         let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 26);
         assert_eq!(ch.members(), 0);
@@ -1349,7 +1303,6 @@ mod tests {
         assert_eq!((a, b), (0, 1));
         assert_eq!(ch.members(), 2);
         assert_eq!(ch.occupancy(), 2);
-        assert_eq!(ch.member_share(b), LinkShare::default());
     }
 
     #[test]
@@ -1405,7 +1358,7 @@ mod tests {
         // Degrading through the handle re-resolves immediately.
         light.set_share(LinkShare::weighted(1.0).with_cap_mbps(5.0));
         assert!((light.allocated_download_mbps() - 5.0).abs() < 1e-9);
-        assert!(light.predict_download_ms(10_000.0) > heavy.predict_download_ms(10_000.0));
+        assert!(light.observed_download_mbps() < heavy.observed_download_mbps());
     }
 
     #[test]
@@ -1519,7 +1472,6 @@ mod tests {
         assert_eq!(a.transfers(), 2, "both handles hit the same channel");
         assert_eq!(a.preset(), NetworkPreset::WiFi);
         assert!(b.observed_download_mbps() > 0.0);
-        assert!(b.predict_download_ms(1_000.0) > 0.0);
         assert!(a.to_string().contains("Wi-Fi"));
     }
 }

@@ -90,13 +90,6 @@ impl AppProfile {
         self.full_workload(frame).scaled_region(area, tris)
     }
 
-    /// Triangle share inside the fovea disc at `e1` (the `%fovea` of Eq. 2).
-    #[must_use]
-    pub fn fovea_triangle_fraction(&self, frame: &FrameState, e1_deg: f64) -> f64 {
-        self.complexity
-            .triangle_fraction(e1_deg, &self.display, frame.sample.gaze)
-    }
-
     /// [`AppProfile::fovea_workload`] through a per-gaze triangle-fraction
     /// ring table (bit-identical results; the cache belongs to one session's
     /// profile — see [`TriangleFractionCache`]): records the frame's gaze
@@ -134,8 +127,10 @@ impl AppProfile {
         self.full_workload(frame).scaled_region(area, tris)
     }
 
-    /// [`AppProfile::fovea_triangle_fraction`] through a per-gaze ring
-    /// table (bit-identical results).
+    /// Triangle share inside the fovea disc at `e1` (the `%fovea` of
+    /// Eq. 2), read through a per-gaze ring table
+    /// ([`ComplexityField::triangle_fraction_cached`]; bit-identical to
+    /// [`ComplexityField::triangle_fraction`]).
     #[must_use]
     pub fn fovea_triangle_fraction_cached(
         &self,
@@ -226,12 +221,6 @@ impl AppSession {
     #[must_use]
     pub fn profile(&self) -> &AppProfile {
         &self.profile
-    }
-
-    /// Frames generated so far.
-    #[must_use]
-    pub fn frames_generated(&self) -> u64 {
-        self.frame
     }
 
     /// Produces the next frame's state.
@@ -641,7 +630,7 @@ mod tests {
         let mut s = AppSession::start(Benchmark::Ut3.profile(), 1);
         assert_eq!(s.advance().frame_id, 0);
         assert_eq!(s.advance().frame_id, 1);
-        assert_eq!(s.frames_generated(), 2);
+        assert_eq!(s.advance().frame_id, 2);
     }
 
     #[test]
@@ -689,8 +678,9 @@ mod tests {
         let p = Benchmark::Grid.profile();
         let mut s = AppSession::start(p.clone(), 9);
         let frame = s.advance();
-        let f10 = p.fovea_triangle_fraction(&frame, 10.0);
-        let f40 = p.fovea_triangle_fraction(&frame, 40.0);
+        let mut cache = TriangleFractionCache::new();
+        let f10 = p.fovea_triangle_fraction_cached(&frame, 10.0, &mut cache);
+        let f40 = p.fovea_triangle_fraction_cached(&frame, 40.0, &mut cache);
         assert!(f40 > f10);
     }
 

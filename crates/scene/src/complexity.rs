@@ -54,18 +54,6 @@ impl ComplexityField {
         }
     }
 
-    /// The center concentration `k`.
-    #[must_use]
-    pub fn concentration(&self) -> f64 {
-        self.concentration
-    }
-
-    /// The angular extent `σ` in degrees.
-    #[must_use]
-    pub fn sigma_deg(&self) -> f64 {
-        self.sigma_deg
-    }
-
     /// Relative triangle density at eccentricity `e` degrees from gaze.
     #[must_use]
     pub fn density(&self, e_deg: f64) -> f64 {

@@ -20,10 +20,11 @@
 //! task timeline can be dumped as a text Gantt chart for inspection.
 //!
 //! For multi-tenant simulation, [`Engine::resource_pool`] groups `k`
-//! schedulable units behind one handle with least-loaded unit selection on
-//! [`Engine::submit_to_pool`] (an `mcm_8_gpu` server becomes 8 contended
-//! units instead of an analytic constant), and [`SharedEngine`] is a
-//! cloneable handle letting several session rigs submit into one schedule.
+//! schedulable units behind one handle (an `mcm_8_gpu` server becomes 8
+//! contended units instead of an analytic constant): a caller picks a unit
+//! with [`Engine::least_loaded_unit_in`] or [`Engine::most_loaded_unit_in`]
+//! and submits to it. [`SharedEngine`] is a cloneable handle letting
+//! several session rigs submit into one schedule.
 //!
 //! # Example
 //!
@@ -209,9 +210,6 @@ pub struct Engine {
     label_pool: HashSet<Rc<str>, BuildHasherDefault<LabelHasher>>,
     /// Scratch for composed labels (release gates) — reused across calls.
     label_scratch: String,
-    /// Scratch for [`Engine::verify_exclusivity`] — sorted into in place,
-    /// reused across calls instead of cloning each resource's intervals.
-    verify_scratch: RefCell<Vec<(f64, f64)>>,
 }
 
 impl Engine {
@@ -281,29 +279,15 @@ impl Engine {
         self.pools[pool.0].units.len()
     }
 
-    /// Pool name.
-    #[must_use]
-    pub fn pool_name(&self, pool: PoolId) -> &str {
-        &self.pools[pool.0].name
-    }
-
-    /// Index of the least-loaded unit for work becoming ready at
-    /// `ready_at_ms`: the unit that can start it earliest, tie-broken by
-    /// earliest free time, then lowest index — the exact lexicographic
-    /// total order on `(start, free_at, index)`, so selection is transitive
-    /// and independent of unit iteration order (an earlier epsilon-banded
-    /// comparison was not). Greedy earliest-start selection is
-    /// work-conserving — no unit sits idle past `ready_at_ms` while the
-    /// submitted task waits on a busier one.
-    #[must_use]
-    pub fn least_loaded_unit(&self, pool: PoolId, ready_at_ms: f64) -> usize {
-        self.least_loaded_unit_in(pool, ready_at_ms, 0..self.pools[pool.0].units.len())
-    }
-
-    /// [`Engine::least_loaded_unit`] restricted to the unit-index subrange
-    /// `range` — the substrate of class-aware server scheduling policies
-    /// (a tenant class confined to a slice of the pool selects only inside
-    /// its slice). Same exact `(start, free_at, index)` total order.
+    /// Index of the least-loaded unit of the unit-index subrange `range`
+    /// for work becoming ready at `ready_at_ms`: the unit that can start it
+    /// earliest, tie-broken by earliest free time, then lowest index — the
+    /// exact lexicographic total order on `(start, free_at, index)`, so
+    /// selection is transitive and independent of unit iteration order.
+    /// Greedy earliest-start selection is work-conserving: no unit of the
+    /// slice sits idle past `ready_at_ms` while the submitted task waits on
+    /// a busier one. Class-aware server scheduling policies confine a
+    /// tenant class to a slice of the pool this way.
     ///
     /// # Panics
     ///
@@ -410,42 +394,6 @@ impl Engine {
         self.tasks
             .get(id.0 - self.retired)
             .unwrap_or_else(|| panic!("unknown task id {}", id.0))
-    }
-
-    /// Submits a task to the least-loaded unit of a pool and returns its id.
-    ///
-    /// Unit choice is greedy earliest-start (see [`Engine::least_loaded_unit`]);
-    /// for `k = 1` pools this reduces exactly to [`Engine::submit`] on the
-    /// single unit.
-    pub fn submit_to_pool(
-        &mut self,
-        label: &str,
-        pool: PoolId,
-        duration_ms: f64,
-        deps: &[TaskId],
-    ) -> TaskId {
-        let ready = self.deps_ready_ms(deps);
-        let unit = self.pools[pool.0].units[self.least_loaded_unit(pool, ready)];
-        self.submit(label, Some(unit), duration_ms, deps)
-    }
-
-    /// [`Engine::submit_to_pool`] restricted to the unit-index subrange
-    /// `range` (earliest-start selection within the slice only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is empty or out of the pool's bounds.
-    pub fn submit_to_pool_in(
-        &mut self,
-        label: &str,
-        pool: PoolId,
-        duration_ms: f64,
-        deps: &[TaskId],
-        range: std::ops::Range<usize>,
-    ) -> TaskId {
-        let ready = self.deps_ready_ms(deps);
-        let unit = self.pools[pool.0].units[self.least_loaded_unit_in(pool, ready, range)];
-        self.submit(label, Some(unit), duration_ms, deps)
     }
 
     /// Accumulated busy time across all units of a pool, ms.
@@ -741,14 +689,8 @@ impl Engine {
     /// tests and debugging.
     #[must_use]
     pub fn verify_exclusivity(&self) -> bool {
-        // Sort into a reused scratch buffer instead of cloning each
-        // resource's interval vector — repeated verification (tests call
-        // this after every phase) stays allocation-free once the scratch
-        // has grown to the largest interval set.
-        let mut iv = self.verify_scratch.borrow_mut();
         for r in &self.resources {
-            iv.clear();
-            iv.extend_from_slice(&r.intervals);
+            let mut iv = r.intervals.clone();
             iv.sort_by(|a, b| a.0.total_cmp(&b.0));
             for pair in iv.windows(2) {
                 if pair[1].0 < pair[0].1 - 1e-9 {
@@ -832,18 +774,6 @@ impl SharedEngine {
         self.0.borrow().pool_units(pool)[idx]
     }
 
-    /// See [`Engine::pool_size`].
-    #[must_use]
-    pub fn pool_size(&self, pool: PoolId) -> usize {
-        self.0.borrow().pool_size(pool)
-    }
-
-    /// See [`Engine::least_loaded_unit`].
-    #[must_use]
-    pub fn least_loaded_unit(&self, pool: PoolId, ready_at_ms: f64) -> usize {
-        self.0.borrow().least_loaded_unit(pool, ready_at_ms)
-    }
-
     /// See [`Engine::least_loaded_unit_in`].
     #[must_use]
     pub fn least_loaded_unit_in(
@@ -921,33 +851,6 @@ impl SharedEngine {
             .submit_at(label, resource, ready_at_ms, duration_ms, deps)
     }
 
-    /// See [`Engine::submit_to_pool`].
-    pub fn submit_to_pool(
-        &self,
-        label: &str,
-        pool: PoolId,
-        duration_ms: f64,
-        deps: &[TaskId],
-    ) -> TaskId {
-        self.0
-            .borrow_mut()
-            .submit_to_pool(label, pool, duration_ms, deps)
-    }
-
-    /// See [`Engine::submit_to_pool_in`].
-    pub fn submit_to_pool_in(
-        &self,
-        label: &str,
-        pool: PoolId,
-        duration_ms: f64,
-        deps: &[TaskId],
-        range: std::ops::Range<usize>,
-    ) -> TaskId {
-        self.0
-            .borrow_mut()
-            .submit_to_pool_in(label, pool, duration_ms, deps, range)
-    }
-
     /// See [`Engine::start_of`].
     #[must_use]
     pub fn start_of(&self, id: TaskId) -> f64 {
@@ -990,22 +893,10 @@ impl SharedEngine {
         self.0.borrow().makespan()
     }
 
-    /// See [`Engine::utilization`].
-    #[must_use]
-    pub fn utilization(&self, id: ResourceId) -> f64 {
-        self.0.borrow().utilization(id)
-    }
-
     /// See [`Engine::verify_exclusivity`].
     #[must_use]
     pub fn verify_exclusivity(&self) -> bool {
         self.0.borrow().verify_exclusivity()
-    }
-
-    /// See [`Engine::timeline`].
-    #[must_use]
-    pub fn timeline(&self, max_tasks: usize) -> String {
-        self.0.borrow().timeline(max_tasks)
     }
 
     /// Number of tasks submitted so far (retired history included).
@@ -1030,18 +921,6 @@ impl SharedEngine {
     #[must_use]
     pub fn retired_tasks(&self) -> usize {
         self.0.borrow().retired_tasks()
-    }
-
-    /// See [`Engine::live_intervals`].
-    #[must_use]
-    pub fn live_intervals(&self, id: ResourceId) -> usize {
-        self.0.borrow().live_intervals(id)
-    }
-
-    /// See [`Engine::interval_busy_ms`].
-    #[must_use]
-    pub fn interval_busy_ms(&self, id: ResourceId) -> f64 {
-        self.0.borrow().interval_busy_ms(id)
     }
 
     /// See [`Engine::resource_count`].
@@ -1142,6 +1021,21 @@ impl fmt::Display for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Places a task the way a session rig does: select the least-loaded
+    /// unit of `range` at the dependencies' ready time, then submit to it.
+    fn submit_least_loaded(
+        sim: &mut Engine,
+        label: &str,
+        pool: PoolId,
+        duration_ms: f64,
+        deps: &[TaskId],
+        range: std::ops::Range<usize>,
+    ) -> TaskId {
+        let ready = sim.deps_ready_ms(deps);
+        let unit = sim.pool_units(pool)[sim.least_loaded_unit_in(pool, ready, range)];
+        sim.submit(label, Some(unit), duration_ms, deps)
+    }
 
     #[test]
     fn independent_tasks_on_distinct_resources_overlap() {
@@ -1276,10 +1170,10 @@ mod tests {
         let mut sim = Engine::new();
         let pool = sim.resource_pool("RGPU", 4);
         for i in 0..4 {
-            let t = sim.submit_to_pool(&format!("t{i}"), pool, 5.0, &[]);
+            let t = submit_least_loaded(&mut sim, &format!("t{i}"), pool, 5.0, &[], 0..4);
             assert_eq!(sim.start_of(t), 0.0, "unit {i} should be free");
         }
-        let queued = sim.submit_to_pool("t4", pool, 5.0, &[]);
+        let queued = submit_least_loaded(&mut sim, "t4", pool, 5.0, &[], 0..4);
         assert_eq!(sim.start_of(queued), 5.0, "fifth task must queue");
         assert!(sim.verify_exclusivity());
         assert_eq!(sim.makespan(), 10.0);
@@ -1295,9 +1189,9 @@ mod tests {
         sim.submit("l0", Some(units[0]), 9.0, &[]);
         sim.submit("l1", Some(units[1]), 5.0, &[]);
         sim.submit("l3", Some(units[3]), 7.0, &[]);
-        assert_eq!(sim.least_loaded_unit(pool, 0.0), 2);
+        assert_eq!(sim.least_loaded_unit_in(pool, 0.0, 0..4), 2);
         assert_eq!(sim.least_loaded_unit_in(pool, 0.0, 0..2), 1);
-        let t = sim.submit_to_pool_in("confined", pool, 1.0, &[], 0..2);
+        let t = submit_least_loaded(&mut sim, "confined", pool, 1.0, &[], 0..2);
         assert_eq!(sim.start_of(t), 5.0, "queued on unit 1, not free unit 2");
         assert_eq!(sim.busy_ms(units[2]), 0.0, "the excluded unit stays idle");
     }
@@ -1311,11 +1205,15 @@ mod tests {
         // and 0) — the start-time tie breaks to the earliest-free unit.
         sim.submit("a", Some(units[0]), 4.0, &[]);
         sim.submit("b", Some(units[1]), 2.0, &[]);
-        assert_eq!(sim.least_loaded_unit(pool, 6.0), 2, "lowest free_at wins");
+        assert_eq!(
+            sim.least_loaded_unit_in(pool, 6.0, 0..3),
+            2,
+            "lowest free_at wins"
+        );
         // All units exactly equal → lowest index.
         let mut e = Engine::new();
         let q = e.resource_pool("Q", 3);
-        assert_eq!(e.least_loaded_unit(q, 0.0), 0);
+        assert_eq!(e.least_loaded_unit_in(q, 0.0, 0..3), 0);
     }
 
     #[test]
@@ -1356,7 +1254,7 @@ mod tests {
         let units = sim.pool_units(pool).to_vec();
         // Load unit 0 with 10 ms; a new task must land on unit 1.
         sim.submit("busy", Some(units[0]), 10.0, &[]);
-        let t = sim.submit_to_pool("next", pool, 1.0, &[]);
+        let t = submit_least_loaded(&mut sim, "next", pool, 1.0, &[], 0..2);
         assert_eq!(sim.start_of(t), 0.0);
         assert_eq!(sim.busy_ms(units[1]), 1.0);
     }
@@ -1371,7 +1269,7 @@ mod tests {
         let gpu = plain.resource("GPU");
         let durations = [4.0, 2.5, 7.0, 0.5, 3.0];
         for (i, d) in durations.iter().enumerate() {
-            let a = pooled.submit_to_pool(&format!("t{i}"), pool, *d, &[]);
+            let a = submit_least_loaded(&mut pooled, &format!("t{i}"), pool, *d, &[], 0..1);
             let b = plain.submit(&format!("t{i}"), Some(gpu), *d, &[]);
             assert_eq!(pooled.start_of(a), plain.start_of(b));
             assert_eq!(pooled.end_of(a), plain.end_of(b));
@@ -1394,7 +1292,6 @@ mod tests {
         let b = sim.resource_pool("RGPU", 3);
         assert_eq!(a, b);
         assert_eq!(sim.pool_size(a), 3);
-        assert_eq!(sim.pool_name(a), "RGPU");
     }
 
     #[test]
@@ -1416,8 +1313,8 @@ mod tests {
     fn pool_busy_and_utilization_aggregate_units() {
         let mut sim = Engine::new();
         let pool = sim.resource_pool("P", 2);
-        sim.submit_to_pool("a", pool, 4.0, &[]);
-        sim.submit_to_pool("b", pool, 2.0, &[]);
+        submit_least_loaded(&mut sim, "a", pool, 4.0, &[], 0..2);
+        submit_least_loaded(&mut sim, "b", pool, 2.0, &[], 0..2);
         assert_eq!(sim.pool_busy_ms(pool), 6.0);
         // Makespan 4, two units: 6 / 8 = 0.75.
         assert!((sim.pool_utilization(pool) - 0.75).abs() < 1e-12);
@@ -1512,7 +1409,7 @@ mod tests {
         let mut sim = Engine::new();
         let pool = sim.resource_pool("P", 2);
         for i in 0..8 {
-            sim.submit_to_pool(&format!("t{i}"), pool, 3.0, &[]);
+            submit_least_loaded(&mut sim, &format!("t{i}"), pool, 3.0, &[], 0..2);
         }
         let util_before = sim.pool_utilization(pool);
         sim.retire_before(6.0);
@@ -1523,10 +1420,10 @@ mod tests {
 
     #[test]
     fn repeated_exclusivity_queries_return_identical_results() {
-        // The scratch-buffer rewrite must be a pure function of the current
-        // schedule: querying many times (with submissions interleaved)
-        // returns the same verdict every time, across resources of
-        // different interval counts.
+        // Verification is a pure function of the current schedule:
+        // querying many times (with submissions interleaved) returns the
+        // same verdict every time, across resources of different interval
+        // counts.
         let mut sim = Engine::new();
         let gpu = sim.resource("GPU");
         let net = sim.resource("NET");

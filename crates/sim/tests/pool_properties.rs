@@ -1,9 +1,14 @@
 //! Property-based tests for pooled resources: per-unit exclusivity,
-//! work-conservation of the least-loaded selector, and exact equivalence of
-//! `k = 1` pools with the classic single-resource schedules.
+//! work-conservation and exact ordering of the unit selectors, and exact
+//! equivalence of `k = 1` pools with the classic single-resource schedules.
+//!
+//! Every task is placed the way a session rig places a remote chain:
+//! select a unit with [`Engine::least_loaded_unit_in`] or
+//! [`Engine::most_loaded_unit_in`], then [`Engine::submit`] to it.
 
 use proptest::prelude::*;
-use qvr_sim::{Engine, TaskId};
+use qvr_sim::{Engine, PoolId, TaskId};
+use std::ops::Range;
 
 /// A reproducible pseudo-random workload: `(duration_ms, dep_offset)` pairs.
 /// `dep_offset = 0` means no dependency; `d > 0` depends on the task
@@ -12,16 +17,43 @@ fn workload_strategy() -> impl Strategy<Value = Vec<(f64, usize)>> {
     collection::vec((0.1f64..12.0, 0usize..4), 48)
 }
 
+/// The dependency list of job `i`: the task `dep` positions earlier.
+fn deps_of(ids: &[TaskId], i: usize, dep: usize) -> Vec<TaskId> {
+    if dep > 0 && dep <= i {
+        vec![ids[i - dep]]
+    } else {
+        Vec::new()
+    }
+}
+
+/// Selects the least-loaded unit of `range` at the dependencies' ready
+/// time and submits to it.
+fn submit_least_loaded(
+    sim: &mut Engine,
+    label: &str,
+    pool: PoolId,
+    duration_ms: f64,
+    deps: &[TaskId],
+    range: Range<usize>,
+) -> TaskId {
+    let ready = sim.deps_ready_ms(deps);
+    let unit = sim.pool_units(pool)[sim.least_loaded_unit_in(pool, ready, range)];
+    sim.submit(label, Some(unit), duration_ms, deps)
+}
+
 fn submit_pooled(sim: &mut Engine, k: usize, jobs: &[(f64, usize)]) -> Vec<TaskId> {
     let pool = sim.resource_pool("POOL", k);
     let mut ids: Vec<TaskId> = Vec::new();
     for (i, (dur, dep)) in jobs.iter().enumerate() {
-        let deps: Vec<TaskId> = if *dep > 0 && *dep <= i {
-            vec![ids[i - dep]]
-        } else {
-            Vec::new()
-        };
-        ids.push(sim.submit_to_pool(&format!("t{i}"), pool, *dur, &deps));
+        let deps = deps_of(&ids, i, *dep);
+        ids.push(submit_least_loaded(
+            sim,
+            &format!("t{i}"),
+            pool,
+            *dur,
+            &deps,
+            0..k,
+        ));
     }
     ids
 }
@@ -44,17 +76,13 @@ proptest! {
         let units = sim.pool_units(pool).to_vec();
         let mut ids: Vec<TaskId> = Vec::new();
         for (i, (dur, dep)) in jobs.iter().enumerate() {
-            let deps: Vec<TaskId> = if *dep > 0 && *dep <= i {
-                vec![ids[i - dep]]
-            } else {
-                Vec::new()
-            };
+            let deps = deps_of(&ids, i, *dep);
             let ready = sim.deps_ready_ms(&deps);
             let earliest = units
                 .iter()
                 .map(|u| sim.free_at(*u).max(ready))
                 .fold(f64::INFINITY, f64::min);
-            let id = sim.submit_to_pool(&format!("t{i}"), pool, *dur, &deps);
+            let id = submit_least_loaded(&mut sim, &format!("t{i}"), pool, *dur, &deps, 0..k);
             prop_assert!(
                 (sim.start_of(id) - earliest).abs() < 1e-9,
                 "task {i} started at {} but a unit was free at {earliest}",
@@ -76,11 +104,7 @@ proptest! {
         let units = sim.pool_units(pool).to_vec();
         let mut ids: Vec<TaskId> = Vec::new();
         for (i, (dur, dep)) in jobs.iter().enumerate() {
-            let deps: Vec<TaskId> = if *dep > 0 && *dep <= i {
-                vec![ids[i - dep]]
-            } else {
-                Vec::new()
-            };
+            let deps = deps_of(&ids, i, *dep);
             let ready = sim.deps_ready_ms(&deps);
             let expected = units
                 .iter()
@@ -95,9 +119,52 @@ proptest! {
                 })
                 .map(|(i, _)| i)
                 .expect("non-empty pool");
-            prop_assert_eq!(sim.least_loaded_unit(pool, ready), expected);
-            ids.push(sim.submit_to_pool(&format!("t{i}"), pool, *dur, &deps));
+            prop_assert_eq!(sim.least_loaded_unit_in(pool, ready, 0..k), expected);
+            ids.push(submit_least_loaded(&mut sim, &format!("t{i}"), pool, *dur, &deps, 0..k));
         }
+    }
+
+    #[test]
+    fn most_loaded_selection_is_an_exact_total_order(
+        jobs in workload_strategy(),
+        k in 2usize..9,
+        split in 0usize..7,
+        aging_ms in 0.0f64..20.0,
+    ) {
+        // The packing selector must pick the lexicographic maximum of
+        // (start, free_at) over the slice, with the lowest index on ties —
+        // computed here by scanning the slice in *reverse* index order.
+        // Tasks are placed as the rig's packing directive places them: on
+        // the most-loaded unit, unless that unit is busy more than
+        // `aging_ms` past the ready time, then on the least-loaded one.
+        let lo = split.min(k - 2);
+        let mut sim = Engine::new();
+        let pool = sim.resource_pool("POOL", k);
+        let units = sim.pool_units(pool).to_vec();
+        let mut ids: Vec<TaskId> = Vec::new();
+        for (i, (dur, dep)) in jobs.iter().enumerate() {
+            let deps = deps_of(&ids, i, *dep);
+            let ready = sim.deps_ready_ms(&deps);
+            let expected = (lo..k)
+                .rev()
+                .max_by(|&ia, &ib| {
+                    let (fa, fb) = (sim.free_at(units[ia]), sim.free_at(units[ib]));
+                    fa.max(ready)
+                        .total_cmp(&fb.max(ready))
+                        .then(fa.total_cmp(&fb))
+                        .then(ib.cmp(&ia))
+                })
+                .expect("non-empty slice");
+            let packed = sim.most_loaded_unit_in(pool, ready, lo..k);
+            prop_assert_eq!(packed, expected);
+            let id = if sim.free_at(units[packed]) > ready + aging_ms {
+                submit_least_loaded(&mut sim, &format!("t{i}"), pool, *dur, &deps, lo..k)
+            } else {
+                sim.submit(&format!("t{i}"), Some(units[packed]), *dur, &deps)
+            };
+            ids.push(id);
+        }
+        prop_assert!(sim.verify_exclusivity());
     }
 
     #[test]
@@ -115,17 +182,13 @@ proptest! {
         let units = sim.pool_units(pool).to_vec();
         let mut ids: Vec<TaskId> = Vec::new();
         for (i, (dur, dep)) in jobs.iter().enumerate() {
-            let deps: Vec<TaskId> = if *dep > 0 && *dep <= i {
-                vec![ids[i - dep]]
-            } else {
-                Vec::new()
-            };
+            let deps = deps_of(&ids, i, *dep);
             let ready = sim.deps_ready_ms(&deps);
             let earliest = units[lo..]
                 .iter()
                 .map(|u| sim.free_at(*u).max(ready))
                 .fold(f64::INFINITY, f64::min);
-            let id = sim.submit_to_pool_in(&format!("t{i}"), pool, *dur, &deps, lo..k);
+            let id = submit_least_loaded(&mut sim, &format!("t{i}"), pool, *dur, &deps, lo..k);
             prop_assert_eq!(sim.start_of(id), earliest);
             ids.push(id);
         }
@@ -147,11 +210,7 @@ proptest! {
         let res = plain.resource("POOL");
         let mut plain_ids: Vec<TaskId> = Vec::new();
         for (i, (dur, dep)) in jobs.iter().enumerate() {
-            let deps: Vec<TaskId> = if *dep > 0 && *dep <= i {
-                vec![plain_ids[i - dep]]
-            } else {
-                Vec::new()
-            };
+            let deps = deps_of(&plain_ids, i, *dep);
             plain_ids.push(plain.submit(&format!("t{i}"), Some(res), *dur, &deps));
         }
 

@@ -38,7 +38,9 @@ fn run_controller(
     offers: usize,
 ) -> AdmissionController {
     let mut c = AdmissionController::new(SystemConfig::default(), fairness, policy, seed);
-    c.offer_all((0..offers).map(candidate));
+    for i in 0..offers {
+        c.offer(candidate(i));
+    }
     c
 }
 

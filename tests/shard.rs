@@ -224,7 +224,9 @@ fn admission_release_carries_the_full_energy_breakdown() {
         policy,
         7,
     );
-    c.offer_all((0..3).map(mixed_spec));
+    for i in 0..3 {
+        c.offer(mixed_spec(i));
+    }
     let admitted = c.admitted().len();
     assert!(
         admitted >= 2,
@@ -298,7 +300,9 @@ fn admission_cell_runs_its_controllers_roster_degraded_shares_included() {
         t.link_streams,
     )
     .with_server_policy(t.server_policy);
-    controller.offer_all(roster.iter().cloned());
+    for spec in &roster {
+        controller.offer(spec.clone());
+    }
     let degraded = controller.count(AdmissionDecision::Degraded);
     assert!(degraded > 0, "the roster must force a degraded join");
     let mut fleet_config = t.clone();
