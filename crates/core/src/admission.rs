@@ -186,11 +186,11 @@ pub struct AdmissionController {
     /// this one).
     requested: Vec<LinkShare>,
     decisions: Vec<AdmissionDecision>,
-    /// The probe summary of the current accepted roster (the running
-    /// aggregates the operator watches), updated on every join and leave.
+    /// The probe of the accepted join that formed the current roster (the
+    /// running aggregates the operator watches). It lists the sessions in
+    /// roster order, so `protected` masks it; a release clears it.
     last_accepted_probe: Option<FleetSummary>,
-    /// Probe fleets actually simulated (the cost incremental probing
-    /// avoids re-paying on single-session roster changes).
+    /// Probe fleets actually simulated.
     probes_run: usize,
 }
 
@@ -317,10 +317,10 @@ impl AdmissionController {
     /// Offers one session: probes, decides, and (on admit/degrade) joins
     /// it to the roster.
     ///
-    /// Probing is already incremental on the join side: the candidate
-    /// probe *is* the new roster's fleet, so a join never re-runs a
-    /// roster-only probe on top of it ([`AdmissionController::release`]
-    /// gives leaves the same property).
+    /// Probing is incremental on the join side: the candidate probe *is*
+    /// the new roster's fleet, so a join never re-runs a roster-only probe
+    /// on top of it (and a leave, [`AdmissionController::release`], runs
+    /// none).
     pub fn offer(&mut self, spec: SessionSpec) -> AdmissionDecision {
         let requested = spec.share;
         let decision = if self.try_join(spec.clone(), requested, true) {
@@ -367,15 +367,15 @@ impl AdmissionController {
     /// its resources, and tries to spend them on upgrading best-effort
     /// tenants back to their originally-requested (protected) shares.
     ///
-    /// The departure itself is probed **incrementally**: since exactly one
-    /// session left, the new roster's aggregates are re-derived from the
-    /// cached probe with that session's frames dropped
-    /// ([`FleetSummary::without_session`]) instead of re-simulating the
-    /// whole roster — [`AdmissionController::probes_run`] stays flat when
-    /// there is nothing to upgrade. Each *upgrade attempt* is a real probe
-    /// (the candidate's share actually changes): best-effort members are
-    /// tried in admission order, greedily keeping every upgrade whose probe
-    /// holds the SLO over the protected class plus the upgradee.
+    /// The departure itself runs no probe, so
+    /// [`AdmissionController::probes_run`] stays flat when there is
+    /// nothing to upgrade. It clears the cached probe, which ran a roster
+    /// that no longer exists: [`AdmissionController::accepted_summary`]
+    /// reads `None` until the next accepted join. Each *upgrade attempt*
+    /// is a real probe (the candidate's share actually changes):
+    /// best-effort members are tried in admission order, greedily keeping
+    /// every upgrade whose probe holds the SLO over the protected class
+    /// plus the upgradee.
     ///
     /// Returns the roster indices (post-removal) that were upgraded.
     ///
@@ -387,18 +387,7 @@ impl AdmissionController {
         self.accepted.remove(idx);
         self.protected.remove(idx);
         self.requested.remove(idx);
-        // Incremental probe update: drop the leaver's frames from the
-        // cached probe rather than re-running the surviving roster.
-        self.last_accepted_probe = match self.last_accepted_probe.take() {
-            Some(probe) if probe.len() == self.accepted.len() + 1 => {
-                if self.accepted.is_empty() {
-                    None
-                } else {
-                    Some(probe.without_session(idx))
-                }
-            }
-            other => other,
-        };
+        self.last_accepted_probe = None;
         // Reclaim: offer the freed headroom to best-effort tenants, in
         // admission order, restoring their originally-requested shares.
         let mut upgraded = Vec::new();
@@ -425,29 +414,13 @@ impl AdmissionController {
                 self.accepted[i] = candidate;
                 self.protected[i] = true;
                 upgraded.push(i);
-                // The upgrade probe reordered the roster (upgradee last);
-                // keep the cached aggregates but at the canonical order.
-                let mut sessions = probe.sessions.clone();
-                let upgradee = sessions.pop().expect("upgradee probed last");
-                sessions.insert(i, upgradee);
-                self.last_accepted_probe = Some(FleetSummary::from_sessions(
-                    sessions,
-                    probe.makespan_ms,
-                    probe.server_utilization,
-                    probe.server_units,
-                    probe.shared_network,
-                    // Carry the probed run's infrastructure energy; the
-                    // reorder above only permutes sessions, so the re-summed
-                    // client share (and thus the total) matches the probe's.
-                    probe.energy,
-                ));
             }
         }
         upgraded
     }
 
     /// Probe fleets simulated so far (joins, degrades, and upgrade
-    /// attempts; incremental leave updates don't add to it).
+    /// attempts; a leave itself runs none).
     #[must_use]
     pub fn probes_run(&self) -> usize {
         self.probes_run
@@ -492,16 +465,18 @@ impl AdmissionController {
         self.decisions.iter().filter(|d| **d == decision).count()
     }
 
-    /// The probe summary of the current accepted roster (the running
-    /// aggregates admission is controlled on); `None` while empty.
+    /// The probe of the accepted join that formed the current roster (the
+    /// running aggregates admission is controlled on); `None` while the
+    /// roster is empty, and after a release until the next accepted join.
     #[must_use]
     pub fn accepted_summary(&self) -> Option<&FleetSummary> {
         self.last_accepted_probe.as_ref()
     }
 
-    /// p95 MTP and FPS floor over the protected class in the latest
-    /// accepted probe — the quantities the SLO actually constrains.
-    /// `None` while the roster holds no protected members.
+    /// p95 MTP and FPS floor over the protected class in
+    /// [`AdmissionController::accepted_summary`]'s probe — the quantities
+    /// the SLO actually constrains. `None` without that probe, or while
+    /// the roster holds no protected members.
     #[must_use]
     pub fn protected_metrics(&self) -> Option<(f64, f64)> {
         let probe = self.last_accepted_probe.as_ref()?;
@@ -671,9 +646,9 @@ mod tests {
 
     #[test]
     fn release_reuses_the_cached_probe_when_nothing_can_upgrade() {
-        // Incremental probing: with no best-effort members, removing one
-        // session must cost zero probe fleets — the cached roster probe is
-        // re-aggregated with the leaver's frames dropped.
+        // With no best-effort members, removing one session must cost
+        // zero probe fleets, and the leave clears the cached probe, which
+        // ran the old roster.
         let mut c = AdmissionController::new(
             SystemConfig::default(),
             FairnessPolicy::EqualShare,
@@ -683,7 +658,7 @@ mod tests {
         c.offer(spec());
         c.offer(spec());
         let probes_before = c.probes_run();
-        let before = c.accepted_summary().expect("probed").clone();
+        assert!(c.accepted_summary().is_some(), "the join cached its probe");
         let upgraded = c.release(0);
         assert!(upgraded.is_empty());
         assert_eq!(
@@ -693,16 +668,11 @@ mod tests {
         );
         assert_eq!(c.admitted().len(), 1);
         assert_eq!(c.protected(), &[true]);
-        let after = c.accepted_summary().expect("still cached");
-        assert_eq!(after.len(), 1, "the leaver's frames are gone");
-        assert_eq!(
-            after.sessions[0].frames, before.sessions[1].frames,
-            "the survivor's frames carry over from the cached probe"
-        );
-        // Draining the roster clears the cache.
-        let _ = c.release(0);
-        assert!(c.admitted().is_empty());
-        assert!(c.accepted_summary().is_none());
+        assert!(c.accepted_summary().is_none(), "a leave clears the cache");
+        assert!(c.protected_metrics().is_none());
+        // The next accepted join caches its own probe again.
+        assert_eq!(c.offer(spec()), AdmissionDecision::Admitted);
+        assert_eq!(c.accepted_summary().expect("probed").len(), 2);
     }
 
     #[test]
@@ -754,9 +724,15 @@ mod tests {
             c.requested()[1],
             "upgrade restores the originally-requested share"
         );
-        // The refreshed cache still holds the SLO over the protected class.
-        let (p95, _) = c.protected_metrics().expect("protected class exists");
-        assert!(p95 <= c.policy().mtp_p95_slo_ms);
+        assert!(c.accepted_summary().is_none(), "a leave clears the cache");
+        // The upgraded roster keeps its protected class inside the SLO. Its
+        // order is the upgrade probe's (upgradee last), so a fresh run of
+        // the roster reproduces that probe.
+        let roster = Fleet::run(
+            c.fleet_config(c.policy().probe_frames)
+                .expect("members remain"),
+        );
+        assert!(roster.mtp_p95_over(c.protected()) <= c.policy().mtp_p95_slo_ms);
     }
 
     #[test]

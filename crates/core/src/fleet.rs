@@ -27,12 +27,13 @@
 
 use crate::cell::Cell;
 use crate::clock::SteppingPolicy;
-use crate::metrics::{RunSummary, SortedSamples};
+use crate::metrics::RunSummary;
 use crate::sched::ServerPolicy;
 use crate::schemes::{SchemeKind, SystemConfig};
 use crate::session::Session;
-use crate::telemetry::FrameEvent;
-use crate::telemetry::{client_energy_mj, TelemetryConfig, TelemetrySink};
+use crate::telemetry::{
+    client_energy_mj, AggregateSink, FrameEvent, TelemetryConfig, TelemetrySink,
+};
 use qvr_energy::FleetEnergy;
 use qvr_net::{FairnessPolicy, LinkShare};
 use qvr_scene::AppProfile;
@@ -444,11 +445,7 @@ pub struct FleetSummary {
     pub shared_network: bool,
     /// Fleet-level energy (server pool + access point + all headsets),
     /// streamed by the telemetry [`crate::telemetry::EnergyMeter`];
-    /// identity-zero when the meter is disabled. Re-aggregations carry the
-    /// source run's infrastructure share and re-sum the headset share from
-    /// the surviving sessions ([`FleetSummary::from_sessions`] /
-    /// [`FleetSummary::without_session`]), so a re-derived summary reports
-    /// real energy, not zeros.
+    /// identity-zero when the meter is disabled.
     pub energy: FleetEnergy,
     /// The streaming windowed-p95 MTP timeline `(start_ms, frames, p95)`,
     /// when [`TelemetryConfig::window_ms`] was configured; empty otherwise.
@@ -463,83 +460,15 @@ pub struct FleetSummary {
     /// configured; `None` otherwise. Render it with
     /// [`crate::obs::TraceSink::chrome_trace_json`].
     pub trace: Option<crate::obs::TraceSink>,
-    /// Peak live task intervals the engine retained at any point — the
-    /// schedule-state footprint the benchmark gauges (equals total
-    /// submitted tasks when windowed retirement is off; 0 on post-hoc
-    /// re-aggregations, which have no engine).
+    /// Live task intervals the engine retained at finish — the
+    /// schedule-state footprint the benchmark gauges. It is read once,
+    /// after the last round, which never retires: without windowed
+    /// retirement that is the run's peak (every submitted task), but with
+    /// a window an earlier round can have held more.
     pub peak_live_tasks: usize,
 }
 
 impl FleetSummary {
-    /// Re-aggregates a summary from per-session summaries plus carried-over
-    /// schedule-level fields (percentiles, FPS floor, and mean FPS are
-    /// recomputed exactly from the sessions' frames). The building block of
-    /// admission control's incremental probing.
-    ///
-    /// `energy` carries the probed run's *infrastructure* energy (server
-    /// pool + access point — schedule-level, like makespan); its headset
-    /// share is recomputed from `sessions`' own breakdowns, so the result
-    /// never silently reports zero (or a stale roster's) client energy.
-    /// Pass [`FleetEnergy::default`] when the source run had no meter.
-    #[must_use]
-    pub fn from_sessions(
-        sessions: Vec<RunSummary>,
-        makespan_ms: f64,
-        server_utilization: f64,
-        server_units: usize,
-        shared_network: bool,
-        energy: FleetEnergy,
-    ) -> Self {
-        // One sort serves all three percentile queries.
-        let mtps = SortedSamples::new(
-            sessions
-                .iter()
-                .flat_map(|s| s.frames.iter().map(|f| f.mtp_ms))
-                .collect(),
-        );
-        // Sessions that recorded no frames (possible for a churn join that
-        // leaves immediately) carry no FPS signal: their `fps()` is a
-        // 0-over-span division, which would drag the floor to a meaningless
-        // 0 and dilute the mean, so they are excluded from the rate stats.
-        let fps: Vec<f64> = sessions
-            .iter()
-            .filter(|s| !s.frames.is_empty())
-            .map(RunSummary::fps)
-            .collect();
-        let fps_floor = fps.iter().copied().fold(f64::INFINITY, f64::min);
-        let mean_fps = if fps.is_empty() {
-            0.0
-        } else {
-            fps.iter().sum::<f64>() / fps.len() as f64
-        };
-        let energy = FleetEnergy {
-            client_mj: client_energy_mj(sessions.iter().map(|s| &s.energy)),
-            ..energy
-        };
-        FleetSummary {
-            mtp_p50_ms: mtps.p50(),
-            mtp_p95_ms: mtps.p95(),
-            mtp_p99_ms: mtps.p99(),
-            fps_floor: if fps_floor.is_finite() {
-                fps_floor
-            } else {
-                0.0
-            },
-            mean_fps,
-            sessions,
-            makespan_ms,
-            server_utilization,
-            server_units,
-            shared_network,
-            energy,
-            windows: Vec::new(),
-            exposition: None,
-            incidents: Vec::new(),
-            trace: None,
-            peak_live_tasks: 0,
-        }
-    }
-
     /// Number of sessions.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -552,45 +481,20 @@ impl FleetSummary {
         self.sessions.is_empty()
     }
 
-    /// Re-aggregates this summary with session `idx` dropped — the
-    /// incremental-probe shortcut admission control uses when exactly one
-    /// session leaves: percentiles, FPS floor, and mean FPS recompute
-    /// exactly from the surviving sessions' frames, while makespan, server
-    /// utilization, and capacity fields carry over from the probed run
-    /// (they describe the schedule that was actually simulated).
+    /// The aggregate sink fed with the masked subset of sessions
+    /// (`mask[i]` keeps session `i`), each kept session's finished frames
+    /// as one slot.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn without_session(&self, idx: usize) -> FleetSummary {
-        assert!(idx < self.sessions.len(), "unknown session {idx}");
-        let sessions: Vec<RunSummary> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != idx)
-            .map(|(_, s)| s.clone())
-            .collect();
-        // Schedule-level telemetry products carry over like makespan: they
-        // describe the run that was actually simulated. The headset share
-        // is per-session, though — `from_sessions` re-sums it over the
-        // survivors so the leaver's client energy doesn't linger in the
-        // total.
-        let mut summary = FleetSummary::from_sessions(
-            sessions,
-            self.makespan_ms,
-            self.server_utilization,
-            self.server_units,
-            self.shared_network,
-            self.energy,
-        );
-        summary.windows = self.windows.clone();
-        summary.exposition = self.exposition.clone();
-        summary.incidents = self.incidents.clone();
-        summary.trace = self.trace.clone();
-        summary.peak_live_tasks = self.peak_live_tasks;
-        summary
+    /// Panics if the mask length doesn't match the session count.
+    fn aggregate_over(&self, mask: &[bool]) -> AggregateSink {
+        assert_eq!(mask.len(), self.sessions.len(), "mask/session mismatch");
+        let mut sink = AggregateSink::new();
+        for (session, _) in self.sessions.iter().zip(mask).filter(|(_, keep)| **keep) {
+            sink.absorb_session(session);
+        }
+        sink
     }
 
     /// p95 motion-to-photon latency over the masked subset of sessions
@@ -603,18 +507,7 @@ impl FleetSummary {
     /// Panics if the mask length doesn't match the session count.
     #[must_use]
     pub fn mtp_p95_over(&self, mask: &[bool]) -> f64 {
-        assert_eq!(mask.len(), self.sessions.len(), "mask/session mismatch");
-        let samples: Vec<f64> = self
-            .sessions
-            .iter()
-            .zip(mask)
-            .filter(|(_, keep)| **keep)
-            .flat_map(|(s, _)| s.frames.iter().map(|f| f.mtp_ms))
-            .collect();
-        if samples.is_empty() {
-            return 0.0;
-        }
-        SortedSamples::new(samples).p95()
+        self.aggregate_over(mask).mtp_percentiles().1
     }
 
     /// The slowest frame rate over the masked subset of sessions
@@ -626,19 +519,7 @@ impl FleetSummary {
     /// Panics if the mask length doesn't match the session count.
     #[must_use]
     pub fn fps_floor_over(&self, mask: &[bool]) -> f64 {
-        assert_eq!(mask.len(), self.sessions.len(), "mask/session mismatch");
-        let floor = self
-            .sessions
-            .iter()
-            .zip(mask)
-            .filter(|(s, keep)| **keep && !s.frames.is_empty())
-            .map(|(s, _)| s.fps())
-            .fold(f64::INFINITY, f64::min);
-        if floor.is_finite() {
-            floor
-        } else {
-            0.0
-        }
+        self.aggregate_over(mask).fps_stats().0
     }
 
     /// Mean downlink bytes per frame across all sessions.
@@ -783,28 +664,25 @@ mod tests {
     #[test]
     fn zero_frame_sessions_do_not_poison_fps_aggregates() {
         // A churn join that leaves immediately can finish with a positive
-        // residency span and zero recorded frames; the floor/mean must skip
-        // it instead of collapsing to 0 (or NaN).
-        let normal = SchemeKind::LocalOnly.run(&cfg(), Benchmark::Doom3L.profile(), 5, 3);
-        let mut empty = normal.clone();
+        // residency span and zero recorded frames; the masked floor must
+        // skip it instead of collapsing to 0 (or NaN).
+        let mut s = Fleet::run(FleetConfig::uniform(
+            cfg(),
+            SchemeKind::LocalOnly,
+            Benchmark::Doom3L.profile(),
+            2,
+            3,
+            5,
+        ));
+        let empty = &mut s.sessions[1];
         empty.frames.clear();
         empty.makespan_ms = 50.0;
-        let s = FleetSummary::from_sessions(
-            vec![normal.clone(), empty.clone()],
-            100.0,
-            0.5,
-            8,
-            true,
-            FleetEnergy::default(),
-        );
-        assert_eq!(s.fps_floor, normal.fps());
-        assert_eq!(s.mean_fps, normal.fps());
-        assert!(s.fps_floor.is_finite() && s.mean_fps.is_finite());
-        // An all-empty fleet reports zero rates, never NaN.
-        let s2 =
-            FleetSummary::from_sessions(vec![empty], 100.0, 0.5, 8, true, FleetEnergy::default());
-        assert_eq!(s2.fps_floor, 0.0);
-        assert_eq!(s2.mean_fps, 0.0);
+        let normal = s.sessions[0].fps();
+        assert!(normal > 0.0);
+        assert_eq!(s.fps_floor_over(&[true, true]), normal);
+        // A subset of only such sessions reports zero, never NaN.
+        assert_eq!(s.fps_floor_over(&[false, true]), 0.0);
+        assert_eq!(s.mtp_p95_over(&[false, true]), 0.0);
     }
 
     #[test]
@@ -1014,24 +892,6 @@ mod tests {
             retire_window_ms: None,
             telemetry: TelemetryConfig::default(),
         });
-    }
-
-    #[test]
-    fn summary_without_session_drops_exactly_one() {
-        let s = Fleet::run(FleetConfig::uniform(
-            cfg(),
-            SchemeKind::Qvr,
-            Benchmark::Hl2H.profile(),
-            3,
-            10,
-            7,
-        ));
-        let without = s.without_session(1);
-        assert_eq!(without.len(), 2);
-        assert_eq!(without.sessions[0].frames, s.sessions[0].frames);
-        assert_eq!(without.sessions[1].frames, s.sessions[2].frames);
-        assert_eq!(without.makespan_ms, s.makespan_ms);
-        assert_eq!(without.server_units, s.server_units);
     }
 
     #[test]

@@ -25,19 +25,16 @@
 //!   ceiling, FPS floor, energy-per-frame budget, utilization band) over
 //!   sliding histogram windows as the fleet's closing frontier advances,
 //!   emitting a deterministic timestamped [`Incident`] timeline (breach
-//!   open/close, severity, offending class). Churn fleets may opt in to
-//!   a degrade trigger: joins arriving during an open critical incident
-//!   enter best-effort.
+//!   open/close, severity, offending class).
 //!
-//! Everything here observes and never steers (the churn degrade trigger
-//! is an explicit opt-in, like `MeasuredLoad` placement): at default
-//! configuration none of these sinks run, and when they do run they only
-//! consume the event stream, so schedules, RNG draws, and the fig_fleet
-//! goldens stay bit-identical.
+//! Everything here observes and never steers: at default configuration
+//! none of these sinks run, and when they do run they only consume the
+//! event stream, so schedules, RNG draws, and the fig_fleet goldens stay
+//! bit-identical.
 
 use crate::metrics::Histogram;
 use crate::sched::TenantClass;
-use crate::telemetry::{FrameEvent, StageSpan, TelemetrySink};
+use crate::telemetry::{FrameEvent, StageSpan, TelemetrySink, Windows};
 use qvr_energy::ServerPowerModel;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -683,9 +680,7 @@ pub struct HealthMonitor {
     rules: HealthRules,
     server: ServerPowerModel,
     units: usize,
-    open: BTreeMap<usize, WindowAccum>,
-    /// First window index not yet evaluated.
-    frontier: usize,
+    windows: Windows<WindowAccum>,
     /// Open incident per rule, as an index into `incidents`.
     active: [Option<usize>; 4],
     incidents: Vec<Incident>,
@@ -700,8 +695,7 @@ impl HealthMonitor {
             rules,
             server,
             units: units.max(1),
-            open: BTreeMap::new(),
-            frontier: 0,
+            windows: Windows::new(rules.window_ms),
             active: [None; 4],
             incidents: Vec::new(),
         }
@@ -717,19 +711,8 @@ impl HealthMonitor {
     /// the same frontier that drives windowed-stats closing: a time no
     /// future frame can precede).
     pub fn close_before(&mut self, t_ms: f64) {
-        let first_open = qvr_sim::checked::floor_index((t_ms / self.rules.window_ms).max(0.0));
-        while self.frontier < first_open {
-            let window = self.frontier;
-            self.evaluate(window);
-            self.frontier += 1;
-            // Quiet stretches hold no evidence: jump the frontier to the
-            // next occupied window (or the target) instead of ticking
-            // empty windows one by one.
-            if self.open.is_empty() {
-                self.frontier = first_open;
-            } else if let Some((&lo, _)) = self.open.iter().next() {
-                self.frontier = self.frontier.max(lo.min(first_open));
-            }
+        while let Some((start_ms, accum)) = self.windows.pop_before(t_ms) {
+            self.evaluate(start_ms, accum);
         }
     }
 
@@ -737,19 +720,15 @@ impl HealthMonitor {
     /// timeline; incidents still open keep `close_ms: None`.
     #[must_use]
     pub fn finish(mut self) -> Vec<Incident> {
-        while let Some((&b, _)) = self.open.iter().next() {
-            self.evaluate(b);
-            self.frontier = b + 1;
+        while let Some((start_ms, accum)) = self.windows.pop_first() {
+            self.evaluate(start_ms, accum);
         }
         self.incidents
     }
 
-    /// Evaluates one window through the breach state machines.
-    fn evaluate(&mut self, window: usize) {
-        let Some(accum) = self.open.remove(&window) else {
-            return;
-        };
-        let start_ms = window as f64 * self.rules.window_ms;
+    /// Evaluates one closed window (quiet stretches hold no evidence and
+    /// are never evaluated) through the breach state machines.
+    fn evaluate(&mut self, start_ms: f64, accum: WindowAccum) {
         let rules = self.rules;
         if let Some(ceiling) = rules.mtp_p95_ceiling_ms {
             let p95 = accum.mtp.p95();
@@ -901,25 +880,11 @@ fn severity_of(magnitude: f64) -> Severity {
 
 impl TelemetrySink for HealthMonitor {
     fn on_frame(&mut self, event: &FrameEvent) {
-        let mut b = qvr_sim::checked::floor_index((event.end_ms / self.rules.window_ms).max(0.0));
-        if b < self.frontier {
-            // Mirror of the windowed sink's frontier promise: simulations
-            // never deliver below the closing frontier (debug asserts),
-            // and release builds degrade into the earliest open window.
-            debug_assert!(
-                false,
-                "frame at {:.3} ms arrived below the evaluated frontier {:.3} ms",
-                event.end_ms,
-                self.frontier as f64 * self.rules.window_ms
-            );
-            b = self.frontier;
-        }
         let idx = class_index(event.class);
-        let rules = self.rules;
-        let accum = self.open.entry(b).or_default();
+        let accum = self.windows.file(event.end_ms);
         accum.frames += 1;
         accum.mtp.record(event.mtp_ms);
-        if let Some(ceiling) = rules.mtp_p95_ceiling_ms {
+        if let Some(ceiling) = self.rules.mtp_p95_ceiling_ms {
             if event.mtp_ms > ceiling {
                 accum.over_ceiling[idx] += 1;
             }

@@ -303,7 +303,9 @@ pub struct CellSummary {
     /// The cell's load-EWMA snapshot, fleet-local slot order (shipped for
     /// inspection; the merge does not read it).
     pub load: Vec<Option<f64>>,
-    /// Peak live engine intervals — the cell's O(window) memory witness.
+    /// Live engine intervals at the cell's finish — its O(window) memory
+    /// witness. Read once, after the last round, which never retires: with
+    /// a retirement window an earlier round can have held more.
     pub peak_live_tasks: usize,
     /// The cell's per-class metrics sink (un-rendered, the mergeable
     /// form), when [`crate::telemetry::TelemetryConfig::metrics`] was
@@ -349,8 +351,10 @@ pub struct ShardSummary {
     pub windows: Vec<(f64, usize, f64)>,
     /// Raw samples held by the merged windowed sink at finalisation.
     pub peak_open_samples: usize,
-    /// Σ of per-cell peak live engine intervals — the O(cells × window)
-    /// bound the CI bounded-memory job asserts.
+    /// Σ of per-cell live engine intervals at each cell's finish (see
+    /// [`CellSummary::peak_live_tasks`]: the state at finish, a true peak
+    /// only without retirement) — the O(cells × window) bound the CI
+    /// bounded-memory job asserts.
     pub peak_live_tasks: usize,
     /// Joins placed anywhere but their first-choice cell.
     pub spilled: usize,

@@ -19,14 +19,14 @@
 //! [`TelemetryConfig`] on `FleetConfig`/`ChurnConfig`) plus any custom
 //! sinks attached for tests or tooling:
 //!
-//! * [`AggregateSink`] — streams the aggregates `FleetSummary` used to
-//!   re-derive post hoc (MTP percentile samples, per-slot FPS spans). Every
-//!   fleet's summary comes from it, bit-identical to the post-hoc
-//!   re-aggregation (`tests/telemetry.rs` pins this on the fig_fleet
-//!   golden configs).
+//! * [`AggregateSink`] — MTP percentile samples and per-slot FPS spans:
+//!   the one derivation of every fleet and shard summary's percentiles,
+//!   FPS floor and mean, and of `FleetSummary`'s masked subset queries.
 //! * [`WindowedStatsSink`] — streaming half-open-bucket p95 timeline at
 //!   O(window) live memory (closed buckets collapse to `(start, frames,
-//!   p95)`); the only source of `ChurnSummary`'s windowed timeline.
+//!   p95)`); the only source of `ChurnSummary`'s windowed timeline. It
+//!   and [`crate::obs::HealthMonitor`] file frames and close windows
+//!   through one rule, the crate's `Windows` type.
 //! * [`EnergyMeter`] — closes the fleet energy loop: per-stage server busy
 //!   ms × [`qvr_energy::ServerPowerModel`], link activity ×
 //!   [`qvr_energy::ApPowerModel`], summed headset energy; reported as
@@ -43,7 +43,7 @@
 //! the simulation already computed, so enabling every default sink leaves
 //! schedules, RNG draws, and the fig_fleet goldens bit-identical.
 
-use crate::metrics::SortedSamples;
+use crate::metrics::{RunSummary, SortedSamples};
 use crate::sched::TenantClass;
 use qvr_energy::{ApPowerModel, EnergyBreakdown, FleetEnergy, ServerPowerModel};
 use qvr_net::NetworkPreset;
@@ -272,12 +272,11 @@ struct SlotSpan {
     last_end_ms: f64,
 }
 
-/// Streams the aggregates [`crate::fleet::FleetSummary`] used to re-derive
-/// post hoc: every frame's MTP (for the percentile queries) and per-slot
-/// `(frame count, span)` (for the FPS floor and mean). The arithmetic at
-/// finalisation mirrors the post-hoc path operation for operation, so the
-/// resulting summary is bit-identical (pinned by `tests/telemetry.rs` on
-/// the fig_fleet golden configs).
+/// Every frame's MTP (for the percentile queries) and per-slot `(frame
+/// count, span)` (for the FPS floor and mean): the one place the crate
+/// turns frames into a fleet's percentiles and rates. Fleets stream their
+/// events into it; [`crate::fleet::FleetSummary`]'s masked subset queries
+/// feed it finished sessions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AggregateSink {
     mtp_samples: Vec<f64>,
@@ -310,6 +309,20 @@ impl AggregateSink {
         self.slots.extend_from_slice(&other.slots);
     }
 
+    /// Feeds one finished session in as the next slot: its frames' MTP
+    /// samples, and a span from 0 to its makespan, so the slot's rate is
+    /// the session's own [`RunSummary::fps`] (the same operands and
+    /// operations).
+    pub(crate) fn absorb_session(&mut self, session: &RunSummary) {
+        self.mtp_samples
+            .extend(session.frames.iter().map(|f| f.mtp_ms));
+        self.slots.push(SlotSpan {
+            frames: session.frames.len(),
+            first_start_ms: 0.0,
+            last_end_ms: session.makespan_ms,
+        });
+    }
+
     /// `(p50, p95, p99)` MTP over every streamed frame.
     #[must_use]
     pub fn mtp_percentiles(&self) -> (f64, f64, f64) {
@@ -318,8 +331,8 @@ impl AggregateSink {
     }
 
     /// `(fps_floor, mean_fps)` over slots that displayed at least one
-    /// frame, computed exactly as the post-hoc aggregation does (same
-    /// operations in the same order, so the bits match).
+    /// frame (a zero-frame slot carries no rate signal and would drag the
+    /// floor to a meaningless 0); `(0, 0)` when no slot did.
     #[must_use]
     pub fn fps_stats(&self) -> (f64, f64) {
         let fps: Vec<f64> = self
@@ -360,23 +373,102 @@ impl TelemetrySink for AggregateSink {
     }
 }
 
+/// Half-open virtual-time windows `[k·w, (k+1)·w)` behind a closing
+/// frontier: the one rule by which [`WindowedStatsSink`] and
+/// [`crate::obs::HealthMonitor`] file frames and close windows. A frame
+/// files into the window its display end falls in; windows close in index
+/// order once the caller's frontier passes their end. Only occupied
+/// windows exist, so quiet stretches cost nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Windows<A> {
+    width_ms: f64,
+    /// Open windows by index.
+    open: BTreeMap<usize, A>,
+    /// First window index not yet closed; every open window sits at or
+    /// above it.
+    frontier: usize,
+}
+
+impl<A: Default> Windows<A> {
+    /// No windows yet, frontier at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width_ms` is not positive-finite.
+    pub(crate) fn new(width_ms: f64) -> Self {
+        assert!(
+            width_ms.is_finite() && width_ms > 0.0,
+            "window must be positive"
+        );
+        Windows {
+            width_ms,
+            open: BTreeMap::new(),
+            frontier: 0,
+        }
+    }
+
+    /// The accumulator of the window a frame ending at `end_ms` files
+    /// into, opened empty on first use. A frame below the frontier broke
+    /// the caller's frontier promise: deterministic simulations never do
+    /// this (debug builds assert), and release builds degrade by filing it
+    /// into the earliest window still open.
+    pub(crate) fn file(&mut self, end_ms: f64) -> &mut A {
+        let mut k = qvr_sim::checked::floor_index(end_ms / self.width_ms);
+        if k < self.frontier {
+            debug_assert!(
+                false,
+                "frame at {end_ms:.3} ms arrived below the closed frontier {:.3} ms",
+                self.frontier as f64 * self.width_ms
+            );
+            k = self.frontier;
+        }
+        self.open.entry(k).or_default()
+    }
+
+    /// Pops the earliest open window that ends at or before `t_ms` as
+    /// `(start_ms, accumulator)`, or `None` once none is left. Callers
+    /// drain it with `while let`, passing a time no future frame can
+    /// precede; one below t = 0 closes nothing. Returns before touching
+    /// the map when the frontier does not move.
+    pub(crate) fn pop_before(&mut self, t_ms: f64) -> Option<(f64, A)> {
+        let first_open = qvr_sim::checked::floor_index((t_ms / self.width_ms).max(0.0));
+        if first_open <= self.frontier {
+            return None;
+        }
+        match self.open.first_entry() {
+            Some(entry) if *entry.key() < first_open => {
+                let (k, acc) = entry.remove_entry();
+                self.frontier = k + 1;
+                Some((k as f64 * self.width_ms, acc))
+            }
+            _ => {
+                self.frontier = first_open;
+                None
+            }
+        }
+    }
+
+    /// Pops the earliest open window whatever the frontier (finalisation).
+    pub(crate) fn pop_first(&mut self) -> Option<(f64, A)> {
+        self.open
+            .pop_first()
+            .map(|(k, acc)| (k as f64 * self.width_ms, acc))
+    }
+}
+
 /// Streaming windowed-p95 timeline over half-open virtual-time buckets
 /// `[k·w, (k+1)·w)` (a sample at an interior boundary `k·w` belongs to
 /// bucket `k`) with bounded live memory: raw samples are held only for
-/// *open* buckets, and a bucket
-/// closes to a `(start_ms, frames, p95)` triple once the caller's
-/// [`WindowedStatsSink::close_before`] frontier guarantees no earlier
-/// sample can still arrive. Fleets drive the frontier from their virtual
-/// clock (the same quantity windowed task retirement keys on).
+/// *open* buckets, and a bucket closes to a `(start_ms, frames, p95)`
+/// triple once the caller's [`WindowedStatsSink::close_before`] frontier
+/// guarantees no earlier sample can still arrive. Fleets drive the
+/// frontier from their virtual clock (the same quantity windowed task
+/// retirement keys on).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowedStatsSink {
-    window_ms: f64,
-    /// Open buckets by index, raw samples.
-    open: BTreeMap<usize, Vec<f64>>,
+    windows: Windows<Vec<f64>>,
     /// Closed buckets in index order: `(start_ms, frames, p95_ms)`.
     closed: Vec<(f64, usize, f64)>,
-    /// First bucket index not yet closed.
-    close_frontier: usize,
     open_samples: usize,
     peak_open_samples: usize,
     /// Deferred mode: [`WindowedStatsSink::close_before`] is a no-op, so
@@ -393,15 +485,9 @@ impl WindowedStatsSink {
     /// Panics if `window_ms` is not positive-finite.
     #[must_use]
     pub fn new(window_ms: f64) -> Self {
-        assert!(
-            window_ms.is_finite() && window_ms > 0.0,
-            "window must be positive"
-        );
         WindowedStatsSink {
-            window_ms,
-            open: BTreeMap::new(),
+            windows: Windows::new(window_ms),
             closed: Vec::new(),
-            close_frontier: 0,
             open_samples: 0,
             peak_open_samples: 0,
             defer: false,
@@ -427,11 +513,11 @@ impl WindowedStatsSink {
         sink
     }
 
-    /// Whether no bucket has collapsed yet (nothing closed, frontier still
-    /// at zero) — the precondition for an exact merge.
+    /// Whether no bucket has collapsed yet (the frontier is still at zero,
+    /// so nothing closed) — the precondition for an exact merge.
     #[must_use]
     pub fn is_uncollapsed(&self) -> bool {
-        self.close_frontier == 0 && self.closed.is_empty()
+        self.windows.frontier == 0
     }
 
     /// Folds another sink's open buckets into this one, index-wise: bucket
@@ -451,66 +537,54 @@ impl WindowedStatsSink {
     /// [`WindowedStatsSink::deferred`]).
     pub fn absorb(&mut self, other: &WindowedStatsSink) {
         assert!(
-            self.window_ms == other.window_ms,
+            self.windows.width_ms == other.windows.width_ms,
             "windowed merge requires equal bucket widths: {} vs {} ms",
-            self.window_ms,
-            other.window_ms
+            self.windows.width_ms,
+            other.windows.width_ms
         );
         assert!(
             self.is_uncollapsed() && other.is_uncollapsed(),
             "windowed merge requires un-collapsed sinks: a closed bucket \
              has lost the raw samples an exact merge needs"
         );
-        for (&b, samples) in &other.open {
-            self.open.entry(b).or_default().extend_from_slice(samples);
+        for (&k, samples) in &other.windows.open {
+            self.windows
+                .open
+                .entry(k)
+                .or_default()
+                .extend_from_slice(samples);
         }
         self.open_samples += other.open_samples;
         self.peak_open_samples = self.peak_open_samples.max(self.open_samples);
     }
 
-    /// Collapses one bucket's raw samples into its closed
-    /// `(start, frames, p95)` triple, if the bucket holds any.
-    fn close_bucket(&mut self, b: usize) {
-        if let Some(samples) = self.open.remove(&b) {
-            self.open_samples -= samples.len();
-            self.closed.push((
-                b as f64 * self.window_ms,
-                samples.len(),
-                SortedSamples::new(samples).p95(),
-            ));
-        }
+    /// Collapses one closed bucket's raw samples into its `(start, frames,
+    /// p95)` triple.
+    fn collapse(&mut self, start_ms: f64, samples: Vec<f64>) {
+        self.open_samples -= samples.len();
+        self.closed
+            .push((start_ms, samples.len(), SortedSamples::new(samples).p95()));
     }
 
     /// Closes every bucket that ends at or before `t_ms` (callers pass a
     /// frontier no future sample can precede — a fleet's minimum virtual
     /// clock). Closed buckets collapse to their `(start, frames, p95)`
-    /// triple; empty buckets are skipped.
-    /// No-op in deferred mode (shard cells stay mergeable until finish).
+    /// triple. No-op in deferred mode (shard cells stay mergeable until
+    /// finish).
     pub fn close_before(&mut self, t_ms: f64) {
         if self.defer {
             return;
         }
-        // A frontier below t=0 (e.g. `min_clock - window` at startup) means
-        // no bucket can close yet; clamp before indexing.
-        let first_open = qvr_sim::checked::floor_index((t_ms / self.window_ms).max(0.0));
-        while self.close_frontier < first_open {
-            self.close_bucket(self.close_frontier);
-            self.close_frontier += 1;
-            // Nothing below the smallest open bucket can close non-empty;
-            // jump ahead so quiet stretches don't iterate bucket by bucket.
-            if self.open.is_empty() {
-                self.close_frontier = first_open;
-            } else if let Some((&lo, _)) = self.open.iter().next() {
-                self.close_frontier = self.close_frontier.max(lo.min(first_open));
-            }
+        while let Some((start_ms, samples)) = self.windows.pop_before(t_ms) {
+            self.collapse(start_ms, samples);
         }
     }
 
     /// Closes everything and returns the full timeline, in bucket order.
     #[must_use]
     pub fn finish(mut self) -> Vec<(f64, usize, f64)> {
-        while let Some((&b, _)) = self.open.iter().next() {
-            self.close_bucket(b);
+        while let Some((start_ms, samples)) = self.windows.pop_first() {
+            self.collapse(start_ms, samples);
         }
         self.closed
     }
@@ -525,21 +599,7 @@ impl WindowedStatsSink {
 
 impl TelemetrySink for WindowedStatsSink {
     fn on_frame(&mut self, event: &FrameEvent) {
-        let mut b = qvr_sim::checked::floor_index(event.end_ms / self.window_ms);
-        if b < self.close_frontier {
-            // A sample arrived below the closing frontier: the caller's
-            // frontier promise was broken. Deterministic simulations never
-            // do this (debug builds assert); degrade gracefully by filing
-            // into the earliest still-open bucket.
-            debug_assert!(
-                false,
-                "sample at {:.3} ms arrived below the closed frontier {:.3} ms",
-                event.end_ms,
-                self.close_frontier as f64 * self.window_ms
-            );
-            b = self.close_frontier;
-        }
-        self.open.entry(b).or_default().push(event.mtp_ms);
+        self.windows.file(event.end_ms).push(event.mtp_ms);
         self.open_samples += 1;
         self.peak_open_samples = self.peak_open_samples.max(self.open_samples);
     }

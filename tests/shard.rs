@@ -1,8 +1,7 @@
 //! Sharded-cell integration tests: the 1-cell shard degenerates to a
 //! single fleet bit-for-bit, the merged summary is identical for every
-//! worker count, live memory stays O(cells × window), spill admission
-//! routes degraded joiners to the least-loaded cell, and the
-//! re-aggregation energy bug stays fixed.
+//! worker count, live memory stays O(cells × window), and spill admission
+//! routes degraded joiners to the least-loaded cell.
 
 use qvr::prelude::*;
 use qvr::scene::Benchmark;
@@ -205,76 +204,6 @@ fn reject_only_admission_rejects_what_no_cell_can_hold() {
     assert_eq!(s.rejected, 6);
     assert_eq!(s.degraded, 0, "reject-only control never degrades");
     assert_eq!(s.cells, 0, "empty cells never run");
-}
-
-#[test]
-fn admission_release_carries_the_full_energy_breakdown() {
-    // The zero-energy regression (satellite 1): `release` re-aggregates
-    // the roster through `FleetSummary::from_sessions` /
-    // `without_session`, which used to zero the infrastructure energy.
-    // After releasing a member, the controller's accepted summary must
-    // still report non-zero server and radio energy.
-    let mut policy = AdmissionPolicy::default()
-        .with_mtp_p95_slo_ms(60.0)
-        .with_min_fps_floor(20.0);
-    policy.probe_frames = 4;
-    let mut c = AdmissionController::new(
-        SystemConfig::default(),
-        FairnessPolicy::EqualShare,
-        policy,
-        7,
-    );
-    for i in 0..3 {
-        c.offer(mixed_spec(i));
-    }
-    let admitted = c.admitted().len();
-    assert!(
-        admitted >= 2,
-        "need members to release ({admitted} admitted)"
-    );
-    c.release(0);
-    let summary = c.accepted_summary().expect("members remain after release");
-    assert!(
-        summary.energy.server_render_mj > 0.0
-            && summary.energy.server_idle_mj > 0.0
-            && summary.energy.ap_radio_mj > 0.0,
-        "release must carry infrastructure energy, not zero it: {:?}",
-        summary.energy
-    );
-    assert!(
-        summary.energy.client_mj > 0.0,
-        "client energy re-sums over the survivors"
-    );
-}
-
-#[test]
-fn without_session_resums_client_and_carries_infrastructure_energy() {
-    let mut config = template(20, 13);
-    config.sessions = (0..4).map(mixed_spec).collect();
-    let full = Fleet::run(config);
-    let dropped = full.without_session(1);
-    assert_eq!(dropped.len(), 3);
-    // Infrastructure (server + AP) energy is a property of the schedule
-    // the fleet actually ran — carried bit-for-bit.
-    assert_eq!(
-        dropped.energy.server_render_mj,
-        full.energy.server_render_mj
-    );
-    assert_eq!(
-        dropped.energy.server_encode_mj,
-        full.energy.server_encode_mj
-    );
-    assert_eq!(dropped.energy.server_idle_mj, full.energy.server_idle_mj);
-    assert_eq!(dropped.energy.ap_radio_mj, full.energy.ap_radio_mj);
-    assert!(full.energy.server_render_mj > 0.0, "and it is not zero");
-    // Client energy re-sums over the survivors: strictly less than the
-    // full roster's, and still positive.
-    assert!(
-        dropped.energy.client_mj > 0.0 && dropped.energy.client_mj < full.energy.client_mj,
-        "client energy must shrink to the survivors: {} vs {}",
-        dropped.energy.client_mj,
-        full.energy.client_mj
-    );
 }
 
 #[test]

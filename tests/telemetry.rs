@@ -1,8 +1,7 @@
-//! Telemetry integration tests: the sink-derived `FleetSummary` is
-//! bit-identical to the post-hoc aggregation on every fig_fleet golden
-//! config, event streams are one-per-frame, fleet energy is non-negative /
-//! additive / retirement-proof, and a churn run's streamed windowed-p95
-//! timeline equals a bucketing of its recorded events.
+//! Telemetry integration tests: event streams are one-per-frame, fleet
+//! energy is non-negative / additive / retirement-proof, and a churn run's
+//! streamed windowed-p95 timeline equals a bucketing of its recorded
+//! events.
 
 use qvr::core::metrics::SortedSamples;
 use qvr::prelude::*;
@@ -29,63 +28,6 @@ fn golden_config(preset: NetworkPreset, n: usize) -> FleetConfig {
         120,
         42,
     )
-}
-
-#[test]
-fn sink_derived_summary_is_bit_identical_to_post_hoc_on_the_golden_configs() {
-    // The tentpole parity contract: `Fleet::finish` now derives its
-    // aggregates from the streaming `AggregateSink`, and on every fig_fleet
-    // golden config the result must match the post-hoc re-walk
-    // (`FleetSummary::from_sessions` over the same per-session summaries)
-    // bit for bit. Debug builds skip the 32-session rows (runtime), as the
-    // golden suite itself does.
-    for preset in NetworkPreset::all() {
-        for n in [1usize, 8, 32] {
-            if cfg!(debug_assertions) && n > 8 {
-                continue;
-            }
-            let streamed = Fleet::run(golden_config(preset, n));
-            let post_hoc = FleetSummary::from_sessions(
-                streamed.sessions.clone(),
-                streamed.makespan_ms,
-                streamed.server_utilization,
-                streamed.server_units,
-                streamed.shared_network,
-                streamed.energy,
-            );
-            let ctx = format!("{} x{n}", preset.label());
-            assert_eq!(
-                streamed.energy, post_hoc.energy,
-                "{ctx}: re-aggregation must carry the full energy breakdown \
-                 (the zero-energy regression)"
-            );
-            assert_eq!(
-                streamed.mtp_p50_ms.to_bits(),
-                post_hoc.mtp_p50_ms.to_bits(),
-                "{ctx}: p50"
-            );
-            assert_eq!(
-                streamed.mtp_p95_ms.to_bits(),
-                post_hoc.mtp_p95_ms.to_bits(),
-                "{ctx}: p95"
-            );
-            assert_eq!(
-                streamed.mtp_p99_ms.to_bits(),
-                post_hoc.mtp_p99_ms.to_bits(),
-                "{ctx}: p99"
-            );
-            assert_eq!(
-                streamed.fps_floor.to_bits(),
-                post_hoc.fps_floor.to_bits(),
-                "{ctx}: fps floor"
-            );
-            assert_eq!(
-                streamed.mean_fps.to_bits(),
-                post_hoc.mean_fps.to_bits(),
-                "{ctx}: mean fps"
-            );
-        }
-    }
 }
 
 #[test]
