@@ -36,8 +36,7 @@
 //! demote its decisions (Admit → Degrade/Reject, Degrade → Reject), never
 //! promote them.
 
-use crate::clock::SteppingPolicy;
-use crate::fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec};
+use crate::fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec, SteppingPolicy};
 use crate::sched::ServerPolicy;
 use crate::schemes::SystemConfig;
 use crate::telemetry::TelemetryConfig;

@@ -13,7 +13,7 @@
 
 use crate::fleet::SessionSpec;
 use crate::sched::ServerPolicy;
-use crate::schemes::{ServerPool, SystemConfig};
+use crate::schemes::{Rig, ServerPool, SystemConfig};
 use crate::session::Session;
 use crate::telemetry::{SinkSet, TelemetryConfig};
 use qvr_net::{FairnessPolicy, NetworkChannel, SharedChannel};
@@ -134,17 +134,15 @@ impl Cell {
             slot,
             &self.sinks.load,
         );
-        Session::in_fleet(
-            spec.scheme,
+        let rig = Rig::in_fleet(
             &system,
-            spec.profile.clone(),
-            seed,
             self.engine.clone(),
             channel,
             self.server,
             slot,
             directive,
-        )
+        );
+        Session::new(spec.scheme, &system, spec.profile.clone(), seed, rig)
     }
 
     /// Closes a departing tenant: releases its link claim (the survivors'

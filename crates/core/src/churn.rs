@@ -7,10 +7,9 @@
 //! [`crate::fleet::Fleet`]: one engine, one server pool, one wireless
 //! link — but membership follows a deterministic [`ChurnTrace`] of
 //! join/leave events pinned to *virtual* time, which is why churn steps
-//! the globally-earliest session next through a [`FleetClock`] (a join at
-//! 800 ms only means something when the fleet has a coherent global
-//! frontier at 800 ms). With an empty trace it is a closed roster stepped
-//! in virtual time.
+//! the globally-earliest session next (a join at 800 ms only means
+//! something when the fleet has a coherent global frontier at 800 ms).
+//! With an empty trace it is a closed roster stepped in virtual time.
 //!
 //! The pieces:
 //!
@@ -36,7 +35,6 @@
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
 use crate::cell::Cell;
-use crate::clock::FleetClock;
 use crate::fleet::SessionSpec;
 use crate::metrics::RunSummary;
 use crate::sched::ServerPolicy;
@@ -48,7 +46,8 @@ use qvr_net::FairnessPolicy;
 use qvr_sim::SharedEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 /// What happens to fleet membership at one instant of virtual time.
@@ -268,13 +267,6 @@ impl ChurnConfig {
         self
     }
 
-    /// Returns a copy with a server scheduling policy.
-    #[must_use]
-    pub fn with_server_policy(mut self, policy: ServerPolicy) -> Self {
-        self.server_policy = policy;
-        self
-    }
-
     /// Returns a copy with an admission gate.
     #[must_use]
     pub fn with_admission(mut self, policy: AdmissionPolicy) -> Self {
@@ -293,17 +285,6 @@ impl ChurnConfig {
     #[must_use]
     pub fn with_retire_window_ms(mut self, window_ms: f64) -> Self {
         self.retire_window_ms = Some(window_ms);
-        self
-    }
-
-    /// Returns a copy with every tenant's per-tenant rate controller
-    /// configured (see [`SystemConfig::with_rate_control`]). A joiner
-    /// recycling a departed tenant's slot always builds a fresh controller
-    /// at the configured initial quality — rate state never leaks across
-    /// occupancies.
-    #[must_use]
-    pub fn with_rate_control(mut self, rate_control: qvr_codec::RateControlConfig) -> Self {
-        self.system = self.system.with_rate_control(rate_control);
         self
     }
 }
@@ -431,11 +412,38 @@ impl fmt::Display for ChurnSummary {
     }
 }
 
+/// A runnable session's virtual time, ordered by [`f64::total_cmp`] so it
+/// can key the runnable heap. Every time pushed is finite: a join time is
+/// checked by [`ChurnTrace::script`], and a display end is built from
+/// engine durations the engine checks finite.
+#[derive(Debug, Clone, Copy)]
+struct At(f64);
+
+impl PartialEq for At {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for At {}
+
+impl PartialOrd for At {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for At {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// One live tenant.
 #[derive(Debug)]
 struct Tenant {
     session: Session,
-    /// The engine/clock slot this tenant occupies (recycled from departed
+    /// The engine slot this tenant occupies (recycled from departed
     /// tenants so per-session resources are O(peak concurrency)).
     slot: usize,
     joined_ms: f64,
@@ -450,17 +458,22 @@ pub struct ChurnFleet {
     cell: Cell,
     horizon_ms: f64,
     retire_window_ms: Option<f64>,
-    clock: FleetClock,
+    /// Runnable sessions keyed on their virtual clock (the join time, then
+    /// each frame's display end), so the root is the globally-earliest
+    /// session, ties to the lowest slot. A slot holds at most one entry: a
+    /// step pops its slot before pushing it back, a join takes a slot with
+    /// no entry, and a leave withdraws its slot's entry.
+    runnable: BinaryHeap<Reverse<(At, usize)>>,
     /// Indexed by arrival ordinal; `None` once departed (or never
     /// admitted). Boxed so a long-running open system pays one pointer —
     /// not a whole tenant's footprint — per historical arrival.
     live: Vec<Option<Box<Tenant>>>,
     /// Slot → current occupant's ordinal. Slots name per-session engine
-    /// resources (`CPU#slot`, …) and key the clock; departed tenants'
-    /// slots are recycled so the engine's resource table — like the link's
-    /// member table — stays O(peak concurrency). Per-tenant accounting
-    /// survives reuse because each rig baselines its resources' busy time
-    /// at build ([`crate::schemes::Rig`]).
+    /// resources (`CPU#slot`, …) and key the runnable heap; departed
+    /// tenants' slots are recycled so the engine's resource table — like
+    /// the link's member table — stays O(peak concurrency). Per-tenant
+    /// accounting survives reuse because each rig baselines its resources'
+    /// busy time at build ([`crate::schemes::Rig`]).
     slots: Vec<Option<usize>>,
     /// Recyclable slots of departed tenants (LIFO, deterministic).
     free_slots: Vec<usize>,
@@ -531,12 +544,12 @@ impl ChurnFleet {
             .into_iter()
             .map(|spec| ChurnEvent::join(0.0, spec))
             .collect();
-        pending.extend(config.trace.events.iter().cloned());
+        pending.extend(config.trace.events);
         ChurnFleet {
             cell,
             horizon_ms: config.horizon_ms,
             retire_window_ms: config.retire_window_ms,
-            clock: FleetClock::new(),
+            runnable: BinaryHeap::new(),
             live: Vec::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
@@ -563,8 +576,8 @@ impl ChurnFleet {
 
     /// The globally-earliest unfinished session's virtual time, if any.
     #[must_use]
-    pub fn frontier_ms(&mut self) -> Option<f64> {
-        self.clock.peek().map(|(_, t)| t)
+    pub fn frontier_ms(&self) -> Option<f64> {
+        self.runnable.peek().map(|Reverse((At(t), _))| *t)
     }
 
     /// A handle to the engine (for retention inspection).
@@ -577,7 +590,10 @@ impl ChurnFleet {
     /// membership event or one frame of the earliest session — and returns
     /// whether anything remains to do.
     pub fn tick(&mut self) -> bool {
-        let frontier = self.clock.peek();
+        let frontier = self
+            .runnable
+            .peek()
+            .map(|Reverse((At(t), slot))| (*slot, *t));
         let due = match (self.pending.front(), frontier) {
             // Events fire once the global frontier passes them (or
             // immediately while nobody is live to advance the frontier).
@@ -604,7 +620,7 @@ impl ChurnFleet {
             // Every live session has simulated up to the horizon.
             return false;
         }
-        self.clock.pop();
+        self.runnable.pop();
         let ordinal = self.slots[slot].expect("scheduled slots are occupied");
         let tenant = self.live[ordinal]
             .as_mut()
@@ -613,10 +629,10 @@ impl ChurnFleet {
         self.cell.sinks.emit(&event);
         let t = event.end_ms;
         if t < self.horizon_ms {
-            self.clock.schedule(slot, t);
+            self.runnable.push(Reverse((At(t), slot)));
         }
         if let Some(window) = self.retire_window_ms {
-            if let Some((_, f)) = self.clock.peek() {
+            if let Some(f) = self.frontier_ms() {
                 // Retire in batches of a quarter-window: per-resource live
                 // state only grows between retirements, so sampling the
                 // peak just before each retire (plus once at finish) sees
@@ -635,9 +651,9 @@ impl ChurnFleet {
             // sample can reach: a future frame ends after its session's
             // clock (≥ the heap frontier), and a future *joiner*'s first
             // frame ends after its join event's time — so the safe frontier
-            // is the earlier of the clock head and the next pending
+            // is the earlier of the heap's root and the next pending
             // membership event.
-            let frontier = self.clock.peek().map(|(_, f)| f);
+            let frontier = self.frontier_ms();
             let pending_at = self.pending.front().map(|e| e.at_ms);
             let safe = match (frontier, pending_at) {
                 (Some(f), Some(p)) => Some(f.min(p)),
@@ -700,7 +716,7 @@ impl ChurnFleet {
         // Warm start: begin at the crowd's operating point instead of the
         // cold default (only meaningful for adaptive-controller schemes).
         let warm_e1 = self.warm_e1();
-        // Recycle a departed tenant's engine/clock slot when one is free
+        // Recycle a departed tenant's engine slot when one is free
         // (the rig baselines the reused resources' busy time, and the join
         // gate pins their frontiers to the join instant).
         let slot = match self.free_slots.pop() {
@@ -723,7 +739,7 @@ impl ChurnFleet {
             upgraded: false,
         })));
         self.live_now += 1;
-        self.clock.schedule(slot, at_ms);
+        self.runnable.push(Reverse((At(at_ms), slot)));
         self.occupancy.push((at_ms, self.live_count()));
     }
 
@@ -737,7 +753,7 @@ impl ChurnFleet {
             return;
         };
         self.live_now -= 1;
-        self.clock.remove(tenant.slot);
+        self.runnable.retain(|Reverse((_, s))| *s != tenant.slot);
         self.slots[tenant.slot] = None;
         self.free_slots.push(tenant.slot);
         self.cell.close(&tenant.session);

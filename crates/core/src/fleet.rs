@@ -26,7 +26,6 @@
 //! the end.
 
 use crate::cell::Cell;
-use crate::clock::SteppingPolicy;
 use crate::metrics::RunSummary;
 use crate::sched::ServerPolicy;
 use crate::schemes::{SchemeKind, SystemConfig};
@@ -71,6 +70,17 @@ impl SessionSpec {
         self.share = share;
         self
     }
+}
+
+/// How a [`Fleet`] advances its sessions through simulated time.
+/// Round-robin is its only mode; virtual-time stepping is
+/// [`crate::churn::ChurnFleet`]'s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SteppingPolicy {
+    /// One frame per session per round, in session-index order — the
+    /// original engine, bit-pinned by the `fig_fleet` goldens.
+    #[default]
+    RoundRobin,
 }
 
 /// Full description of one fleet run.
@@ -197,8 +207,8 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if the config has no sessions, zero frames, or zero server
-    /// units.
+    /// Panics if the config has no sessions, zero frames, zero server
+    /// units, or zero link streams on a shared link.
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
         assert!(
@@ -210,6 +220,10 @@ impl Fleet {
             config.server_units > 0,
             "the server pool needs at least one unit"
         );
+        assert!(
+            !config.shared_network || config.link_streams > 0,
+            "the link needs at least one stream"
+        );
         // The aggregate stream always runs: it *is* the summary.
         let mut cell = Cell::new(
             config.system,
@@ -218,7 +232,7 @@ impl Fleet {
             config.server_policy,
             config
                 .shared_network
-                .then_some((config.fairness, config.link_streams.max(1))),
+                .then_some((config.fairness, config.link_streams)),
             &config.telemetry,
             true,
         );
@@ -892,6 +906,15 @@ mod tests {
             retire_window_ms: None,
             telemetry: TelemetryConfig::default(),
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one stream")]
+    fn zero_streams_on_a_shared_link_rejected() {
+        let mut config =
+            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 1, 1, 0);
+        config.link_streams = 0;
+        let _ = Fleet::new(config);
     }
 
     #[test]

@@ -64,7 +64,6 @@
 pub mod admission;
 mod cell;
 pub mod churn;
-pub mod clock;
 pub mod f16;
 pub mod fleet;
 pub mod foveation;
@@ -80,9 +79,8 @@ pub mod uca;
 
 pub use admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnFleet, ChurnSummary, ChurnTrace};
-pub use clock::{FleetClock, SteppingPolicy};
 pub use f16::F16;
-pub use fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec};
+pub use fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec, SteppingPolicy};
 pub use foveation::{FoveationPlan, VrsRate};
 pub use liwc::Liwc;
 pub use metrics::{FrameRecord, Histogram, RunSummary};

@@ -13,7 +13,7 @@
 //!   waits for the previous composition, which costs pipeline overlap.
 
 use super::rig::Rig;
-use super::{Stepper, SystemConfig};
+use super::{SchemeKind, SystemConfig};
 use crate::foveation::{FoveationPlan, PartitionMemo};
 use crate::liwc::{LatencyPredictor, Liwc, SoftwareController};
 use crate::metrics::FrameRecord;
@@ -21,35 +21,6 @@ use qvr_codec::RateController;
 use qvr_hvs::DisplayGeometry;
 use qvr_scene::{AppProfile, AppSession, TriangleFractionCache};
 use qvr_sim::TaskId;
-
-/// How the per-frame eccentricity is selected.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) enum Controller {
-    /// Fixed eccentricity, degrees (FFR uses the classic 5° fovea).
-    Fixed(f64),
-    /// The LIWC hardware controller.
-    Liwc,
-    /// The lagged software controller.
-    Software,
-}
-
-/// Pipeline switches for one run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) struct Options {
-    pub controller: Controller,
-    pub uca: bool,
-}
-
-fn label(options: &Options) -> &'static str {
-    match (options.controller, options.uca) {
-        (Controller::Fixed(_), false) => "FFR",
-        (Controller::Liwc, false) => "DFR",
-        (Controller::Software, false) => "Q-VR-SW",
-        (Controller::Liwc, true) => "Q-VR",
-        (Controller::Fixed(_), true) => "FFR+UCA",
-        (Controller::Software, true) => "Q-VR-SW+UCA",
-    }
-}
 
 /// Fraction of UCA tiles crossed by a layer seam, from the plan geometry.
 fn border_fraction(plan: &FoveationPlan, display: &DisplayGeometry, tile_px: u32) -> f64 {
@@ -65,11 +36,11 @@ fn border_fraction(plan: &FoveationPlan, display: &DisplayGeometry, tile_px: u32
     (seam_tiles / total_tiles).clamp(0.0, 1.0)
 }
 
-/// The state of the stepper's eccentricity controller: a stepper runs
-/// exactly one, so it holds only that one's state.
+/// How the per-frame eccentricity is selected, with the controller's
+/// state: a stepper runs exactly one, so it holds only that one's state.
 #[derive(Debug)]
 enum ControlState {
-    /// Fixed eccentricity, degrees.
+    /// Fixed eccentricity, degrees (FFR uses the classic 5° fovea).
     Fixed(f64),
     /// The LIWC hardware controller.
     Liwc(Liwc),
@@ -81,8 +52,10 @@ enum ControlState {
 #[derive(Debug)]
 pub(crate) struct FoveatedStepper {
     profile: AppProfile,
-    options: Options,
     control: ControlState,
+    /// Composition + ATW run fused on the UCA (Q-VR) rather than as two
+    /// mobile-GPU passes.
+    uca: bool,
     prev_compose: Option<TaskId>,
     /// Per-gaze triangle-fraction ring table (bit-identical reuse).
     fovea_cache: TriangleFractionCache,
@@ -97,15 +70,20 @@ pub(crate) struct FoveatedStepper {
 }
 
 impl FoveatedStepper {
+    /// The stepper of a foveated `scheme` (FFR, DFR, Q-VR-SW or Q-VR).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scheme` is not foveated.
     pub(super) fn new(
         config: &SystemConfig,
         profile: AppProfile,
         seed: u64,
-        options: Options,
+        scheme: SchemeKind,
     ) -> Self {
-        let control = match options.controller {
-            Controller::Fixed(e) => ControlState::Fixed(e),
-            Controller::Liwc => {
+        let control = match scheme {
+            SchemeKind::Ffr => ControlState::Fixed(5.0),
+            SchemeKind::Dfr | SchemeKind::Qvr => {
                 // Initial P(GPU) estimate: the full frame's triangles over
                 // its render time, as a rough prior LIWC refines online.
                 let prior_frame = AppSession::start(profile.clone(), seed).advance();
@@ -124,36 +102,34 @@ impl FoveatedStepper {
                     ),
                 ))
             }
-            Controller::Software => ControlState::Software(SoftwareController::new(
+            SchemeKind::QvrSw => ControlState::Software(SoftwareController::new(
                 config.initial_e1_deg,
                 config.sw_gain_deg_per_ms,
                 config.sw_lag_frames,
             )),
+            SchemeKind::LocalOnly | SchemeKind::RemoteOnly | SchemeKind::StaticCollab => {
+                unreachable!("{scheme} is not a foveated scheme")
+            }
         };
         FoveatedStepper {
             profile,
-            options,
             control,
+            uca: scheme == SchemeKind::Qvr,
             prev_compose: None,
             fovea_cache: TriangleFractionCache::new(),
             partitions: PartitionMemo::default(),
             rc: RateController::new(config.rate_control),
         }
     }
-}
 
-impl Stepper for FoveatedStepper {
-    fn label(&self) -> &'static str {
-        label(&self.options)
+    /// Whether LIWC selects this stepper's eccentricity.
+    pub(super) fn runs_liwc(&self) -> bool {
+        matches!(self.control, ControlState::Liwc(_))
     }
 
-    fn liwc_always_on(&self) -> bool {
-        matches!(self.options.controller, Controller::Liwc)
-    }
-
-    fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
+    /// Submits one frame's tasks and records its [`FrameRecord`].
+    pub(super) fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
         let config = *rig.config();
-        let options = self.options;
         let display = self.profile.display;
         let frame = session.advance();
 
@@ -220,8 +196,8 @@ impl Stepper for FoveatedStepper {
 
         // --- control logic + setup --------------------------------------
         let mut pace = rig.pace_deps();
-        let cl_ms = match options.controller {
-            Controller::Software => {
+        let cl_ms = match self.control {
+            ControlState::Software(_) => {
                 // Fig. 4-Ⓑ: the software decision waits for the previous
                 // frame's rendered output (it runs in the app loop, which
                 // blocks on present) and burns CPU time.
@@ -236,7 +212,7 @@ impl Stepper for FoveatedStepper {
             _ => config.cl_ms,
         };
         let cl = rig.engine.submit("CL", Some(rig.cpu), cl_ms, &pace);
-        if matches!(options.controller, Controller::Liwc) {
+        if self.runs_liwc() {
             // The hardware lookup runs in parallel with setup; its latency
             // (table lookup + Eq. 2 arithmetic) is nanoseconds.
             rig.engine
@@ -262,7 +238,7 @@ impl Stepper for FoveatedStepper {
         let chain = rig.remote_chain("periph", rr_ms, bytes, periph_px * 2.0, &[send]);
 
         // --- composition + ATW -------------------------------------------
-        let (compose_done, compose_path_ms) = if options.uca {
+        let (compose_done, compose_path_ms) = if self.uca {
             let bf = border_fraction(&plan, &display, config.uca_timing.overhead.tile_px);
             let (early_ms, late_ms) = config.uca_timing.split_ms(
                 display.width_px(),
@@ -503,30 +479,5 @@ mod tests {
         let plan = FoveationPlan::resolve(20.0, &display, &mar, Default::default());
         let bf = border_fraction(&plan, &display, 32);
         assert!(bf > 0.02 && bf < 0.6, "border fraction {bf}");
-    }
-
-    #[test]
-    fn labels_cover_design_points() {
-        assert_eq!(
-            label(&Options {
-                controller: Controller::Fixed(5.0),
-                uca: false
-            }),
-            "FFR"
-        );
-        assert_eq!(
-            label(&Options {
-                controller: Controller::Liwc,
-                uca: true
-            }),
-            "Q-VR"
-        );
-        assert_eq!(
-            label(&Options {
-                controller: Controller::Software,
-                uca: false
-            }),
-            "Q-VR-SW"
-        );
     }
 }

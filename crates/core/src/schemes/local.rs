@@ -7,7 +7,6 @@
 //! study.
 
 use super::rig::Rig;
-use super::Stepper;
 use crate::metrics::FrameRecord;
 use qvr_scene::{AppProfile, AppSession};
 
@@ -21,14 +20,9 @@ impl LocalStepper {
     pub(super) fn new(profile: AppProfile) -> Self {
         LocalStepper { profile }
     }
-}
 
-impl Stepper for LocalStepper {
-    fn label(&self) -> &'static str {
-        "Baseline"
-    }
-
-    fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
+    /// Submits one frame's tasks and records its [`FrameRecord`].
+    pub(super) fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
         let config = *rig.config();
         let frame = session.advance();
         let pace = rig.pace_deps();

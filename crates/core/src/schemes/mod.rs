@@ -191,28 +191,14 @@ impl fmt::Display for SystemConfig {
     }
 }
 
-/// One frame of scheme-specific pipeline logic, driven by a [`Session`].
+/// One frame of scheme-specific pipeline logic, driven by a [`Session`]:
+/// the session owns the loop, the stepper owns only what one frame
+/// submits, which is what lets heterogeneous sessions (different apps and
+/// schemes per user) interleave on shared fleet resources.
 ///
-/// Extracting the per-frame body out of the old whole-run loops is what
-/// lets heterogeneous sessions (different apps and schemes per user)
-/// interleave on shared fleet resources: the session engine owns the loop,
-/// the stepper owns only what one frame submits.
-pub(crate) trait Stepper: std::fmt::Debug {
-    /// Submits one frame's tasks and records its [`crate::metrics::FrameRecord`].
-    fn step(&mut self, rig: &mut Rig, session: &mut AppSession);
-
-    /// The paper's label for this design point.
-    fn label(&self) -> &'static str;
-
-    /// Whether the LIWC unit is always powered for energy accounting.
-    fn liwc_always_on(&self) -> bool {
-        false
-    }
-}
-
-/// The closed set of steppers, dispatched statically: a [`Session`] holds
-/// one inline instead of a `Box<dyn Stepper>`, so the per-frame step is a
-/// direct (inlinable) call and opening a session allocates no stepper box.
+/// The steppers form a closed set dispatched by `match`: a [`Session`]
+/// holds one inline, so the per-frame step is a direct (inlinable) call
+/// and opening a session allocates no stepper box.
 #[derive(Debug)]
 pub(crate) enum AnyStepper {
     /// Traditional local rendering.
@@ -225,8 +211,9 @@ pub(crate) enum AnyStepper {
     Foveated(foveated::FoveatedStepper),
 }
 
-impl Stepper for AnyStepper {
-    fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
+impl AnyStepper {
+    /// Submits one frame's tasks and records its [`crate::metrics::FrameRecord`].
+    pub(crate) fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
         match self {
             AnyStepper::Local(s) => s.step(rig, session),
             AnyStepper::Remote(s) => s.step(rig, session),
@@ -235,22 +222,10 @@ impl Stepper for AnyStepper {
         }
     }
 
-    fn label(&self) -> &'static str {
-        match self {
-            AnyStepper::Local(s) => s.label(),
-            AnyStepper::Remote(s) => s.label(),
-            AnyStepper::Static(s) => s.label(),
-            AnyStepper::Foveated(s) => s.label(),
-        }
-    }
-
-    fn liwc_always_on(&self) -> bool {
-        match self {
-            AnyStepper::Local(s) => s.liwc_always_on(),
-            AnyStepper::Remote(s) => s.liwc_always_on(),
-            AnyStepper::Static(s) => s.liwc_always_on(),
-            AnyStepper::Foveated(s) => s.liwc_always_on(),
-        }
+    /// Whether the LIWC unit is always powered for energy accounting: it
+    /// is for the schemes LIWC controls (DFR and Q-VR).
+    pub(crate) fn liwc_always_on(&self) -> bool {
+        matches!(self, AnyStepper::Foveated(s) if s.runs_liwc())
     }
 }
 
@@ -349,42 +324,9 @@ impl SchemeKind {
                 profile,
                 config.prefetch_lookahead as usize,
             )),
-            SchemeKind::Ffr => AnyStepper::Foveated(foveated::FoveatedStepper::new(
-                config,
-                profile,
-                seed,
-                foveated::Options {
-                    controller: foveated::Controller::Fixed(5.0),
-                    uca: false,
-                },
-            )),
-            SchemeKind::Dfr => AnyStepper::Foveated(foveated::FoveatedStepper::new(
-                config,
-                profile,
-                seed,
-                foveated::Options {
-                    controller: foveated::Controller::Liwc,
-                    uca: false,
-                },
-            )),
-            SchemeKind::QvrSw => AnyStepper::Foveated(foveated::FoveatedStepper::new(
-                config,
-                profile,
-                seed,
-                foveated::Options {
-                    controller: foveated::Controller::Software,
-                    uca: false,
-                },
-            )),
-            SchemeKind::Qvr => AnyStepper::Foveated(foveated::FoveatedStepper::new(
-                config,
-                profile,
-                seed,
-                foveated::Options {
-                    controller: foveated::Controller::Liwc,
-                    uca: true,
-                },
-            )),
+            SchemeKind::Ffr | SchemeKind::Dfr | SchemeKind::QvrSw | SchemeKind::Qvr => {
+                AnyStepper::Foveated(foveated::FoveatedStepper::new(config, profile, seed, *self))
+            }
         }
     }
 
@@ -394,7 +336,7 @@ impl SchemeKind {
     /// what [`SchemeKind::run`] returns.
     #[must_use]
     pub fn session(&self, config: &SystemConfig, profile: AppProfile, seed: u64) -> Session {
-        Session::private(*self, config, profile, seed)
+        Session::new(*self, config, profile, seed, Rig::new(config, seed))
     }
 
     /// Runs `frames` frames of an app under this scheme: the classic
@@ -453,6 +395,7 @@ mod tests {
         let config = SystemConfig::default();
         for kind in SchemeKind::all() {
             let s = kind.run(&config, Benchmark::Doom3L.profile(), 20, 7);
+            assert_eq!(s.scheme, kind.label(), "a run is labelled by its scheme");
             assert_eq!(s.len(), 20, "{kind}");
             assert!(s.mean_mtp_ms() > 0.0, "{kind}");
             assert!(s.fps() > 0.0, "{kind}");
@@ -470,8 +413,11 @@ mod tests {
 
     #[test]
     fn labels_match_paper() {
-        assert_eq!(SchemeKind::StaticCollab.label(), "Static");
-        assert_eq!(SchemeKind::Qvr.label(), "Q-VR");
+        let labels = SchemeKind::all().map(|kind| kind.label());
+        assert_eq!(
+            labels,
+            ["Baseline", "Remote", "Static", "FFR", "DFR", "Q-VR-SW", "Q-VR"]
+        );
     }
 
     #[test]

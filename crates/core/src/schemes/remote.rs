@@ -7,7 +7,7 @@
 //! motivation study.
 
 use super::rig::Rig;
-use super::{Stepper, SystemConfig};
+use super::SystemConfig;
 use crate::metrics::FrameRecord;
 use qvr_codec::{EntropyModel, RateController};
 use qvr_scene::{AppProfile, AppSession};
@@ -32,14 +32,9 @@ impl RemoteStepper {
             rc: RateController::new(config.rate_control),
         }
     }
-}
 
-impl Stepper for RemoteStepper {
-    fn label(&self) -> &'static str {
-        "Remote"
-    }
-
-    fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
+    /// Submits one frame's tasks and records its [`FrameRecord`].
+    pub(super) fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
         let config = *rig.config();
         let frame = session.advance();
         let pace = rig.pace_deps();

@@ -89,8 +89,9 @@ pub struct Rig {
     /// Mobile GPU timing model.
     pub mobile: GpuTimingModel,
     config: SystemConfig,
-    /// Fleet mode: remote renders cost per-GPU time on a pool unit, and
-    /// recorded chain latencies include queueing behind other tenants.
+    /// Fleet mode (the rig has a fleet slot): remote renders cost per-GPU
+    /// time on a pool unit, and recorded chain latencies include queueing
+    /// behind other tenants.
     contended: bool,
     /// How this session's remote chains pick a server unit — resolved by
     /// the fleet's [`crate::sched::ServerPolicy`] from the session's
@@ -201,7 +202,7 @@ impl Rig {
         let channel = SharedChannel::new(NetworkChannel::new(config.network, seed));
         let server = ServerPool::on(&engine, 1);
         let directive = UnitDirective::whole_pool(1);
-        Self::build(config, engine, channel, server, None, false, directive)
+        Self::build(config, engine, channel, server, None, directive)
     }
 
     /// Builds a rig that joins a fleet: per-session mobile-side resources
@@ -223,19 +224,17 @@ impl Rig {
             channel,
             server,
             Some(session_idx),
-            true,
             directive,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The rig of fleet slot `session_idx`, or a private rig for `None`.
     fn build(
         config: &SystemConfig,
         engine: SharedEngine,
         channel: SharedChannel,
         server: ServerPool,
         session_idx: Option<usize>,
-        contended: bool,
         directive: UnitDirective,
     ) -> Self {
         let name = |base: &str| match session_idx {
@@ -271,7 +270,7 @@ impl Rig {
             channel,
             mobile: GpuTimingModel::new(config.gpu),
             config: *config,
-            contended,
+            contended: session_idx.is_some(),
             directive,
             slot: session_idx.unwrap_or(0),
             origin_ms: 0.0,

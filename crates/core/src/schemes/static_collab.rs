@@ -13,7 +13,6 @@
 //!   which together with ATW contends with the next frame's rendering.
 
 use super::rig::{RemoteChain, Rig};
-use super::Stepper;
 use crate::metrics::FrameRecord;
 use qvr_scene::{AppProfile, AppSession, FrameState, MotionDelta};
 use qvr_sim::DepList;
@@ -47,14 +46,9 @@ impl StaticStepper {
             cache_pose: None,
         }
     }
-}
 
-impl Stepper for StaticStepper {
-    fn label(&self) -> &'static str {
-        "Static"
-    }
-
-    fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
+    /// Submits one frame's tasks and records its [`FrameRecord`].
+    pub(super) fn step(&mut self, rig: &mut Rig, session: &mut AppSession) {
         let config = *rig.config();
         let i = self.frame_idx;
         self.frame_idx += 1;

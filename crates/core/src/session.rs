@@ -10,12 +10,10 @@
 //! on shared resources by a [`crate::fleet::Fleet`].
 
 use crate::metrics::RunSummary;
-use crate::sched::UnitDirective;
-use crate::schemes::{AnyStepper, Rig, SchemeKind, ServerPool, Stepper, SystemConfig};
+use crate::schemes::{AnyStepper, Rig, SchemeKind, SystemConfig};
 use crate::telemetry::FrameEvent;
 use qvr_net::SharedChannel;
 use qvr_scene::{AppProfile, AppSession};
-use qvr_sim::SharedEngine;
 
 /// One user's running pipeline: a scheme stepper bound to a rig and an app.
 #[derive(Debug)]
@@ -29,41 +27,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a session on a dedicated rig (private engine, channel, and
-    /// server) — the classic single-tenant setup.
+    /// Opens a session of `scheme` running `profile` on `rig`: a dedicated
+    /// rig ([`Rig::new`]) for the classic single-tenant setup, or a fleet
+    /// tenant's rig on the fleet's shared engine, server pool and link.
     #[must_use]
-    pub(crate) fn private(
-        scheme: SchemeKind,
-        config: &SystemConfig,
-        profile: AppProfile,
-        seed: u64,
-    ) -> Self {
-        let rig = Rig::new(config, seed);
-        Self::with_rig(scheme, config, profile, seed, rig)
-    }
-
-    /// Opens a session that joins a fleet: per-session mobile resources on
-    /// the shared engine, the shared server pool, and the given channel
-    /// view (shared or per-session). `directive` is the fleet's server
-    /// policy resolved for this tenant's class.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn in_fleet(
-        scheme: SchemeKind,
-        config: &SystemConfig,
-        profile: AppProfile,
-        seed: u64,
-        engine: SharedEngine,
-        channel: SharedChannel,
-        server: ServerPool,
-        session_idx: usize,
-        directive: UnitDirective,
-    ) -> Self {
-        let rig = Rig::in_fleet(config, engine, channel, server, session_idx, directive);
-        Self::with_rig(scheme, config, profile, seed, rig)
-    }
-
-    fn with_rig(
+    pub(crate) fn new(
         scheme: SchemeKind,
         config: &SystemConfig,
         profile: AppProfile,
@@ -124,8 +92,8 @@ impl Session {
     }
 
     /// End time of this session's most recently displayed frame, ms —
-    /// the session's virtual clock (what [`crate::clock::FleetClock`] keys
-    /// on, and useful for fairness monitoring while a fleet is running).
+    /// the session's virtual clock (what [`crate::churn::ChurnFleet`] steps
+    /// by, and useful for fairness monitoring while a fleet is running).
     #[must_use]
     pub fn last_display_end(&self) -> f64 {
         self.rig.last_display_end()
@@ -185,7 +153,7 @@ impl Session {
     pub fn finish(self) -> RunSummary {
         let liwc_always_on = self.stepper.liwc_always_on();
         self.rig
-            .finish(self.stepper.label(), self.app_name, liwc_always_on)
+            .finish(self.scheme.label(), self.app_name, liwc_always_on)
     }
 }
 

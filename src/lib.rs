@@ -88,8 +88,7 @@ pub mod prelude {
     pub use qvr_core::churn::{
         ChurnConfig, ChurnEvent, ChurnEventKind, ChurnFleet, ChurnSummary, ChurnTrace, TenantRecord,
     };
-    pub use qvr_core::clock::{FleetClock, SteppingPolicy};
-    pub use qvr_core::fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec};
+    pub use qvr_core::fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec, SteppingPolicy};
     pub use qvr_core::metrics::{FrameRecord, Histogram, RunSummary};
     pub use qvr_core::obs::{
         parse_exposition, HealthMonitor, HealthRuleKind, HealthRules, Incident, MetricsSink,

@@ -98,6 +98,49 @@ fn virtual_time_never_steps_a_session_backwards() {
 }
 
 #[test]
+fn churned_frames_step_in_clock_order() {
+    // Earliest-first stepping under churn: leavers withdrawn while
+    // runnable, slots recycled at the join instant, and joins and a leave
+    // at one instant. Frames must come out one event per recorded frame,
+    // in strictly increasing (clock, slot) order.
+    let spec = || SessionSpec::new(SchemeKind::Qvr, Benchmark::Hl2H.profile());
+    let trace = ChurnTrace::script(vec![
+        ChurnEvent::leave(150.0, 0),
+        ChurnEvent::join(150.0, spec()),
+        ChurnEvent::leave(260.0, 1),
+        ChurnEvent::join(260.0, spec()),
+        ChurnEvent::join(400.0, spec()),
+        ChurnEvent::join(400.0, spec()),
+        ChurnEvent::leave(400.0, 2),
+    ]);
+    let (summary, events) = frame_stream(ChurnConfig::new(
+        SystemConfig::default(),
+        vec![spec(), spec(), spec()],
+        trace,
+        700.0,
+        29,
+    ));
+    assert_eq!(summary.len(), 7, "three initial tenants and four joiners");
+    let frames: usize = summary.tenants.iter().map(|t| t.summary.len()).sum();
+    assert_eq!(events.len(), frames, "one frame event per recorded frame");
+    for pair in events.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        let order = a
+            .span_start_ms
+            .total_cmp(&b.span_start_ms)
+            .then(a.session.cmp(&b.session));
+        assert!(
+            order.is_lt(),
+            "slot {} stepped at {:.3} ms after slot {} at {:.3} ms",
+            b.session,
+            b.span_start_ms,
+            a.session,
+            a.span_start_ms
+        );
+    }
+}
+
+#[test]
 fn uniform_fleets_agree_across_stepping_policies() {
     // A homogeneous roster has (nearly) no time skew, so stepping it in
     // virtual time must reproduce round-robin's tail over the same span —
@@ -235,16 +278,13 @@ fn recycled_slot_gets_a_fresh_rate_controller() {
         ChurnEvent::leave(500.0, 0),
         ChurnEvent::join(600.0, spec()),
     ]);
-    let summary = ChurnFleet::run(
-        ChurnConfig::new(
-            SystemConfig::default(),
-            vec![spec(), spec()],
-            trace,
-            1_200.0,
-            11,
-        )
-        .with_rate_control(rc),
-    );
+    let summary = ChurnFleet::run(ChurnConfig::new(
+        SystemConfig::default().with_rate_control(rc),
+        vec![spec(), spec()],
+        trace,
+        1_200.0,
+        11,
+    ));
     let tenant = |ordinal: usize| {
         summary
             .tenants

@@ -296,17 +296,19 @@ fn churn_fleets_accept_a_server_policy() {
             200.0,
             SessionSpec::new(SchemeKind::RemoteOnly, Benchmark::Wolf.profile()),
         )]);
-        ChurnConfig::new(
-            SystemConfig::default(),
-            vec![
-                SessionSpec::new(SchemeKind::Qvr, Benchmark::Hl2H.profile()),
-                SessionSpec::new(SchemeKind::StaticCollab, Benchmark::Doom3H.profile()),
-            ],
-            trace,
-            600.0,
-            11,
-        )
-        .with_server_policy(ServerPolicy::QuotaPartition { reserved: 6 })
+        ChurnConfig {
+            server_policy: ServerPolicy::QuotaPartition { reserved: 6 },
+            ..ChurnConfig::new(
+                SystemConfig::default(),
+                vec![
+                    SessionSpec::new(SchemeKind::Qvr, Benchmark::Hl2H.profile()),
+                    SessionSpec::new(SchemeKind::StaticCollab, Benchmark::Doom3H.profile()),
+                ],
+                trace,
+                600.0,
+                11,
+            )
+        }
     };
     let a = ChurnFleet::run(make());
     let b = ChurnFleet::run(make());
