@@ -149,7 +149,9 @@ fn scaling_report(cells: usize, per_cell: usize, frames: usize, workers: &[usize
             format!("{w}"),
             format!("{}", s.sessions),
             format!("{}", s.frames),
-            format!("{:.0} ms", wall * 1e3),
+            // At least three digits, so the column (and the header that
+            // `run_all.expected` pins) is as wide under 100 ms as under 1 s.
+            format!("{:>3.0} ms", wall * 1e3),
             format!("{:.0}", s.sessions as f64 / wall),
             format!("{:.0}", s.frames as f64 / wall),
         ]);

@@ -10,20 +10,80 @@
 //! code that opens a tenant ([`Cell::open`]) or closes one
 //! ([`Cell::close`]), so both runners wire sessions identically by
 //! construction.
+//!
+//! A cell also owns what its tenants would otherwise each compute for
+//! themselves: its [`CellMemo`] holds the fixed task labels, the Eq. (1)
+//! partitions and the last ring table's disc areas, each a pure function of
+//! the display, the gaze or the engine rather than of the tenant.
 
 use crate::fleet::SessionSpec;
+use crate::foveation::PartitionMemo;
 use crate::sched::ServerPolicy;
-use crate::schemes::{Rig, ServerPool, SystemConfig};
+use crate::schemes::{Label, Rig, ServerPool, SystemConfig};
 use crate::session::Session;
 use crate::telemetry::{SinkSet, TelemetryConfig};
+use qvr_hvs::{DisplayGeometry, GazePoint, MarModel};
 use qvr_net::{FairnessPolicy, NetworkChannel, SharedChannel};
+use qvr_scene::{ComplexityField, RingAreas, TriangleFractionCache};
 use qvr_sim::SharedEngine;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Derives a tenant's seed from the fleet seed and its arrival ordinal
 /// (identity for 0, so the first tenant draws the same streams as a
 /// single-user run on the fleet seed).
 pub(crate) fn session_seed(seed: u64, ordinal: usize) -> u64 {
     seed ^ (ordinal as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// What every tenant of a cell shares because it depends on the cell, not
+/// on the tenant. Every entry is a pure function of its key, so a tenant
+/// reads the same bits from it as it would compute itself. Each rig holds
+/// the memo through one `Rc` handle (a private [`Rig::new`] builds its
+/// own), and no `RefCell` borrow of it outlives a call into another layer.
+#[derive(Debug)]
+pub(crate) struct CellMemo {
+    /// The fixed task labels, interned once into the cell's engine and
+    /// indexed by [`Label`].
+    labels: [Rc<str>; 12],
+    /// Eq. (1) partitions under the cell's MAR model, per display and
+    /// clamped e1.
+    pub(crate) partitions: PartitionMemo,
+    /// The disc areas of the last ring table any tenant recorded, keyed by
+    /// field of view and gaze.
+    areas: RefCell<RingAreas>,
+}
+
+impl CellMemo {
+    /// The memo of a cell running `engine` under the MAR model `mar`.
+    pub(crate) fn new(engine: &SharedEngine, mar: MarModel) -> Self {
+        CellMemo {
+            labels: Label::intern_all(engine),
+            partitions: PartitionMemo::new(mar),
+            areas: RefCell::new(RingAreas::new()),
+        }
+    }
+
+    /// `label`'s handle in the cell engine's pool.
+    pub(crate) fn label(&self, label: Label) -> &Rc<str> {
+        &self.labels[label as usize]
+    }
+
+    /// Records `field`'s ring table at `gaze` in a tenant's `cache`
+    /// ([`ComplexityField::record_rings_through`]), taking its disc areas
+    /// from the cell's slot when the last table recorded there has them.
+    pub(crate) fn record_rings(
+        &self,
+        field: &ComplexityField,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        cache: &mut TriangleFractionCache,
+    ) {
+        // The slot leaves its cell for the call, so no borrow spans it.
+        let mut slot = self.areas.take();
+        field.record_rings_through(display, gaze, cache, &mut slot);
+        self.areas.replace(slot);
+    }
 }
 
 /// The shared substrate of one fleet: what every tenant is attached to.
@@ -46,6 +106,8 @@ pub(crate) struct Cell {
     /// The telemetry fan-out every frame event streams through; its load
     /// tracker is what measured-load placement reads.
     pub(crate) sinks: SinkSet,
+    /// What every tenant's rig shares (see [`CellMemo`]).
+    pub(crate) memo: Rc<CellMemo>,
 }
 
 impl Cell {
@@ -69,6 +131,7 @@ impl Cell {
         server_policy.validate(server_units);
         let engine = SharedEngine::new();
         let server = ServerPool::on(&engine, server_units);
+        let memo = Rc::new(CellMemo::new(&engine, system.mar));
         let sinks = SinkSet::from_config(telemetry, &system, server_units, aggregate);
         let link = link.map(|(fairness, streams)| {
             let ch = SharedChannel::new(NetworkChannel::new(system.network, seed));
@@ -85,6 +148,7 @@ impl Cell {
             link,
             free_links: Vec::new(),
             sinks,
+            memo,
         }
     }
 
@@ -141,6 +205,7 @@ impl Cell {
             self.server,
             slot,
             directive,
+            Rc::clone(&self.memo),
         );
         Session::new(spec.scheme, &system, spec.profile.clone(), seed, rig)
     }

@@ -852,6 +852,7 @@ impl ChurnFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::foveation::PartitionMemo;
     use crate::schemes::SchemeKind;
     use qvr_scene::Benchmark;
 
@@ -1071,6 +1072,52 @@ mod tests {
             streamer_frames(false),
             streamer_frames(true),
             "a LocalOnly joiner must not touch the shared link"
+        );
+    }
+
+    #[test]
+    fn warm_started_joiners_keep_the_partition_memo_bounded() {
+        // A warm-started Q-VR joiner starts LIWC at the live tenants' mean
+        // e1, off the integer grid, and LIWC then moves it in whole
+        // degrees, so each joiner adds Eq. (1) keys no other tenant
+        // shares. Enough of them overflow the cell's memo, which must
+        // stay within its cap at every step of the run.
+        let apps = [
+            Benchmark::Grid,
+            Benchmark::Doom3L,
+            Benchmark::Hl2H,
+            Benchmark::Hl2L,
+        ];
+        let spec_of = |i: usize| SessionSpec::new(SchemeKind::Qvr, apps[i % apps.len()].profile());
+        let joiners = 64;
+        let events = (0..joiners)
+            .flat_map(|i| {
+                let at = 60.0 + 40.0 * i as f64;
+                // The initial pair holds ordinals 0 and 1.
+                [
+                    ChurnEvent::join(at, spec_of(i)),
+                    ChurnEvent::leave(at + 130.0, i + 2),
+                ]
+            })
+            .collect();
+        let mut fleet = ChurnFleet::new(ChurnConfig::new(
+            SystemConfig::default(),
+            vec![spec_of(0), spec_of(1)],
+            ChurnTrace::script(events),
+            60.0 + 40.0 * joiners as f64 + 200.0,
+            11,
+        ));
+        let (mut peak, mut clears, mut last) = (0, 0, 0);
+        while fleet.tick() {
+            let held = fleet.cell.memo.partitions.len();
+            assert!(held <= PartitionMemo::CAP, "{held} partitions held");
+            peak = peak.max(held);
+            clears += usize::from(held < last);
+            last = held;
+        }
+        assert!(
+            clears > 0,
+            "the memo never overflowed (peak {peak}, last {last})"
         );
     }
 

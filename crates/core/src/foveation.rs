@@ -10,6 +10,7 @@
 use qvr_codec::{EntropyModel, SizeModel};
 use qvr_hvs::{DisplayGeometry, GazePoint, LayerKind, LayerPartition, MarModel};
 use qvr_scene::TriangleFractionCache;
+use std::cell::RefCell;
 use std::fmt;
 
 /// Hardware variable-rate-shading rates available on the server renderer
@@ -265,54 +266,101 @@ fn clamp_e1(e1_deg: f64) -> f64 {
     e1_deg.clamp(LayerPartition::MIN_E1, LayerPartition::MAX_E1)
 }
 
-/// Eq. (1) partitions for one display and MAR model, kept per clamped e1.
+/// A memo key: the display's pixel counts and raw field-of-view bits, and
+/// the raw bits of the clamped e1.
+type PartitionKey = (u32, u32, u64, u64, u64);
+
+fn partition_key(display: &DisplayGeometry, e1: f64) -> PartitionKey {
+    (
+        display.width_px(),
+        display.height_px(),
+        display.fov_h().0.to_bits(),
+        display.fov_v().0.to_bits(),
+        e1.to_bits(),
+    )
+}
+
+/// Eq. (1) partitions for one MAR model, kept per display and clamped e1.
 ///
 /// [`LayerPartition::with_optimal_middle`] searches ~290 middle
 /// eccentricities and integrates the fovea disc, at the panel centre
 /// whatever the gaze, so its result depends only on e1, the display and
-/// the MAR. A foveated stepper's display (its profile's) and MAR (its
-/// config's) are fixed when it is built, so it keeps one memo and
-/// resolves each e1 once. Every call to one memo must pass the same
-/// display and MAR model; [`PartitionMemo::plan`] then equals
-/// [`FoveationPlan::resolve`] bit for bit.
+/// the MAR. A cell runs one [`crate::schemes::SystemConfig`], so it has one
+/// MAR, and its memo (in [`crate::cell::CellMemo`]) serves every tenant,
+/// whatever its display, resolving each (display, e1) once. Every call
+/// must pass the memo's MAR model (debug builds check it);
+/// [`PartitionMemo::plan`] then equals [`FoveationPlan::resolve`] bit for
+/// bit.
 ///
-/// The memo is keyed by the bits of the clamped e1 and holds one entry per
-/// distinct key, in key order. It allocates nothing until its first entry
-/// and nothing once every e1 its session visits is in it.
+/// The memo is keyed by the display and the bits of the clamped e1 and
+/// holds one entry per distinct key, in key order, at most
+/// [`PartitionMemo::CAP`] of them. A warm-started churn joiner walks from
+/// an off-grid e1 in whole degrees, so each can add keys no other tenant
+/// shares; when an insert would pass the cap the memo is cleared. Entries
+/// are pure functions of their keys, so a cleared memo changes no bit.
 ///
 /// The plan's fovea area comes from a ring table of the gaze
 /// ([`TriangleFractionCache::fovea_area_fraction`]): a table that holds
 /// the gaze and the clamped e1 serves the area it recorded, and any other
 /// reads the disc itself, so the plan is the same either way.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct PartitionMemo {
-    entries: Vec<(u64, LayerPartition)>,
+    mar: MarModel,
+    entries: RefCell<Vec<(PartitionKey, LayerPartition)>>,
 }
 
 impl PartitionMemo {
+    /// The most entries the memo holds: a 32-tenant fleet of the
+    /// benchmark's `foveated_fleet` workload visits 42–54 keys (seed 7's
+    /// sixteen fleets).
+    pub(crate) const CAP: usize = 256;
+
+    /// An empty memo for `mar`. It allocates nothing until its first entry.
+    pub(crate) fn new(mar: MarModel) -> Self {
+        PartitionMemo {
+            mar,
+            entries: RefCell::new(Vec::new()),
+        }
+    }
+
     /// `FoveationPlan::resolve(e1_deg, display, mar, gaze)`, with the
     /// fovea area read from `rings` where it holds it.
     pub(crate) fn plan(
-        &mut self,
+        &self,
         e1_deg: f64,
         display: &DisplayGeometry,
         mar: &MarModel,
         gaze: GazePoint,
         rings: &TriangleFractionCache,
     ) -> FoveationPlan {
+        debug_assert_eq!(*mar, self.mar, "a partition memo serves one MAR model");
         let e1 = clamp_e1(e1_deg);
-        let key = e1.to_bits();
-        let part = match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.entries[i].1,
-            Err(i) => {
-                let part = LayerPartition::with_optimal_middle(e1, display, mar)
-                    .expect("clamped e1 is valid");
-                self.entries.insert(i, (key, part));
-                part
-            }
+        let key = partition_key(display, e1);
+        let held = {
+            let entries = self.entries.borrow();
+            entries
+                .binary_search_by_key(&key, |&(k, _)| k)
+                .map(|i| entries[i].1)
         };
+        let part = held.unwrap_or_else(|_| {
+            let part =
+                LayerPartition::with_optimal_middle(e1, display, mar).expect("clamped e1 is valid");
+            let mut entries = self.entries.borrow_mut();
+            if entries.len() == Self::CAP {
+                entries.clear();
+            }
+            let at = entries.partition_point(|&(k, _)| k < key);
+            entries.insert(at, (key, part));
+            part
+        });
         let fovea_area = rings.fovea_area_fraction(display, e1, gaze);
         FoveationPlan::from_partition(part, display, mar, gaze, fovea_area)
+    }
+
+    /// How many partitions the memo holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.borrow().len()
     }
 }
 
@@ -448,8 +496,6 @@ mod tests {
         let mut e1s: Vec<f64> = (5..=90).chain((5..=90).rev()).map(f64::from).collect();
         let off_grid = [5.000000000000001, 7.25, 33.3, 89.99];
         e1s.extend(off_grid.iter().chain(&[4.0, 120.0]).chain(&off_grid));
-        let keys: std::collections::BTreeSet<u64> =
-            e1s.iter().map(|&e1| clamp_e1(e1).to_bits()).collect();
         let gazes = [
             GazePoint::center(),
             GazePoint::clamped(0.4, -0.3),
@@ -458,26 +504,40 @@ mod tests {
             GazePoint::clamped(0.0, -1.0),
         ];
         let field = qvr_scene::ComplexityField::default();
-        for display in [
+        // Both shipped displays, interleaved through one memo as a cell's
+        // tenants are: they share a field of view, so only the partition
+        // key's pixel counts tell their entries apart.
+        let displays = [
             DisplayGeometry::vive_pro_class(),
             DisplayGeometry::low_res_class(),
-        ] {
-            let mut memo = PartitionMemo::default();
-            assert_eq!(memo.entries.capacity(), 0, "allocates nothing when built");
-            // Each gaze's ring table, whose recorded areas the plan reads,
-            // and an empty table, with which the plan integrates the disc.
-            let tables = gazes.map(|gaze| {
+        ];
+        let memo = PartitionMemo::new(mar);
+        assert_eq!(
+            memo.entries.borrow().capacity(),
+            0,
+            "allocates nothing when built"
+        );
+        // Each gaze's ring table on each display, whose recorded areas the
+        // plan reads, and an empty table, with which the plan integrates
+        // the disc.
+        let tables = displays.map(|display| {
+            gazes.map(|gaze| {
                 let mut rings = TriangleFractionCache::new();
                 field.record_rings(&display, gaze, &mut rings);
                 rings
-            });
-            let empty = TriangleFractionCache::new();
-            for (k, &e1) in e1s.iter().enumerate() {
+            })
+        });
+        let empty = TriangleFractionCache::new();
+        let mut keys = std::collections::BTreeSet::new();
+        for (k, &e1) in e1s.iter().enumerate() {
+            for i in [k % 2, (k + 1) % 2] {
+                let display = displays[i];
                 let gaze = gazes[k % gazes.len()];
+                keys.insert(partition_key(&display, clamp_e1(e1)));
                 let resolved = FoveationPlan::resolve(e1, &display, &mar, gaze);
                 // The gaze's own table, another gaze's and the empty one.
-                let own = &tables[k % gazes.len()];
-                let other = &tables[(k + 1) % gazes.len()];
+                let own = &tables[i][k % gazes.len()];
+                let other = &tables[i][(k + 1) % gazes.len()];
                 for rings in [own, other, &empty] {
                     let memoized = memo.plan(e1, &display, &mar, gaze, rings);
                     assert_eq!(
@@ -487,10 +547,28 @@ mod tests {
                     );
                 }
             }
-            // One entry per distinct clamped e1, in key order.
-            let held: Vec<u64> = memo.entries.iter().map(|&(key, _)| key).collect();
-            assert_eq!(held, keys.iter().copied().collect::<Vec<_>>());
         }
+        // One entry per distinct (display, clamped e1), in key order.
+        let held: Vec<PartitionKey> = memo.entries.borrow().iter().map(|&(key, _)| key).collect();
+        assert_eq!(held, keys.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_full_memo_clears_and_still_equals_resolve() {
+        // More distinct e1s than the cap, twice over: each insert past the
+        // cap starts the memo afresh, and every plan still equals
+        // `resolve`.
+        let (d, mar) = setup();
+        let memo = PartitionMemo::new(mar);
+        let rings = TriangleFractionCache::new();
+        let e1s = (0..PartitionMemo::CAP + 40).map(|i| 5.0 + i as f64 * 0.25);
+        for e1 in e1s.clone().chain(e1s) {
+            let memoized = memo.plan(e1, &d, &mar, GazePoint::center(), &rings);
+            let resolved = FoveationPlan::resolve(e1, &d, &mar, GazePoint::center());
+            assert_eq!(plan_bits(&memoized), plan_bits(&resolved), "e1={e1}");
+            assert!(memo.len() <= PartitionMemo::CAP);
+        }
+        assert!(memo.len() < PartitionMemo::CAP, "the memo never cleared");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   previous frame's *rendered output* (Fig. 4-Ⓑ), so its control logic
 //!   waits for the previous composition, which costs pipeline overlap.
 
-use super::rig::Rig;
+use super::rig::{Label, Rig};
 use super::{SchemeKind, SystemConfig};
-use crate::foveation::{FoveationPlan, PartitionMemo};
+use crate::foveation::FoveationPlan;
 use crate::liwc::{LatencyPredictor, Liwc, SoftwareController};
 use crate::metrics::FrameRecord;
 use qvr_codec::RateController;
@@ -57,11 +57,9 @@ pub(crate) struct FoveatedStepper {
     /// mobile-GPU passes.
     uca: bool,
     prev_compose: Option<TaskId>,
-    /// Per-gaze triangle-fraction ring table (bit-identical reuse).
+    /// Per-gaze triangle-fraction ring table (bit-identical reuse), whose
+    /// disc areas come through the cell's slot.
     fovea_cache: TriangleFractionCache,
-    /// Eq. (1) partitions per e1 on this session's display and MAR model
-    /// (bit-identical reuse).
-    partitions: PartitionMemo,
     /// Per-tenant closed-loop rate controller. Lives inside the stepper, so
     /// churn recycling a slot builds a fresh controller and a sharded cell
     /// carries exactly its own sessions' state — consulted only when
@@ -117,7 +115,6 @@ impl FoveatedStepper {
             uca: scheme == SchemeKind::Qvr,
             prev_compose: None,
             fovea_cache: TriangleFractionCache::new(),
-            partitions: PartitionMemo::default(),
             rc: RateController::new(config.rate_control),
         }
     }
@@ -139,20 +136,22 @@ impl FoveatedStepper {
         let motion = super::motion_index(&frame.delta);
         let gaze = frame.sample.gaze;
 
-        // The ring table of this frame's gaze, recorded once: LIWC's
-        // probes, the plan, the fovea workload and the feedback read their
-        // triangle shares and disc areas from it.
+        // The ring table of this frame's gaze, recorded once (its disc
+        // areas through the cell's slot): LIWC's probes, the plan, the
+        // fovea workload and the feedback read their triangle shares and
+        // disc areas from it. The plans' Eq. (1) partitions come from the
+        // cell's memo.
         let profile = &self.profile;
         let field = profile.complexity;
-        field.record_rings(&display, gaze, &mut self.fovea_cache);
+        let memo = rig.memo();
+        memo.record_rings(&field, &display, gaze, &mut self.fovea_cache);
         let rings = &self.fovea_cache;
-        let partitions = &mut self.partitions;
         // The plan at `e` and the bytes its periphery streams ship (both
         // eyes). LIWC's byte predictor must model the same path the frame
         // will actually ship on, or the equilibrium it finds is for the
         // wrong system, so LIWC's probe and the frame share this one body.
-        let mut plan_and_bytes = |e: f64| {
-            let plan = partitions.plan(e, &display, &config.mar, gaze, rings);
+        let plan_and_bytes = |e: f64| {
+            let plan = memo.partitions.plan(e, &display, &config.mar, gaze, rings);
             let bytes = match rc_quality {
                 Some(q) => plan.periphery_entropy_bytes(frame.content_detail, motion, q),
                 None => plan.periphery_bytes(
@@ -211,20 +210,19 @@ impl FoveatedStepper {
             }
             _ => config.cl_ms,
         };
-        let cl = rig.engine.submit("CL", Some(rig.cpu), cl_ms, &pace);
+        let cl = rig.submit(Label::Cl, Some(rig.cpu), cl_ms, &pace);
         if self.runs_liwc() {
             // The hardware lookup runs in parallel with setup; its latency
             // (table lookup + Eq. 2 arithmetic) is nanoseconds.
-            rig.engine
-                .submit("LIWC:select", Some(rig.liwc), 0.002, &[cl]);
+            rig.submit(Label::LiwcSelect, Some(rig.liwc), 0.002, &[cl]);
         }
-        let ls = rig.engine.submit("LS", Some(rig.cpu), config.ls_ms, &[cl]);
-        let (send, send_ms) = rig.upload("pose+cfg", 1_536.0, &[ls]);
+        let ls = rig.submit(Label::Ls, Some(rig.cpu), config.ls_ms, &[cl]);
+        let (send, send_ms) = rig.upload(Label::PoseCfg, 1_536.0, &[ls]);
 
         // --- local fovea rendering ---------------------------------------
         let fovea_wl = profile.fovea_workload_recorded(&frame, e1, rings);
         let lr_ms = rig.mobile.stereo_frame_time(&fovea_wl).total_ms();
-        let lr = rig.engine.submit("LR", Some(rig.gpu), lr_ms, &[ls]);
+        let lr = rig.submit(Label::Lr, Some(rig.gpu), lr_ms, &[ls]);
 
         // --- remote periphery --------------------------------------------
         let mid_px = plan.middle_region_px * plan.middle_rate.linear_scale().powi(2);
@@ -249,25 +247,19 @@ impl FoveatedStepper {
             // Non-overlapping periphery tiles stream as soon as the decoder
             // has them; seam + fovea tiles additionally wait for LR. Only
             // the late part sits on the frame's critical path.
-            let early = rig
-                .engine
-                .submit("UCA:outer", Some(rig.uca), early_ms, &[chain.done]);
-            let late = rig
-                .engine
-                .submit("UCA:border", Some(rig.uca), late_ms, &[lr, early]);
+            let early = rig.submit(Label::UcaOuter, Some(rig.uca), early_ms, &[chain.done]);
+            let late = rig.submit(Label::UcaBorder, Some(rig.uca), late_ms, &[lr, early]);
             (late, late_ms)
         } else {
             let c_ms = rig.stereo_pass_ms(profile, config.composition_cycles_per_px);
-            let c = rig
-                .engine
-                .submit("C", Some(rig.gpu), c_ms, &[lr, chain.done]);
+            let c = rig.submit(Label::C, Some(rig.gpu), c_ms, &[lr, chain.done]);
             let atw_ms = rig.stereo_pass_ms(profile, config.atw_cycles_per_px);
-            let atw = rig.engine.submit("ATW", Some(rig.gpu), atw_ms, &[c]);
+            let atw = rig.submit(Label::Atw, Some(rig.gpu), atw_ms, &[c]);
             (atw, c_ms + atw_ms)
         };
         self.prev_compose = Some(compose_done);
 
-        rig.display("display", &[compose_done]);
+        rig.display(&[compose_done]);
 
         // --- feedback ------------------------------------------------------
         let t_local = lr_ms;
@@ -285,8 +277,7 @@ impl FoveatedStepper {
                     config.network.base_latency_ms(),
                 );
                 // Runtime updater executes in parallel with display.
-                rig.engine
-                    .submit("LIWC:update", Some(rig.liwc), 0.003, &[compose_done]);
+                rig.submit(Label::LiwcUpdate, Some(rig.liwc), 0.003, &[compose_done]);
             }
             ControlState::Software(sw) => sw.observe(t_local, t_remote),
             ControlState::Fixed(_) => {}

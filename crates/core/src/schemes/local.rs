@@ -6,7 +6,7 @@
 //! This is the Fig. 12 normalisation baseline and the Fig. 3(a) motivation
 //! study.
 
-use super::rig::Rig;
+use super::rig::{Label, Rig};
 use crate::metrics::FrameRecord;
 use qvr_scene::{AppProfile, AppSession};
 
@@ -27,17 +27,17 @@ impl LocalStepper {
         let frame = session.advance();
         let pace = rig.pace_deps();
 
-        let cl = rig.engine.submit("CL", Some(rig.cpu), config.cl_ms, &pace);
-        let ls = rig.engine.submit("LS", Some(rig.cpu), config.ls_ms, &[cl]);
+        let cl = rig.submit(Label::Cl, Some(rig.cpu), config.cl_ms, &pace);
+        let ls = rig.submit(Label::Ls, Some(rig.cpu), config.ls_ms, &[cl]);
 
         let workload = self.profile.full_workload(&frame);
         let render_ms = rig.mobile.stereo_frame_time(&workload).total_ms();
-        let lr = rig.engine.submit("LR", Some(rig.gpu), render_ms, &[ls]);
+        let lr = rig.submit(Label::Lr, Some(rig.gpu), render_ms, &[ls]);
 
         let atw_ms = rig.stereo_pass_ms(&self.profile, config.atw_cycles_per_px);
-        let atw = rig.engine.submit("ATW", Some(rig.gpu), atw_ms, &[lr]);
+        let atw = rig.submit(Label::Atw, Some(rig.gpu), atw_ms, &[lr]);
 
-        rig.display("display", &[atw]);
+        rig.display(&[atw]);
 
         rig.record(FrameRecord {
             frame_id: frame.frame_id,

@@ -20,6 +20,7 @@ mod remote;
 mod rig;
 mod static_collab;
 
+pub(crate) use rig::Label;
 pub use rig::{RemoteChain, Rig, ServerPool};
 
 use crate::metrics::RunSummary;

@@ -6,7 +6,7 @@
 //! measures ≈ 63 % of end-to-end latency), which is the second half of the
 //! motivation study.
 
-use super::rig::Rig;
+use super::rig::{Label, Rig};
 use super::SystemConfig;
 use crate::metrics::FrameRecord;
 use qvr_codec::{EntropyModel, RateController};
@@ -39,8 +39,8 @@ impl RemoteStepper {
         let frame = session.advance();
         let pace = rig.pace_deps();
 
-        let cl = rig.engine.submit("CL", Some(rig.cpu), config.cl_ms, &pace);
-        let (send, send_ms) = rig.upload("pose", 1_024.0, &[cl]);
+        let cl = rig.submit(Label::Cl, Some(rig.cpu), config.cl_ms, &pace);
+        let (send, send_ms) = rig.upload(Label::Pose, 1_024.0, &[cl]);
 
         let workload = self.profile.full_workload(&frame);
         let render_ms = rig.remote_render_ms(&workload);
@@ -72,11 +72,9 @@ impl RemoteStepper {
         }
 
         let atw_ms = rig.stereo_pass_ms(&self.profile, config.atw_cycles_per_px);
-        let atw = rig
-            .engine
-            .submit("ATW", Some(rig.gpu), atw_ms, &[chain.done]);
+        let atw = rig.submit(Label::Atw, Some(rig.gpu), atw_ms, &[chain.done]);
 
-        rig.display("display", &[atw]);
+        rig.display(&[atw]);
 
         let t_remote = rig.chain_latency_ms(&chain);
         rig.record(FrameRecord {

@@ -6,9 +6,13 @@
 //! exactly the original one-user evaluation. In fleet mode
 //! ([`Rig::in_fleet`]) several rigs submit into one [`SharedEngine`],
 //! contend for one [`ServerPool`] of real GPU units, and (optionally) draw
-//! from one shared [`SharedChannel`] bandwidth budget.
+//! from one shared [`SharedChannel`] bandwidth budget. Every rig of a
+//! cell holds the cell's memo ([`CellMemo`]) through one handle: the fixed
+//! task labels interned into the cell's engine, the Eq. (1) partitions and
+//! the ring-table area slot; a private rig builds its own.
 
 use super::SystemConfig;
+use crate::cell::CellMemo;
 use crate::metrics::{FrameRecord, RunSummary};
 use crate::sched::UnitDirective;
 use crate::telemetry::FrameSpans;
@@ -133,6 +137,53 @@ pub struct Rig {
     /// Interned chunk labels of every chain this rig has submitted (see
     /// [`ChainLabels`]).
     chain_labels: ChainLabels,
+    /// The cell's memo, shared with every rig on the engine.
+    memo: Rc<CellMemo>,
+}
+
+/// The fixed task labels the steppers submit every frame: control logic,
+/// local setup, local rendering, GPU composition, time warp, scanout, the
+/// two uploads, LIWC's lookup and update, and the UCA's two composition
+/// passes. They are interned once per cell ([`Label::intern_all`]) and
+/// submitted by handle.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Label {
+    Cl,
+    Ls,
+    Lr,
+    C,
+    Atw,
+    Display,
+    Pose,
+    PoseCfg,
+    LiwcSelect,
+    LiwcUpdate,
+    UcaOuter,
+    UcaBorder,
+}
+
+impl Label {
+    /// Each label's text, as the engine's task records carry it, indexed
+    /// by the label.
+    const TEXT: [&'static str; 12] = [
+        "CL",
+        "LS",
+        "LR",
+        "C",
+        "ATW",
+        "display",
+        "pose",
+        "pose+cfg",
+        "LIWC:select",
+        "LIWC:update",
+        "UCA:outer",
+        "UCA:border",
+    ];
+
+    /// Every fixed label interned into `engine`, indexed by the label.
+    pub(crate) fn intern_all(engine: &SharedEngine) -> [Rc<str>; 12] {
+        Label::TEXT.map(|text| engine.intern(text))
+    }
 }
 
 /// The rig's chain-label table, threaded through [`Rig::remote_chain`]:
@@ -202,13 +253,15 @@ impl Rig {
         let channel = SharedChannel::new(NetworkChannel::new(config.network, seed));
         let server = ServerPool::on(&engine, 1);
         let directive = UnitDirective::whole_pool(1);
-        Self::build(config, engine, channel, server, None, directive)
+        let memo = Rc::new(CellMemo::new(&engine, config.mar));
+        Self::build(config, engine, channel, server, None, directive, memo)
     }
 
     /// Builds a rig that joins a fleet: per-session mobile-side resources
     /// (tagged with the session index), shared server pools, and a shared
     /// (or per-session) channel on a shared engine. `directive` is the
-    /// fleet policy's placement rule for this tenant's class.
+    /// fleet policy's placement rule for this tenant's class; `memo` is the
+    /// cell's, built on `engine`.
     #[must_use]
     pub(crate) fn in_fleet(
         config: &SystemConfig,
@@ -217,6 +270,7 @@ impl Rig {
         server: ServerPool,
         session_idx: usize,
         directive: UnitDirective,
+        memo: Rc<CellMemo>,
     ) -> Self {
         Self::build(
             config,
@@ -225,6 +279,7 @@ impl Rig {
             server,
             Some(session_idx),
             directive,
+            memo,
         )
     }
 
@@ -236,6 +291,7 @@ impl Rig {
         server: ServerPool,
         session_idx: Option<usize>,
         directive: UnitDirective,
+        memo: Rc<CellMemo>,
     ) -> Self {
         let name = |base: &str| match session_idx {
             Some(i) => format!("{base}#{i}"),
@@ -286,7 +342,25 @@ impl Rig {
             display_ends: Vec::new(),
             records: Vec::new(),
             chain_labels: ChainLabels::default(),
+            memo,
         }
+    }
+
+    /// The memo of the cell this rig belongs to.
+    pub(crate) fn memo(&self) -> &CellMemo {
+        &self.memo
+    }
+
+    /// Submits a task labelled with a fixed label, by its interned handle.
+    pub(crate) fn submit(
+        &self,
+        label: Label,
+        resource: Option<ResourceId>,
+        duration_ms: f64,
+        deps: &[TaskId],
+    ) -> TaskId {
+        self.engine
+            .submit_interned(self.memo.label(label), resource, duration_ms, deps)
     }
 
     #[cfg(test)]
@@ -527,10 +601,10 @@ impl Rig {
 
     /// Submits the pose/config upload for a frame; returns the task and its
     /// sampled duration in ms.
-    pub fn upload(&mut self, label: &str, bytes: f64, deps: &[TaskId]) -> (TaskId, f64) {
+    pub(crate) fn upload(&mut self, label: Label, bytes: f64, deps: &[TaskId]) -> (TaskId, f64) {
         let t = self.channel.upload_ms(bytes);
         self.pending_radio_ms += t;
-        let task = self.engine.submit(label, Some(self.net_up), t, deps);
+        let task = self.submit(label, Some(self.net_up), t, deps);
         self.pending_spans
             .upload
             .widen(self.engine.start_of(task), self.engine.end_of(task));
@@ -577,10 +651,8 @@ impl Rig {
 
     /// Submits the display scanout as a latency-only stage and registers it
     /// for pacing. Returns the display task.
-    pub fn display(&mut self, label: &str, deps: &[TaskId]) -> TaskId {
-        let t = self
-            .engine
-            .submit(label, None, self.config.display_ms, deps);
+    pub(crate) fn display(&mut self, deps: &[TaskId]) -> TaskId {
+        let t = self.submit(Label::Display, None, self.config.display_ms, deps);
         self.pending_spans
             .display
             .widen(self.engine.start_of(t), self.engine.end_of(t));
@@ -698,6 +770,28 @@ mod tests {
         (0..chunks)
             .flat_map(|i| ["rr", "enc", "tx", "vd"].map(|stage| format!("{label}:{stage}{i}")))
             .collect()
+    }
+
+    #[test]
+    fn fixed_labels_submit_their_text_by_the_pooled_handle() {
+        // Each label submits under its own text, shared with the engine's
+        // pool, and the twelve texts are distinct.
+        use Label::*;
+        let labels = [
+            Cl, Ls, Lr, C, Atw, Display, Pose, PoseCfg, LiwcSelect, LiwcUpdate, UcaOuter, UcaBorder,
+        ];
+        let rig = Rig::new(&SystemConfig::default(), 7);
+        let mut texts = std::collections::BTreeSet::new();
+        for label in labels {
+            let id = rig.submit(label, None, 1.0, &[]);
+            let task = rig.engine.with(|e| e.tasks()[e.tasks().len() - 1].clone());
+            assert_eq!(rig.engine.end_of(id), task.end);
+            let text = Label::TEXT[label as usize];
+            assert_eq!(&*task.label, text);
+            assert!(Rc::ptr_eq(&task.label, &rig.engine.intern(text)));
+            texts.insert(text);
+        }
+        assert_eq!(texts.len(), Label::TEXT.len());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * composition is depth-based embedding on the GPU (collision detection),
 //!   which together with ATW contends with the next frame's rendering.
 
-use super::rig::{RemoteChain, Rig};
+use super::rig::{Label, RemoteChain, Rig};
 use crate::metrics::FrameRecord;
 use qvr_scene::{AppProfile, AppSession, FrameState, MotionDelta};
 use qvr_sim::DepList;
@@ -55,9 +55,9 @@ impl StaticStepper {
         let frame = session.advance();
         let pace = rig.pace_deps();
 
-        let cl = rig.engine.submit("CL", Some(rig.cpu), config.cl_ms, &pace);
-        let ls = rig.engine.submit("LS", Some(rig.cpu), config.ls_ms, &[cl]);
-        let (send, _send_ms) = rig.upload("pose", 1_024.0, &[ls]);
+        let cl = rig.submit(Label::Cl, Some(rig.cpu), config.cl_ms, &pace);
+        let ls = rig.submit(Label::Ls, Some(rig.cpu), config.ls_ms, &[cl]);
+        let (send, _send_ms) = rig.upload(Label::Pose, 1_024.0, &[ls]);
 
         let bg_workload = self.profile.background_workload(&frame);
         let bg_bytes = (config.size_model.frame_bytes(
@@ -94,7 +94,7 @@ impl StaticStepper {
         // Local rendering of the interactive objects.
         let int_workload = self.profile.interactive_workload(&frame);
         let render_ms = rig.mobile.stereo_frame_time(&int_workload).total_ms();
-        let lr = rig.engine.submit("LR", Some(rig.gpu), render_ms, &[ls]);
+        let lr = rig.submit(Label::Lr, Some(rig.gpu), render_ms, &[ls]);
 
         // Background availability for *this* frame.
         let mut misprediction = false;
@@ -157,11 +157,11 @@ impl StaticStepper {
         if let Some(bg) = bg_done {
             c_deps.push(bg);
         }
-        let c = rig.engine.submit("C", Some(rig.gpu), c_ms, &c_deps);
+        let c = rig.submit(Label::C, Some(rig.gpu), c_ms, &c_deps);
         let atw_ms = rig.stereo_pass_ms(&self.profile, config.atw_cycles_per_px);
-        let atw = rig.engine.submit("ATW", Some(rig.gpu), atw_ms, &[c]);
+        let atw = rig.submit(Label::Atw, Some(rig.gpu), atw_ms, &[c]);
 
-        rig.display("display", &[atw]);
+        rig.display(&[atw]);
 
         rig.record(FrameRecord {
             frame_id: frame.frame_id,

@@ -91,9 +91,9 @@ impl AppProfile {
     }
 
     /// [`AppProfile::fovea_workload`] through a per-gaze triangle-fraction
-    /// ring table (bit-identical results; the cache belongs to one session's
-    /// profile — see [`TriangleFractionCache`]): records the frame's gaze
-    /// in `cache` ([`ComplexityField::record_rings`]), then
+    /// ring table (bit-identical results; see [`TriangleFractionCache`]):
+    /// records the profile's field at the frame's gaze in `cache`
+    /// ([`ComplexityField::record_rings`]), then
     /// [`AppProfile::fovea_workload_recorded`].
     #[must_use]
     pub fn fovea_workload_cached(

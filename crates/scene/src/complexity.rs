@@ -104,14 +104,15 @@ impl ComplexityField {
         self.triangle_fraction_recorded(e1_deg, display, gaze, cache)
     }
 
-    /// `triangle_fraction` read from a ring table that holds `gaze` (see
+    /// `triangle_fraction` read from a ring table that holds this field,
+    /// `display`'s field of view and `gaze` (see
     /// [`ComplexityField::record_rings`]), through a shared borrow. Every
     /// numerator at a recorded gaze is a prefix of the recorded pass: it
     /// reads the record at its last full ring and integrates at most one
     /// partial ring, with one area call (none when `e1` is on the 0.5°
     /// grid, as every integer `e1` is). Results are bit-identical to
     /// [`ComplexityField::triangle_fraction`]: the same terms are added in
-    /// the same order. A table that does not hold `gaze` is not read; the
+    /// the same order. A table recorded from other inputs is not read; the
     /// call then runs the uncached integral.
     #[must_use]
     pub fn triangle_fraction_recorded(
@@ -121,7 +122,7 @@ impl ComplexityField {
         gaze: GazePoint,
         rings: &TriangleFractionCache,
     ) -> f64 {
-        if !rings.holds(gaze) {
+        if !rings.holds(self, display, gaze) {
             return self.triangle_fraction(e1_deg, display, gaze);
         }
         if e1_deg.is_nan() {
@@ -135,71 +136,105 @@ impl ComplexityField {
         Self::fraction_of(num, rings.den)
     }
 
-    /// Records `gaze`'s ring table in `cache`, unless it already holds it
-    /// or a gaze coordinate is NaN: the gaze-wide denominator pass
-    /// `integrate(e_max)`, with its disc areas computed in one
-    /// [`DisplayGeometry::fovea_area_fractions`] batch and the running sum
-    /// recorded after each full ring.
+    /// Records the ring table of this field, `display`'s field of view and
+    /// `gaze` in `cache`, unless it already holds it or a gaze coordinate
+    /// is NaN: the gaze-wide denominator pass `integrate(e_max)`, with its
+    /// disc areas computed in one
+    /// [`DisplayGeometry::fovea_area_fractions`] batch (kept when the
+    /// table already holds them) and the running sum recorded after each
+    /// full ring.
     pub fn record_rings(
         &self,
         display: &DisplayGeometry,
         gaze: GazePoint,
         cache: &mut TriangleFractionCache,
     ) {
-        if cache.holds(gaze) || gaze.x.is_nan() || gaze.y.is_nan() {
+        self.record_rings_from(display, gaze, cache, None);
+    }
+
+    /// [`ComplexityField::record_rings`], with the disc areas taken from
+    /// `slot` when it holds them. A table whose areas must be computed
+    /// leaves them in `slot` for the next recording at the same field of
+    /// view and gaze, whatever its field. The result is bit-identical to
+    /// the plain recording's: the areas are a function of the field of view
+    /// and the gaze alone.
+    pub fn record_rings_through(
+        &self,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        cache: &mut TriangleFractionCache,
+        slot: &mut RingAreas,
+    ) {
+        self.record_rings_from(display, gaze, cache, Some(slot));
+    }
+
+    /// The one recording both entry points run: an area pass (or a copy)
+    /// when the table lacks the gaze's areas, then the sum pass.
+    fn record_rings_from(
+        &self,
+        display: &DisplayGeometry,
+        gaze: GazePoint,
+        cache: &mut TriangleFractionCache,
+        slot: Option<&mut RingAreas>,
+    ) {
+        if cache.holds(self, display, gaze) || gaze.x.is_nan() || gaze.y.is_nan() {
             return;
         }
-        let e_max = display.max_eccentricity().0 * 1.5;
+        if !cache.rings.holds(display, gaze) {
+            match slot {
+                Some(slot) if slot.holds(display, gaze) => cache.rings.copy_from(slot, display),
+                Some(slot) => {
+                    cache.rings.record(display, gaze);
+                    slot.copy_from(&cache.rings, display);
+                }
+                None => cache.rings.record(display, gaze),
+            }
+        }
+        self.record_sums(display, cache);
+    }
+
+    /// The sum pass over the table's recorded areas: the running sum after
+    /// each full ring, then the denominator. Each full ring's density is
+    /// the field's weight at that ring, computed once per field.
+    fn record_sums(&self, display: &DisplayGeometry, cache: &mut TriangleFractionCache) {
         let TriangleFractionCache {
-            radii,
-            areas,
+            rings,
+            field,
+            weights,
             sums,
             den,
-            ..
         } = cache;
-        // A pass visits at most `bound` grid radii, plus one partial radius:
-        // the first pass sizes the table, and it never grows after that.
-        let bound = ((e_max + 1e-9) / Self::STEP).floor() as usize;
-        radii.clear();
-        radii.reserve_exact(bound + 1);
-        areas.clear();
-        areas.reserve_exact(bound + 1);
+        let key = self.key();
+        if *field != Some(key) {
+            weights.clear();
+            *field = Some(key);
+        }
+        let bound = RingAreas::bound(display);
+        // The weights of the rings no earlier table reached. The loop's
+        // ring radius is an exact multiple of 0.5, so each weight is the
+        // density `integrate` computes at that ring.
+        weights.reserve_exact(bound.saturating_sub(weights.len()));
+        for &e in rings.radii.get(weights.len()..rings.full).unwrap_or(&[]) {
+            weights.push(self.density(e - Self::STEP / 2.0));
+        }
         sums.clear();
         sums.reserve_exact(bound);
-        // The grid radii `integrate` visits, up to its saturation stop.
-        let r_sat = display.saturation_radius_deg(gaze) + 1.0;
-        let mut e = Self::STEP;
-        let mut saturated = false;
-        while e <= e_max + 1e-9 {
-            if e - Self::STEP >= r_sat {
-                saturated = true;
-                break;
-            }
-            radii.push(e);
-            e += Self::STEP;
-        }
-        let full = radii.len();
-        let rem = e_max - (e - Self::STEP);
-        if !saturated && rem > 1e-9 {
-            radii.push(e_max);
-        }
-        areas.resize(radii.len(), 0.0);
-        display.fovea_area_fractions(radii, gaze, areas);
-
         let mut sum = 0.0;
         let mut prev_area = 0.0;
-        for (&e, &area) in radii[..full].iter().zip(&areas[..full]) {
+        for (&area, &weight) in rings.areas[..rings.full].iter().zip(weights.iter()) {
             let ring = (area - prev_area).max(0.0);
-            sum += ring * self.density(e - Self::STEP / 2.0);
+            sum += ring * weight;
             prev_area = area;
             sums.push(sum);
         }
-        if let Some(&area) = areas.get(full) {
+        if let Some(&area) = rings.areas.get(rings.full) {
+            // The partial ring out to `e_max`, from the last grid radius.
+            let e_max = rings.radii[rings.full];
+            let rem = e_max - rings.full as f64 * Self::STEP;
             let ring = (area - prev_area).max(0.0);
             sum += ring * self.density(e_max - rem / 2.0);
         }
         *den = sum;
-        cache.gaze = Some(gaze_key(gaze));
     }
 
     /// `integrate(upto_deg)` from a recorded denominator pass at the same
@@ -212,11 +247,11 @@ impl ComplexityField {
         display: &DisplayGeometry,
         gaze: GazePoint,
     ) -> f64 {
-        let grid = &table.radii[..table.sums.len()];
+        let grid = &table.rings.radii[..table.sums.len()];
         let full = grid.partition_point(|&e| e <= upto_deg + 1e-9);
-        let (sum, prev_area) = full
-            .checked_sub(1)
-            .map_or((0.0, 0.0), |last| (table.sums[last], table.areas[last]));
+        let (sum, prev_area) = full.checked_sub(1).map_or((0.0, 0.0), |last| {
+            (table.sums[last], table.rings.areas[last])
+        });
         // `integrate`'s loop variable after `full` rings.
         let e = (full + 1) as f64 * Self::STEP;
         if e <= upto_deg + 1e-9 {
@@ -232,6 +267,11 @@ impl ComplexityField {
         } else {
             sum
         }
+    }
+
+    /// The field's raw bits: the key of a ring table's weights and sums.
+    fn key(&self) -> (u64, u64) {
+        (self.concentration.to_bits(), self.sigma_deg.to_bits())
     }
 
     fn fraction_of(num: f64, den: f64) -> f64 {
@@ -283,29 +323,131 @@ fn any_nan(e1_deg: f64, gaze: GazePoint) -> bool {
     e1_deg.is_nan() || gaze.x.is_nan() || gaze.y.is_nan()
 }
 
-/// A gaze point's raw bits: the key of a [`TriangleFractionCache`].
-fn gaze_key(gaze: GazePoint) -> (u64, u64) {
-    (gaze.x.to_bits(), gaze.y.to_bits())
+/// The key of a ring table's disc areas: the raw bits of the display's
+/// field of view and of the gaze point. The areas depend on nothing else
+/// (not on the panel's pixel counts).
+fn area_key(display: &DisplayGeometry, gaze: GazePoint) -> [u64; 4] {
+    [
+        display.fov_h().0.to_bits(),
+        display.fov_v().0.to_bits(),
+        gaze.x.to_bits(),
+        gaze.y.to_bits(),
+    ]
 }
 
-/// Per-gaze ring table for [`ComplexityField::triangle_fraction_cached`].
+/// The disc areas of one ring table: the grid radii a denominator pass
+/// visits at one gaze (0.5°, 1.0°, … up to its saturation stop or
+/// `e_max`), then its partial radius if it has one, and the clipped disc
+/// area at each.
 ///
-/// Keyed by the gaze point's raw bits: a new gaze reruns the denominator
-/// pass and overwrites the table. The table is that pass's record: the
-/// running `(sum, area)` after each full ring, and the denominator. Its
-/// buffers are sized once, at the first call, from the display's ring
-/// bound, so later gazes allocate nothing. One cache belongs to ONE (field,
-/// display) pair — steppers own one per session; sharing across profiles
-/// would mix incompatible integrals. Its disc areas depend on the display
-/// and the gaze only, so [`TriangleFractionCache::fovea_area_fraction`]
-/// serves them to any caller on that display.
+/// Keyed by the raw bits of the field of view and the gaze, the only
+/// inputs the areas depend on, so one table serves every field and every
+/// panel of that field of view. A [`TriangleFractionCache`] holds one; a
+/// free-standing one is the slot through which tenants that share a
+/// display's field of view pass areas to each other
+/// ([`ComplexityField::record_rings_through`]). Its buffers are sized from
+/// the display's ring bound when it first takes a table, so later tables
+/// of that field of view allocate nothing.
 #[derive(Debug, Clone, Default)]
-pub struct TriangleFractionCache {
-    gaze: Option<(u64, u64)>,
+pub struct RingAreas {
+    key: Option<[u64; 4]>,
     /// The pass's grid radii, then its partial radius if it has one.
     radii: Vec<f64>,
     /// The clipped disc area at each of `radii`.
     areas: Vec<f64>,
+    /// How many of `radii` are grid radii.
+    full: usize,
+}
+
+impl RingAreas {
+    /// Creates an empty slot.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether the areas are those of `display`'s field of view at `gaze`.
+    fn holds(&self, display: &DisplayGeometry, gaze: GazePoint) -> bool {
+        self.key == Some(area_key(display, gaze))
+    }
+
+    /// The most grid radii a pass on `display` visits: a pass visits at
+    /// most this many, plus one partial radius.
+    fn bound(display: &DisplayGeometry) -> usize {
+        let e_max = display.max_eccentricity().0 * 1.5;
+        ((e_max + 1e-9) / ComplexityField::STEP).floor() as usize
+    }
+
+    /// Empties the buffers, sized for any pass on `display`.
+    fn reset(&mut self, display: &DisplayGeometry) {
+        let bound = Self::bound(display);
+        self.key = None;
+        self.radii.clear();
+        self.radii.reserve_exact(bound + 1);
+        self.areas.clear();
+        self.areas.reserve_exact(bound + 1);
+    }
+
+    /// The area pass: the grid radii `integrate(e_max)` visits at `gaze`,
+    /// up to its saturation stop, its partial radius, and all their areas
+    /// from one [`DisplayGeometry::fovea_area_fractions`] batch.
+    fn record(&mut self, display: &DisplayGeometry, gaze: GazePoint) {
+        const STEP: f64 = ComplexityField::STEP;
+        self.reset(display);
+        let e_max = display.max_eccentricity().0 * 1.5;
+        let r_sat = display.saturation_radius_deg(gaze) + 1.0;
+        let mut e = STEP;
+        let mut saturated = false;
+        while e <= e_max + 1e-9 {
+            if e - STEP >= r_sat {
+                saturated = true;
+                break;
+            }
+            self.radii.push(e);
+            e += STEP;
+        }
+        self.full = self.radii.len();
+        let rem = e_max - (e - STEP);
+        if !saturated && rem > 1e-9 {
+            self.radii.push(e_max);
+        }
+        self.areas.resize(self.radii.len(), 0.0);
+        display.fovea_area_fractions(&self.radii, gaze, &mut self.areas);
+        self.key = Some(area_key(display, gaze));
+    }
+
+    /// Takes `source`'s table into these buffers, sized for `display`.
+    fn copy_from(&mut self, source: &RingAreas, display: &DisplayGeometry) {
+        self.reset(display);
+        self.radii.extend_from_slice(&source.radii);
+        self.areas.extend_from_slice(&source.areas);
+        self.full = source.full;
+        self.key = source.key;
+    }
+}
+
+/// Per-gaze ring table for [`ComplexityField::triangle_fraction_cached`].
+///
+/// The table is one denominator pass's record: its disc areas
+/// ([`RingAreas`], keyed by the field of view's and the gaze's raw bits),
+/// the running sum after each full ring and the denominator (keyed by the
+/// field's raw bits), and the field's density weight at each grid radius,
+/// which a new gaze on the same field reuses. A recording from other
+/// inputs reruns what they change and overwrites the table; a read from
+/// other inputs runs the uncached integral. Its buffers are sized once, at
+/// the first call, from the display's ring bound, so later gazes allocate
+/// nothing. A foveated stepper owns one for its session's field and
+/// display. Its disc areas depend on the field of view and the gaze only,
+/// so [`TriangleFractionCache::fovea_area_fraction`] serves them to any
+/// caller on a display of that field of view.
+#[derive(Debug, Clone, Default)]
+pub struct TriangleFractionCache {
+    rings: RingAreas,
+    /// The raw bits of the field whose weights, sums and denominator these
+    /// are.
+    field: Option<(u64, u64)>,
+    /// The field's density at the middle of each grid ring, from the first.
+    weights: Vec<f64>,
     /// The running sum after each full ring, one per grid radius.
     sums: Vec<f64>,
     den: f64,
@@ -318,16 +460,17 @@ impl TriangleFractionCache {
         Self::default()
     }
 
-    /// Whether the table is `gaze`'s.
-    fn holds(&self, gaze: GazePoint) -> bool {
-        self.gaze == Some(gaze_key(gaze))
+    /// Whether the table is `field`'s on `display`'s field of view at
+    /// `gaze`.
+    fn holds(&self, field: &ComplexityField, display: &DisplayGeometry, gaze: GazePoint) -> bool {
+        self.field == Some(field.key()) && self.rings.holds(display, gaze)
     }
 
     /// `display.fovea_area_fraction(e_deg, gaze)`, read from the table
-    /// when it holds `gaze` and `e_deg` is one of its radii (every grid
-    /// radius up to the pass's stop, integer `e1` among them). A recorded
-    /// area comes from the batched pass, which is bit-identical to the
-    /// single call. `display` must be the table's display.
+    /// when it holds `display`'s field of view and `gaze` and `e_deg` is
+    /// one of its radii (every grid radius up to the pass's stop, integer
+    /// `e1` among them). A recorded area comes from the batched pass,
+    /// which is bit-identical to the single call.
     #[must_use]
     pub fn fovea_area_fraction(
         &self,
@@ -335,10 +478,11 @@ impl TriangleFractionCache {
         e_deg: f64,
         gaze: GazePoint,
     ) -> f64 {
+        let rings = &self.rings;
         // The radii ascend, so a NaN or out-of-table radius finds no match.
-        let i = self.radii.partition_point(|&r| r < e_deg);
-        match self.radii.get(i) {
-            Some(&r) if r == e_deg && self.holds(gaze) => self.areas[i],
+        let i = rings.radii.partition_point(|&r| r < e_deg);
+        match rings.radii.get(i) {
+            Some(&r) if r == e_deg && rings.holds(display, gaze) => rings.areas[i],
             _ => display.fovea_area_fraction(e_deg, gaze),
         }
     }
@@ -506,7 +650,7 @@ mod tests {
                             "{d} at {gaze:?}, radius {e}: {read} vs {single}"
                         );
                     }
-                    served += usize::from(tables[k].radii.contains(&e));
+                    served += usize::from(tables[k].rings.radii.contains(&e));
                 }
             }
             // Many radii were recorded ones, so the table path ran.
@@ -529,7 +673,8 @@ mod tests {
                 let _ = field.triangle_fraction_cached(1.0, &d, gaze, &mut cache);
                 let r_sat = d.saturation_radius_deg(gaze) + 1.0;
                 let rings = cache.sums.len();
-                let last = cache.radii[rings - 1];
+                assert_eq!(rings, cache.rings.full);
+                let last = cache.rings.radii[rings - 1];
                 assert_eq!(last, rings as f64 * ComplexityField::STEP);
                 assert!(last <= e_max + 1e-9);
                 // No stop fired at the last recorded radius, and one fires at
@@ -537,9 +682,131 @@ mod tests {
                 assert!(last - ComplexityField::STEP < r_sat, "{d} at {gaze:?}");
                 let ran_out = last + ComplexityField::STEP > e_max + 1e-9;
                 assert!(ran_out || last >= r_sat, "{d} at {gaze:?}: {rings} rings");
-                assert_eq!(cache.radii.len() > rings, ran_out && e_max - last > 1e-9);
+                assert_eq!(
+                    cache.rings.radii.len() > rings,
+                    ran_out && e_max - last > 1e-9
+                );
             }
         }
+    }
+
+    #[test]
+    fn one_cache_answers_only_for_the_inputs_it_was_recorded_from() {
+        // One cache, driven in a random order over three fields, two
+        // fields of view and seven gazes: a read or a recording whose
+        // field, field of view or gaze differs from the table's must not
+        // see the table's sums or areas.
+        let calls = if cfg!(debug_assertions) { 60 } else { 1_500 };
+        let mut rng = StdRng::seed_from_u64(0x00f1_e1d5);
+        let displays = [
+            DisplayGeometry::vive_pro_class(),
+            DisplayGeometry::per_eye(2560, 1440, 100.0, 62.0),
+        ];
+        let gazes = gazes(&mut rng);
+        let mut cache = TriangleFractionCache::new();
+        for _ in 0..calls {
+            let field = fields()[rng.gen_range(0..3)];
+            let d = displays[rng.gen_range(0..2)];
+            let gaze = gazes[rng.gen_range(0..gazes.len())];
+            let e_max = d.max_eccentricity().0 * 1.5;
+            let e1 = e1(&mut rng, e_max);
+            let uncached = field.triangle_fraction(e1, &d, gaze);
+            let (how, got) = match rng.gen_range(0..3u32) {
+                0 => (
+                    "cached",
+                    field.triangle_fraction_cached(e1, &d, gaze, &mut cache),
+                ),
+                1 => (
+                    "recorded",
+                    field.triangle_fraction_recorded(e1, &d, gaze, &cache),
+                ),
+                _ => {
+                    let single = d.fovea_area_fraction(e1, gaze);
+                    let read = cache.fovea_area_fraction(&d, e1, gaze);
+                    assert_eq!(
+                        read.to_bits(),
+                        single.to_bits(),
+                        "area on {d}, e={e1} at {gaze:?}: {read} vs {single}"
+                    );
+                    continue;
+                }
+            };
+            assert_eq!(
+                got.to_bits(),
+                uncached.to_bits(),
+                "{how} {field} on {d}, e1={e1} at {gaze:?}: {got} vs {uncached}"
+            );
+        }
+    }
+
+    #[test]
+    fn tenants_recording_through_one_slot_match_their_own_tables() {
+        // Tenants of three fields on three panels, two of them sharing a
+        // field of view, record round-robin through one slot. Every gaze
+        // path starts at the centre, and tenants now and then look where
+        // another one just looked, so the slot serves areas across fields
+        // and panels. Each result must equal the tenant's own table and
+        // the uncached integral, and a NaN gaze must leave both the slot
+        // and the tenant's cache as they were.
+        let rounds = if cfg!(debug_assertions) { 6 } else { 40 };
+        let mut rng = StdRng::seed_from_u64(0x0005_1075);
+        let panels = [
+            DisplayGeometry::vive_pro_class(),
+            DisplayGeometry::low_res_class(),
+            DisplayGeometry::per_eye(2560, 1440, 100.0, 62.0),
+        ];
+        let tenants: Vec<(ComplexityField, DisplayGeometry)> = fields()
+            .into_iter()
+            .flat_map(|field| panels.map(|d| (field, d)))
+            .collect();
+        let mut through = vec![TriangleFractionCache::new(); tenants.len()];
+        let mut own = vec![TriangleFractionCache::new(); tenants.len()];
+        let mut slot = RingAreas::new();
+        let mut last_gaze = GazePoint::center();
+        let (mut served, mut nans) = (0, 0);
+        for round in 0..rounds {
+            for (k, &(field, d)) in tenants.iter().enumerate() {
+                let gaze = match rng.gen_range(0..8u32) {
+                    _ if round == 0 => GazePoint::center(),
+                    0 | 1 => last_gaze,
+                    2 => GazePoint {
+                        x: f64::NAN,
+                        ..last_gaze
+                    },
+                    _ => GazePoint::clamped(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+                };
+                if gaze.x.is_nan() {
+                    let before = format!("{slot:?} {:?}", through[k]);
+                    field.record_rings_through(&d, gaze, &mut through[k], &mut slot);
+                    assert_eq!(format!("{slot:?} {:?}", through[k]), before);
+                    nans += 1;
+                    continue;
+                }
+                served += usize::from(slot.holds(&d, gaze) && !through[k].rings.holds(&d, gaze));
+                field.record_rings_through(&d, gaze, &mut through[k], &mut slot);
+                field.record_rings(&d, gaze, &mut own[k]);
+                last_gaze = gaze;
+                let e_max = d.max_eccentricity().0 * 1.5;
+                for _ in 0..8 {
+                    let e1 = e1(&mut rng, e_max);
+                    let shared = field.triangle_fraction_recorded(e1, &d, gaze, &through[k]);
+                    let alone = field.triangle_fraction_recorded(e1, &d, gaze, &own[k]);
+                    let uncached = field.triangle_fraction(e1, &d, gaze);
+                    assert_eq!(
+                        shared.to_bits(),
+                        alone.to_bits(),
+                        "{field} on {d} at {gaze:?}"
+                    );
+                    assert_eq!(shared.to_bits(), uncached.to_bits(), "e1={e1}");
+                    let area = through[k].fovea_area_fraction(&d, e1, gaze);
+                    let single = d.fovea_area_fraction(e1, gaze);
+                    assert_eq!(area.to_bits(), single.to_bits(), "area at e={e1}");
+                }
+            }
+        }
+        // The centre round alone serves six of the nine tenants.
+        assert!(served >= 6, "{served} tables served from the slot");
+        assert!(nans > 0 || cfg!(debug_assertions), "no NaN gaze drawn");
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub mod interactive;
 pub mod motion;
 
 pub use apps::{AppProfile, AppSession, Benchmark, CharacterizationApp, FrameState};
-pub use complexity::{ComplexityField, TriangleFractionCache};
+pub use complexity::{ComplexityField, RingAreas, TriangleFractionCache};
 pub use interactive::InteractiveObject;
 pub use motion::{MotionDelta, MotionProfile, MotionSample, MotionTrace};

@@ -11,9 +11,9 @@
 //! a multiple-allocations-per-frame jump, long before it is visible in
 //! wall-clock numbers. The app-session test pins a whole session, from
 //! profile to last frame, at zero, the triangle-fraction test pins the
-//! foveal ring table's new-gaze path at zero, and two more pin the
-//! entropy model's periphery bytes and the ring table's disc-area read at
-//! zero.
+//! foveal ring table's new-gaze path at zero, alone and through a shared
+//! area slot, and two more pin the entropy model's periphery bytes and the
+//! ring table's disc-area read at zero.
 //!
 //! This lives in the root integration-test crate on purpose: every library
 //! crate in the workspace is `#![forbid(unsafe_code)]`, and a
@@ -27,7 +27,7 @@ use std::sync::Mutex;
 
 use qvr::hvs::{DisplayGeometry, GazePoint};
 use qvr::prelude::*;
-use qvr::scene::{AppSession, Benchmark, ComplexityField, TriangleFractionCache};
+use qvr::scene::{AppSession, Benchmark, ComplexityField, RingAreas, TriangleFractionCache};
 
 struct CountingAlloc;
 
@@ -258,6 +258,56 @@ fn triangle_fraction_ring_table_never_grows() {
     assert_eq!(
         allocs, 0,
         "1,000 gazes x 3 e1 through one cache allocated {allocs} times"
+    );
+}
+
+#[test]
+fn ring_table_recording_through_a_slot_never_allocates() {
+    // Two tenants of different fields, on the two shipped panels (one
+    // field of view), record each gaze in turn through one area slot: the
+    // first misses, runs the area pass and leaves its areas in the slot;
+    // the second hits and copies them. Once the centre's tables have sized
+    // both caches and the slot, neither path allocates, corners included.
+    let _serial = serial();
+    let tenants = [
+        (
+            ComplexityField::default(),
+            DisplayGeometry::vive_pro_class(),
+        ),
+        (
+            ComplexityField::new(8.0, 10.0),
+            DisplayGeometry::low_res_class(),
+        ),
+    ];
+    let mut caches = [TriangleFractionCache::new(), TriangleFractionCache::new()];
+    let mut slot = RingAreas::new();
+    for ((field, display), cache) in tenants.iter().zip(&mut caches) {
+        field.record_rings_through(display, GazePoint::center(), cache, &mut slot);
+    }
+    let corners = [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)];
+    let gazes = corners
+        .into_iter()
+        .chain((0..496u32).map(|i| {
+            let t = f64::from(i);
+            (
+                (t * 0.618_034).fract() * 2.0 - 1.0,
+                (t * 0.414_214).fract() * 2.0 - 1.0,
+            )
+        }))
+        .map(|(x, y)| GazePoint::clamped(x, y));
+    ALLOCS.store(0, Ordering::Relaxed);
+    ARMED.set(true);
+    for gaze in gazes {
+        for ((field, display), cache) in tenants.iter().zip(&mut caches) {
+            field.record_rings_through(display, gaze, cache, &mut slot);
+            std::hint::black_box(field.triangle_fraction_recorded(12.5, display, gaze, cache));
+        }
+    }
+    ARMED.set(false);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs, 0,
+        "500 gazes x 2 tenants through one slot allocated {allocs} times"
     );
 }
 
