@@ -354,6 +354,21 @@ impl Strips {
     }
 }
 
+/// A chunk's clipping regime, which picks its strip kernel
+/// ([`Panel::regime`]). Each kernel is bit-identical to
+/// [`Panel::strip_area`] on the discs its regime admits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Regime {
+    /// Every disc's `cy ± √r_sq` lies in the panel rows:
+    /// [`Panel::inside_strip_area`].
+    Inside,
+    /// Otherwise, the disc centre lies in the panel rows (every clamped
+    /// gaze): [`Panel::rows_strip_area`].
+    Rows,
+    /// A NaN or off-panel `cy`: [`Panel::strip_area`].
+    General,
+}
+
 /// What the strip pass needs besides each disc's [`Strips`]: the disc
 /// centre `(cx, cy)` and the panel rows `[y_lo, y_hi]`, in degrees about
 /// the panel centre.
@@ -429,6 +444,80 @@ impl Panel {
         (if height > 0.0 { height } else { 0.0 }) * dx
     }
 
+    /// The half chord of the disc of squared radius `r_sq` at `x`, for the
+    /// clamped kernels: `√max(half_chord_sq, 0)`, one `maxpd` and one
+    /// `sqrtpd` per lane pair. A negative `half_chord_sq` clamps to `+0.0`
+    /// and a NaN one passes.
+    #[inline(always)]
+    fn clamped_half_chord(&self, x: f64, r_sq: f64) -> f64 {
+        let half_chord_sq = r_sq - (x - self.cx) * (x - self.cx);
+        (if half_chord_sq < 0.0 {
+            0.0
+        } else {
+            half_chord_sq
+        })
+        .sqrt()
+    }
+
+    /// [`Panel::strip_area`] for a disc inside the panel rows: the chord
+    /// is never clipped, so the strip needs no clip, guard or final clamp.
+    ///
+    /// Bit-identical to `strip_area` when `cy ± √r_sq` lies in
+    /// `[y_lo, y_hi]` (the [`Regime::Inside`] test), for every `r_sq` but
+    /// `−0.0`, which no disc's is (`r·r` never is), and for a `cx` that is
+    /// not NaN (a NaN gaze reads NaN before a strip counts). Then `r_sq`
+    /// is finite, so `half_chord_sq` is never NaN, and it is at most
+    /// `r_sq`: rounding
+    /// is monotone, so `half_chord ≤ √r_sq` bounds both chord ends,
+    /// `up ≤ y_hi` and `down ≥ y_lo`, where `strip_area`'s selects return
+    /// `up` and `down` (an end equal to its edge has the edge's bits). A
+    /// non-positive `half_chord_sq`, which `strip_area` zeroes, clamps to
+    /// `+0.0`, and `(cy + 0) − (cy − 0)` is `+0.0`. A positive one gives
+    /// `up ≥ cy ≥ down`, so the height is `≥ +0.0`, where the final clamp
+    /// changes nothing.
+    #[inline(always)]
+    fn inside_strip_area(&self, x: f64, dx: f64, r_sq: f64) -> f64 {
+        let half_chord = self.clamped_half_chord(x, r_sq);
+        ((self.cy + half_chord) - (self.cy - half_chord)) * dx
+    }
+
+    /// [`Panel::strip_area`] for a disc centre on the panel rows: both
+    /// clips stay, and the three-mask guard and the final clamp become one
+    /// clamp of `half_chord_sq` at zero.
+    ///
+    /// Bit-identical to `strip_area` when `y_lo ≤ cy ≤ y_hi` (the
+    /// [`Regime::Rows`] test), for every `r_sq` but `−0.0`. A negative
+    /// `half_chord_sq` clamps to `+0.0`, so both ends are `cy` (clipped
+    /// to an edge it equals) and the height is `+0.0`, as the guard gives.
+    /// A NaN one passes the clamp, and each clip falls back to its edge,
+    /// as in `strip_area`. Otherwise `up ≥ cy ≥ down`, and with `cy` in
+    /// the rows the clips keep `top ≥ cy ≥ bottom`, so the height is
+    /// `≥ +0.0` and never `−0.0`: the guard and the clamp change nothing.
+    #[inline(always)]
+    fn rows_strip_area(&self, x: f64, dx: f64, r_sq: f64) -> f64 {
+        let half_chord = self.clamped_half_chord(x, r_sq);
+        let (up, down) = (self.cy + half_chord, self.cy - half_chord);
+        let top = if up < self.y_hi { up } else { self.y_hi };
+        let bottom = if down > self.y_lo { down } else { self.y_lo };
+        (top - bottom) * dx
+    }
+
+    /// The fastest kernel that is exact for all of `discs`, by the
+    /// kernels' own float operations.
+    fn regime(&self, discs: &[Strips]) -> Regime {
+        let inside = |disc: &Strips| {
+            let reach = disc.r_sq.sqrt();
+            self.cy + reach <= self.y_hi && self.cy - reach >= self.y_lo
+        };
+        if discs.iter().all(inside) {
+            Regime::Inside
+        } else if self.y_lo <= self.cy && self.cy <= self.y_hi {
+            Regime::Rows
+        } else {
+            Regime::General
+        }
+    }
+
     /// Whether the chord at `x` reaches both the top and the bottom panel
     /// edge, by [`Panel::strip_area`]'s own operations. Where it holds,
     /// `top` is `y_hi` and `bottom` is `y_lo`, so the strip's area is
@@ -441,23 +530,55 @@ impl Panel {
             && self.cy - half_chord <= self.y_lo
     }
 
-    /// Writes the area of each of `disc`'s strips into `widths`.
+    /// Writes the area of each of `disc`'s strips into `widths`, by the
+    /// kernel of the disc's [`Regime`].
     fn strip_widths(&self, disc: &Strips, widths: &mut [f64; STRIPS]) {
+        match self.regime(std::slice::from_ref(disc)) {
+            Regime::Inside => self.widths_by(disc, widths, Panel::inside_strip_area),
+            Regime::Rows => self.widths_by(disc, widths, Panel::rows_strip_area),
+            Regime::General => self.widths_by(disc, widths, Panel::strip_area),
+        }
+    }
+
+    /// [`Panel::strip_widths`] by one kernel.
+    fn widths_by(
+        &self,
+        disc: &Strips,
+        widths: &mut [f64; STRIPS],
+        kernel: impl Fn(&Panel, f64, f64, f64) -> f64,
+    ) {
         for (i, width) in widths.iter_mut().enumerate() {
-            *width = self.strip_area(disc.mid(i), disc.dx, disc.r_sq);
+            *width = kernel(self, disc.mid(i), disc.dx, disc.r_sq);
         }
     }
 
     /// The strip sums of [`LANES`] discs in one pass over the strips: one
     /// accumulator per disc adds that disc's strip areas in strip order,
     /// so each sum is bit-identical to folding [`Panel::strip_widths`] from
-    /// `+0.0`. The lanes are discs, and LLVM vectorizes across them.
+    /// `+0.0`. The lanes are discs, and LLVM vectorizes across them. The
+    /// chunk's [`Regime`] picks the strip kernel once.
     ///
     /// The pass's band is the intersection of the discs'
     /// [`Panel::full_height_band`]s. Inside it every strip area is its
     /// disc's constant `(y_hi − y_lo)·dx`, so the accumulators add that
     /// and no square root is taken.
     fn lane_sums(&self, discs: &[Strips; LANES]) -> [f64; LANES] {
+        match self.regime(discs) {
+            Regime::Inside => self.lane_sums_by(discs, Panel::inside_strip_area),
+            Regime::Rows => self.lane_sums_by(discs, Panel::rows_strip_area),
+            Regime::General => self.lane_sums_by(discs, Panel::strip_area),
+        }
+    }
+
+    /// [`Panel::lane_sums`] by one kernel. Kept out of line, one copy per
+    /// kernel: inlined into [`DisplayGeometry::fovea_area_fractions`], the
+    /// inside loop spilled two loads and took 43 instructions, not 38.
+    #[inline(never)]
+    fn lane_sums_by(
+        &self,
+        discs: &[Strips; LANES],
+        kernel: impl Fn(&Panel, f64, f64, f64) -> f64,
+    ) -> [f64; LANES] {
         let band = discs.iter().fold(0..STRIPS, |band, disc| {
             let own = self.full_height_band(disc);
             band.start.max(own.start)..band.end.min(own.end)
@@ -475,7 +596,7 @@ impl Panel {
             let mut m = strips.start as f64 + 0.5;
             for _ in strips {
                 for (l, sum) in sums.iter_mut().enumerate() {
-                    *sum += self.strip_area(left[l] + m * dx[l], dx[l], r_sq[l]);
+                    *sum += kernel(self, left[l] + m * dx[l], dx[l], r_sq[l]);
                 }
                 m += 1.0;
             }
@@ -607,14 +728,17 @@ mod tests {
         f64::from_bits(r.to_bits().wrapping_add_signed(k))
     }
 
-    /// A gaze coordinate: NaN, a panel edge, the centre, or a point on or
-    /// just beyond the panel.
+    /// A gaze coordinate: NaN, ±∞, a panel edge or a few ulps inside one,
+    /// the centre (±0.0), or a point on or just beyond the panel.
     fn gaze_coord(rng: &mut StdRng) -> f64 {
-        match rng.gen_range(0..40u32) {
+        match rng.gen_range(0..48u32) {
             0 => f64::NAN,
-            1..=4 => -1.0,
-            5..=8 => 0.0,
-            9..=12 => 1.0,
+            1 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2usize)],
+            2..=5 => -1.0,
+            6..=8 => 0.0,
+            9 => -0.0,
+            10..=13 => 1.0,
+            14..=17 => [-1.0, 1.0][rng.gen_range(0..2usize)] * ulps(1.0, -rng.gen_range(1..5)),
             _ => rng.gen_range(-1.2..1.2),
         }
     }
@@ -622,13 +746,15 @@ mod tests {
     /// A disc radius for the kernel tests at `gaze`: zero or negative
     /// (an empty extent), NaN, ±∞, the saturation radius or a few ulps off
     /// it, a few ulps off the larger distance from the gaze to a panel
-    /// edge (where the full-height band's `r² − reach²` crosses 0), a few
-    /// ulps wide, or anything from −10° to 210°.
+    /// edge (where the full-height band's `r² − reach²` crosses 0) or off
+    /// either distance (where a disc leaves the panel rows), a few ulps
+    /// wide, or anything from −10° to 210°.
     fn kernel_radius(rng: &mut StdRng, d: &DisplayGeometry, gaze: GazePoint) -> f64 {
         let (_, h, _, gy) = d.panel_about(gaze);
-        let reach = (h / 2.0 - gy).max(gy + h / 2.0);
+        let (to_top, to_bottom) = (h / 2.0 - gy, gy + h / 2.0);
+        let reach = to_top.max(to_bottom);
         let sat = d.saturation_radius_deg(gaze);
-        match rng.gen_range(0..15u32) {
+        match rng.gen_range(0..18u32) {
             0 => 0.0,
             1 => -rng.gen_range(0.0..5.0),
             2 => f64::NAN,
@@ -636,6 +762,10 @@ mod tests {
             3 => sat,
             4 => ulps(sat, rng.gen_range(-4..5)),
             5 | 6 => ulps(reach, rng.gen_range(-4..5)),
+            15 | 16 => ulps(
+                [to_top, to_bottom][rng.gen_range(0..2usize)],
+                rng.gen_range(-4..5),
+            ),
             // Discs a few ulps of the gaze offset wide: rounded strip
             // midpoints fall outside them.
             7 => rng.gen_range(1e-14..1e-11),
@@ -845,6 +975,94 @@ mod tests {
         assert!(seen.iter().all(|&n| n > 0), "strips seen: {seen:?}");
     }
 
+    /// The kernel of `discs`' [`Regime`] against the old loop's strip,
+    /// `to_bits`, on every strip of every disc; returns the regime. An
+    /// off-panel or NaN `cy` must take [`Panel::strip_area`].
+    fn assert_regime_kernel_matches(panel: &Panel, discs: &[Strips], h: f64) -> Regime {
+        let regime = panel.regime(discs);
+        let on_rows = panel.y_lo <= panel.cy && panel.cy <= panel.y_hi;
+        assert_eq!(regime == Regime::General, !on_rows, "{panel:?}");
+        let kernel = match regime {
+            Regime::Inside => Panel::inside_strip_area,
+            Regime::Rows => Panel::rows_strip_area,
+            Regime::General => Panel::strip_area,
+        };
+        for disc in discs {
+            for i in 0..STRIPS {
+                let x = disc.mid(i);
+                let want = branchy_strip(x, disc.dx, disc.r_sq, panel.cx, panel.cy, h);
+                let want = want.map_or(0.0, |(area, _)| area);
+                let got = kernel(panel, x, disc.dx, disc.r_sq);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{regime:?} strip {i} of {disc:?} {panel:?}"
+                );
+            }
+        }
+        regime
+    }
+
+    #[test]
+    fn regime_kernels_match_the_branchy_loop_strip_by_strip() {
+        // Every strip of every disc of a chunk, by the kernel its regime
+        // picks. A NaN `cx` is left out: any NaN gaze coordinate reads NaN
+        // before a strip counts (`any_nan`), and the inside kernel's chord
+        // is NaN there where `strip_area`'s clips fall back to the edges.
+        let cases = if cfg!(debug_assertions) { 300 } else { 3_000 };
+        let mut rng = StdRng::seed_from_u64(0x2e61_03e5);
+        let mut seen = [0usize; 3];
+        let mut tally = |regime: Regime| seen[regime as usize] += 1;
+        for d in panels() {
+            for _ in 0..cases {
+                let gaze = GazePoint {
+                    x: gaze_coord(&mut rng),
+                    y: gaze_coord(&mut rng),
+                };
+                if gaze.x.is_nan() {
+                    continue;
+                }
+                let (w, h, gx, gy) = d.panel_about(gaze);
+                // Four discs of one draw (inside chunks are common), or
+                // four draws.
+                let radii: [f64; LANES] = if rng.gen_bool(0.5) {
+                    [kernel_radius(&mut rng, &d, gaze); LANES]
+                } else {
+                    std::array::from_fn(|_| kernel_radius(&mut rng, &d, gaze))
+                };
+                let discs = radii.map(|r| Strips::new(r, gx, w));
+                tally(assert_regime_kernel_matches(
+                    &Panel::new(gx, gy, h),
+                    &discs,
+                    h,
+                ));
+            }
+        }
+        // Hand-made chunks: `cy` on an edge, at ±0.0 and a few ulps inside
+        // the rows, with radii a few ulps either side of each edge
+        // distance, a disc a few ulps wide, and ±∞.
+        for d in panels() {
+            for y in [-1.0, 1.0, 0.0, -0.0, ulps(1.0, -2), -ulps(1.0, -2), 0.3] {
+                let gaze = GazePoint { x: 0.2, y };
+                let (w, h, gx, gy) = d.panel_about(gaze);
+                let panel = Panel::new(gx, gy, h);
+                for edge in [h / 2.0 - gy, gy + h / 2.0] {
+                    for k in -3..=3 {
+                        let r = ulps(edge, k);
+                        for radii in [[r; LANES], [r, 1e-13, r / 2.0, f64::INFINITY]] {
+                            let discs = radii.map(|r| Strips::new(r, gx, w));
+                            tally(assert_regime_kernel_matches(&panel, &discs, h));
+                        }
+                    }
+                }
+                let tiny = [1e-13, 3e-14, f64::NEG_INFINITY, 0.0];
+                let discs = tiny.map(|r| Strips::new(r, gx, w));
+                tally(assert_regime_kernel_matches(&panel, &discs, h));
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "chunks per regime: {seen:?}");
+    }
+
     #[test]
     fn full_height_band_is_clipped_at_both_edges() {
         // Every strip the kernel puts in a disc's band must be clipped at
@@ -884,7 +1102,10 @@ mod tests {
                     assert!(band.is_empty() || (first..=last).contains(&band.start));
                     assert!(band.is_empty() || band.end <= last + 1);
                 }
-                if r >= d.saturation_radius_deg(gaze) {
+                // An infinite gaze coordinate has no finite saturation
+                // radius: no chord spans the panel from it.
+                let sat = d.saturation_radius_deg(gaze);
+                if r >= sat && sat.is_finite() {
                     assert!(!band.is_empty(), "saturated r={r} {gaze:?} on {d}");
                 }
             }

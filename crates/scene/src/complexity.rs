@@ -29,15 +29,21 @@ impl ComplexityField {
     /// Integration step in degrees.
     const STEP: f64 = 0.5;
 
-    /// Creates a field with center concentration `k ≥ 0` and angular extent
-    /// `σ > 0` degrees.
+    /// Creates a field with finite center concentration `k ≥ 0` and
+    /// angular extent `σ > 0` degrees. An infinite `σ` is the uniform
+    /// limit, density `1 + k` everywhere.
     ///
     /// # Panics
     ///
-    /// Panics if `concentration` is negative or `sigma_deg` is not positive.
+    /// Panics if `concentration` is negative or not finite (an infinite
+    /// one would read every triangle fraction as ∞/∞), or if `sigma_deg`
+    /// is not positive.
     #[must_use]
     pub fn new(concentration: f64, sigma_deg: f64) -> Self {
-        assert!(concentration >= 0.0, "concentration must be non-negative");
+        assert!(
+            (0.0..f64::INFINITY).contains(&concentration),
+            "concentration must be non-negative and finite"
+        );
         assert!(sigma_deg > 0.0, "sigma must be positive");
         ComplexityField {
             concentration,
@@ -927,6 +933,25 @@ mod tests {
     #[should_panic(expected = "sigma")]
     fn zero_sigma_rejected() {
         let _ = ComplexityField::new(1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "concentration")]
+    fn infinite_concentration_rejected() {
+        let _ = ComplexityField::new(f64::INFINITY, 20.0);
+    }
+
+    #[test]
+    fn infinite_sigma_is_the_uniform_limit() {
+        let f = ComplexityField::new(3.0, f64::INFINITY);
+        let uniform = ComplexityField::uniform();
+        for e1 in [5.0, 20.0, 60.0] {
+            let (got, want) = (
+                f.triangle_fraction(e1, &display(), GazePoint::center()),
+                uniform.triangle_fraction(e1, &display(), GazePoint::center()),
+            );
+            assert!((got - want).abs() < 1e-12, "e1={e1}: {got} vs {want}");
+        }
     }
 
     #[test]

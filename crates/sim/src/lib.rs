@@ -54,8 +54,27 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// Identifies a resource within one [`Engine`].
+///
+/// A `u32` index, so that `Option<ResourceId>` takes 8 bytes and a
+/// [`ScheduledTask`] 40.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ResourceId(usize);
+pub struct ResourceId(u32);
+
+impl ResourceId {
+    /// The id of the resource at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit a `u32`.
+    fn new(index: usize) -> Self {
+        ResourceId(u32::try_from(index).expect("an engine holds at most 2^32 resources"))
+    }
+
+    /// The resource's place in [`Engine`]'s resource table.
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Identifies a resource pool within one [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -222,7 +241,7 @@ impl Engine {
     /// Returns the resource with this name, creating it if needed.
     pub fn resource(&mut self, name: &str) -> ResourceId {
         if let Some(i) = self.resources.iter().position(|r| r.name == name) {
-            return ResourceId(i);
+            return ResourceId::new(i);
         }
         self.resources.push(Resource {
             name: name.to_owned(),
@@ -231,7 +250,7 @@ impl Engine {
             intervals: Vec::new(),
             retired_busy_ms: 0.0,
         });
-        ResourceId(self.resources.len() - 1)
+        ResourceId::new(self.resources.len() - 1)
     }
 
     /// Returns the pool with this name, creating it with `k` schedulable
@@ -309,7 +328,7 @@ impl Engine {
         let mut best_start = f64::INFINITY;
         let mut best_free = f64::INFINITY;
         for i in range {
-            let free = self.resources[units[i].0].free_at;
+            let free = self.resources[units[i].index()].free_at;
             let start = free.max(ready_at_ms);
             if start
                 .total_cmp(&best_start)
@@ -350,7 +369,7 @@ impl Engine {
         let mut best_start = f64::NEG_INFINITY;
         let mut best_free = f64::NEG_INFINITY;
         for i in range {
-            let free = self.resources[units[i].0].free_at;
+            let free = self.resources[units[i].index()].free_at;
             let start = free.max(ready_at_ms);
             if start
                 .total_cmp(&best_start)
@@ -402,7 +421,7 @@ impl Engine {
         self.pools[pool.0]
             .units
             .iter()
-            .map(|r| self.resources[r.0].busy_ms)
+            .map(|r| self.resources[r.index()].busy_ms)
             .sum()
     }
 
@@ -482,12 +501,12 @@ impl Engine {
             "duration must be finite and non-negative, got {duration_ms}"
         );
         let start = match resource {
-            Some(rid) => deps_ready.max(self.resources[rid.0].free_at),
+            Some(rid) => deps_ready.max(self.resources[rid.index()].free_at),
             None => deps_ready,
         };
         let end = start + duration_ms;
         if let Some(rid) = resource {
-            let r = &mut self.resources[rid.0];
+            let r = &mut self.resources[rid.index()];
             r.free_at = end;
             r.busy_ms += duration_ms;
             r.intervals.push((start, end));
@@ -561,7 +580,7 @@ impl Engine {
     /// retirement never loses busy time.
     #[must_use]
     pub fn interval_busy_ms(&self, id: ResourceId) -> f64 {
-        let r = &self.resources[id.0];
+        let r = &self.resources[id.index()];
         r.retired_busy_ms + r.intervals.iter().map(|iv| iv.1 - iv.0).sum::<f64>()
     }
 
@@ -580,7 +599,7 @@ impl Engine {
     /// Live busy intervals currently held for one resource.
     #[must_use]
     pub fn live_intervals(&self, id: ResourceId) -> usize {
-        self.resources[id.0].intervals.len()
+        self.resources[id.index()].intervals.len()
     }
 
     /// Number of distinct resources created so far (a churn fleet recycling
@@ -640,19 +659,19 @@ impl Engine {
     /// The time the resource becomes free under the current schedule.
     #[must_use]
     pub fn free_at(&self, id: ResourceId) -> f64 {
-        self.resources[id.0].free_at
+        self.resources[id.index()].free_at
     }
 
     /// Accumulated busy time of a resource, ms.
     #[must_use]
     pub fn busy_ms(&self, id: ResourceId) -> f64 {
-        self.resources[id.0].busy_ms
+        self.resources[id.index()].busy_ms
     }
 
     /// Resource name.
     #[must_use]
     pub fn resource_name(&self, id: ResourceId) -> &str {
-        &self.resources[id.0].name
+        &self.resources[id.index()].name
     }
 
     /// Latest task end across the whole schedule, retired history included
@@ -1035,6 +1054,14 @@ mod tests {
         let ready = sim.deps_ready_ms(deps);
         let unit = sim.pool_units(pool)[sim.least_loaded_unit_in(pool, ready, range)];
         sim.submit(label, Some(unit), duration_ms, deps)
+    }
+
+    #[test]
+    fn a_task_record_is_40_bytes() {
+        // `retire_before` moves every live task and `submit` pushes one,
+        // so the record's size is copy traffic on the hot path.
+        assert_eq!(std::mem::size_of::<Option<ResourceId>>(), 8);
+        assert_eq!(std::mem::size_of::<ScheduledTask>(), 40);
     }
 
     #[test]

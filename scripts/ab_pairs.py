@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Alternating A/B pairs of two built benchmark binaries on one workload.
+"""Alternating A/B pairs of two built benchmark binaries, per workload.
 
 Usage:
 
     python3 scripts/ab_pairs.py PARENT_BIN CHANGE_BIN --workload foveated_fleet \\
         [--pairs 10] [--seconds 30] [--seed 701]
+
+`--workload all` runs the pairs of every workload that `BENCHMARK.json`
+declares, one workload after the other, and prints one table per workload.
 
 Each pair runs both binaries untraced (`--trace 0`) at the same seed
 (`--seed`, `--seed + 1`, ...), parent first in even pairs and change first
@@ -76,29 +79,20 @@ def better(a, b, direction):
     return a > b if direction == "higher" else a < b
 
 
-def main():
-    spec = json.loads(BENCHMARK_JSON.read_text())
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="the parent's built benchmark binary")
-    parser.add_argument("change", help="the change's built benchmark binary")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    parser.add_argument("--seed", type=int, default=701, help="seed of the first pair")
-    args = parser.parse_args()
-
+def compare(spec, args, workload):
+    """Runs the pairs of one workload and prints its table."""
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             binary = args.parent if side == "parent" else args.change
-            runs[side].append(run_once(binary, args.workload, args.seed + i, args.seconds))
-        print(f"pair {i + 1}/{args.pairs} (seed {args.seed + i}, {order[0]} first): "
+            runs[side].append(run_once(binary, workload, args.seed + i, args.seconds))
+        print(f"{workload} pair {i + 1}/{args.pairs} (seed {args.seed + i}, {order[0]} first): "
               + "; ".join(f"{side} {json.dumps(runs[side][-1])}" for side in order),
               file=sys.stderr)
 
     need = math.ceil(0.9 * args.pairs)
-    print(f"{args.workload}: {args.pairs} alternating pair(s) of {args.seconds} s, "
+    print(f"{workload}: {args.pairs} alternating pair(s) of {args.seconds} s, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}")
     header = (f"{'metric':<16} {'parent median [q1, q3]':<36} {'change median [q1, q3]':<36} "
               f"{'ratio':>7} {'wins':>6}  claim  regression")
@@ -127,6 +121,25 @@ def main():
         print(f"{name:<16} {f'{pmed:.6g} [{pq1:.6g}, {pq3:.6g}]':<36} "
               f"{f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':<36} {ratio:>7.3f} "
               f"{f'{wins}/{args.pairs}':>6}  {claim:<5}  {regression} (bound {bound:g})")
+
+
+def main():
+    spec = json.loads(BENCHMARK_JSON.read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="the parent's built benchmark binary")
+    parser.add_argument("change", help="the change's built benchmark binary")
+    parser.add_argument("--workload", required=True, choices=workloads + ["all"])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
+    parser.add_argument("--seed", type=int, default=701, help="seed of the first pair")
+    args = parser.parse_args()
+
+    for i, workload in enumerate(workloads if args.workload == "all" else [args.workload]):
+        if i:
+            print()
+        compare(spec, args, workload)
+        sys.stdout.flush()
 
 
 if __name__ == "__main__":
