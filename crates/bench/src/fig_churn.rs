@@ -60,7 +60,6 @@ fn burst_policy(system: &SystemConfig, probe_frames: usize) -> AdmissionPolicy {
         frames: probe_frames,
         seed: SEED,
         server_units: 8,
-        shared_network: true,
         link_streams: 2,
         fairness: FairnessPolicy::Weighted,
         server_policy: ServerPolicy::default(),

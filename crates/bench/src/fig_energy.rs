@@ -84,7 +84,6 @@ pub fn energy_config(
         frames,
         seed: SEED,
         server_units: units,
-        shared_network: true,
         link_streams: units,
         fairness: FairnessPolicy::EqualShare,
         server_policy: policy,

@@ -113,7 +113,6 @@ fn report_with(sizes: &[usize], frames: usize) -> String {
         frames,
         seed: SEED,
         server_units: SystemConfig::default().remote.count() as usize,
-        shared_network: true,
         link_streams: SystemConfig::default().remote.count() as usize,
         fairness: FairnessPolicy::EqualShare,
         server_policy: ServerPolicy::default(),

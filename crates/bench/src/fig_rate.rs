@@ -191,7 +191,6 @@ fn report_with(rows: &[(usize, Option<f64>)], frames: usize) -> String {
             frames,
             seed: SEED,
             server_units: 8,
-            shared_network: true,
             link_streams: 2,
             fairness: FairnessPolicy::Weighted,
             server_policy: ServerPolicy::default(),
@@ -275,7 +274,6 @@ mod tests {
             frames: 80,
             seed: SEED,
             server_units: 8,
-            shared_network: true,
             link_streams: 2,
             fairness: FairnessPolicy::EqualShare,
             server_policy: ServerPolicy::default(),

@@ -101,7 +101,6 @@ pub fn mixed_config(preset: NetworkPreset, policy: ServerPolicy, frames: usize) 
         frames,
         seed: SEED,
         server_units: units,
-        shared_network: true,
         link_streams: units,
         fairness: FairnessPolicy::EqualShare,
         server_policy: policy,

@@ -253,7 +253,6 @@ impl AdmissionController {
             frames,
             seed: self.seed,
             server_units: self.server_units,
-            shared_network: true,
             link_streams: self.link_streams,
             fairness: self.fairness,
             server_policy: self.server_policy,

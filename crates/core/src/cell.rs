@@ -4,10 +4,9 @@
 //! [`crate::churn::ChurnFleet`] (open membership, virtual time) differ in
 //! how they step and when tenants come and go, not in what a tenant is
 //! attached to. A [`Cell`] owns that shared part: one engine, one server
-//! pool, the shared link (absent when every tenant gets a private
-//! channel) with the banked handles of departed members, the telemetry
-//! fan-out and its load tracker, and the server policy. It is the only
-//! code that opens a tenant ([`Cell::open`]) or closes one
+//! pool, the shared link with the banked handles of departed members, the
+//! telemetry fan-out and its load tracker, and the server policy. It is
+//! the only code that opens a tenant ([`Cell::open`]) or closes one
 //! ([`Cell::close`]), so both runners wire sessions identically by
 //! construction.
 //!
@@ -96,9 +95,8 @@ pub(crate) struct Cell {
     pub(crate) engine: SharedEngine,
     /// The server GPU and encoder pools.
     pub(crate) server: ServerPool,
-    /// The shared wireless link; `None` gives every tenant a private
-    /// channel at full preset bandwidth.
-    link: Option<SharedChannel>,
+    /// The shared wireless link every streaming tenant joins.
+    link: SharedChannel,
     /// Departed members' link handles, reused (via
     /// [`SharedChannel::rejoin`]) by later joiners so the channel's member
     /// table stays O(peak concurrency) instead of O(total arrivals).
@@ -111,20 +109,21 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    /// Builds the substrate. `link` is the shared link's fairness policy
-    /// and concurrent full-rate streams, or `None` for private channels;
-    /// `aggregate` switches on the aggregate stream (closed fleets, whose
-    /// summary is that stream's product).
+    /// Builds the substrate. `(fairness, streams)` are the shared link's
+    /// fairness policy and concurrent full-rate streams; `aggregate`
+    /// switches on the aggregate stream (closed fleets, whose summary is
+    /// that stream's product).
     ///
     /// # Panics
     ///
-    /// Panics if the server policy is invalid for `server_units`.
+    /// Panics if the server policy is invalid for `server_units` or
+    /// `streams` is zero.
     pub(crate) fn new(
         system: SystemConfig,
         seed: u64,
         server_units: usize,
         server_policy: ServerPolicy,
-        link: Option<(FairnessPolicy, usize)>,
+        (fairness, streams): (FairnessPolicy, usize),
         telemetry: &TelemetryConfig,
         aggregate: bool,
     ) -> Self {
@@ -133,12 +132,9 @@ impl Cell {
         let server = ServerPool::on(&engine, server_units);
         let memo = Rc::new(CellMemo::new(&engine, system.mar));
         let sinks = SinkSet::from_config(telemetry, &system, server_units, aggregate);
-        let link = link.map(|(fairness, streams)| {
-            let ch = SharedChannel::new(NetworkChannel::new(system.network, seed));
-            ch.set_policy(fairness);
-            ch.set_concurrent_streams(streams);
-            ch
-        });
+        let link = SharedChannel::new(NetworkChannel::new(system.network, seed));
+        link.set_policy(fairness);
+        link.set_concurrent_streams(streams);
         Cell {
             system,
             seed,
@@ -150,11 +146,6 @@ impl Cell {
             sinks,
             memo,
         }
-    }
-
-    /// Whether tenants share one link (rather than private channels).
-    pub(crate) fn shares_link(&self) -> bool {
-        self.link.is_some()
     }
 
     /// Opens the tenant with arrival ordinal `ordinal` on engine slot
@@ -177,15 +168,16 @@ impl Cell {
         initial_e1_deg: Option<f64>,
     ) -> Session {
         let seed = session_seed(self.seed, ordinal);
-        let channel = match &self.link {
-            Some(link) if spec.scheme.uses_network() => match self.free_links.pop() {
+        let channel = if spec.scheme.uses_network() {
+            match self.free_links.pop() {
                 Some(handle) => {
                     handle.rejoin(spec.share);
                     handle
                 }
-                None => link.join(spec.share),
-            },
-            _ => SharedChannel::new(NetworkChannel::new(self.system.network, seed)),
+                None => self.link.join(spec.share),
+            }
+        } else {
+            SharedChannel::new(NetworkChannel::new(self.system.network, seed))
         };
         let mut system = self.system;
         if let Some(e1) = initial_e1_deg {

@@ -524,7 +524,7 @@ impl ChurnFleet {
             config.seed,
             config.server_units,
             config.server_policy,
-            Some((config.fairness, config.link_streams)),
+            (config.fairness, config.link_streams),
             &config.telemetry,
             false, // churn has its own summary shape; no aggregate stream
         );

@@ -9,10 +9,10 @@
 //!
 //! A [`Fleet`] steps its sessions round-robin (one frame per session per
 //! round) against a shared [`qvr_sim::SharedEngine`], a shared
-//! [`crate::schemes::ServerPool`] of per-frame GPU units, and (by default)
-//! one shared [`qvr_net::SharedChannel`] bandwidth budget. Independent
-//! fleets (across seeds or configs) run in parallel threads via
-//! [`Fleet::run_many`].
+//! [`crate::schemes::ServerPool`] of per-frame GPU units, and one shared
+//! [`qvr_net::SharedChannel`] bandwidth budget that every streaming
+//! session joins. Independent fleets (across seeds or configs) run in
+//! parallel threads via [`Fleet::run_many`].
 //!
 //! # Tenancy semantics
 //!
@@ -96,18 +96,13 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Remote GPU (and encoder) units in the shared server pool.
     pub server_units: usize,
-    /// Whether all sessions draw from one shared channel budget
-    /// (occupancy = session count). When `false` every session gets a
-    /// private channel at full preset bandwidth.
-    pub shared_network: bool,
     /// Concurrent full-rate streams the shared link serves (MU-MIMO/OFDMA
-    /// capacity): per-transfer rates degrade only once the session count
-    /// exceeds this. Ignored when `shared_network` is `false`.
+    /// capacity): per-transfer rates degrade only once the streaming
+    /// session count exceeds this.
     pub link_streams: usize,
     /// How the shared link arbitrates its budget between streaming tenants.
     /// [`FairnessPolicy::EqualShare`] (the default) with unit shares is
-    /// bit-identical to the pre-policy engine. Ignored when
-    /// `shared_network` is `false`.
+    /// bit-identical to the pre-policy engine.
     pub fairness: FairnessPolicy,
     /// How the shared server pool places tenants' remote chains on GPU
     /// units, by tenant class ([`SchemeKind::tenant_class`]).
@@ -157,7 +152,6 @@ impl FleetConfig {
             frames,
             seed,
             server_units,
-            shared_network: true,
             link_streams: server_units,
             fairness: FairnessPolicy::EqualShare,
             server_policy: ServerPolicy::default(),
@@ -176,14 +170,15 @@ impl FleetConfig {
         self
     }
 
-    /// Whether this config has the classic dedicated single-user shape:
-    /// one session, a 1-unit server and a private channel. A [`Fleet`]
-    /// still runs it as a 1-unit multi-tenant fleet (see the module docs'
-    /// tenancy semantics); the dedicated run itself is
-    /// [`SchemeKind::run`].
+    /// Whether this config runs as a dedicated single-user session: never.
+    /// No fleet has a private channel (every streaming session joins its
+    /// cell's link), and every fleet is multi-tenant (see the module docs'
+    /// tenancy semantics); the dedicated run is [`SchemeKind::run`]. The
+    /// constant stays because the repository benchmark's recorder asserts
+    /// it.
     #[must_use]
     pub fn is_dedicated(&self) -> bool {
-        self.sessions.len() == 1 && self.server_units <= 1 && !self.shared_network
+        false
     }
 }
 
@@ -208,7 +203,7 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics if the config has no sessions, zero frames, zero server
-    /// units, or zero link streams on a shared link.
+    /// units, or zero link streams.
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
         assert!(
@@ -221,7 +216,7 @@ impl Fleet {
             "the server pool needs at least one unit"
         );
         assert!(
-            !config.shared_network || config.link_streams > 0,
+            config.link_streams > 0,
             "the link needs at least one stream"
         );
         // The aggregate stream always runs: it *is* the summary.
@@ -230,9 +225,7 @@ impl Fleet {
             config.seed,
             config.server_units,
             config.server_policy,
-            config
-                .shared_network
-                .then_some((config.fairness, config.link_streams)),
+            (config.fairness, config.link_streams),
             &config.telemetry,
             true,
         );
@@ -367,7 +360,6 @@ impl Fleet {
             mean_fps,
             server_utilization,
             server_units: cell.server.units(),
-            shared_network: cell.shares_link(),
             energy,
             windows,
             exposition: cell.sinks.metrics_exposition(),
@@ -455,8 +447,6 @@ pub struct FleetSummary {
     pub server_utilization: f64,
     /// Units in the server pool.
     pub server_units: usize,
-    /// Whether sessions shared one channel budget.
-    pub shared_network: bool,
     /// Fleet-level energy (server pool + access point + all headsets),
     /// streamed by the telemetry [`crate::telemetry::EnergyMeter`];
     /// identity-zero when the meter is disabled.
@@ -554,15 +544,10 @@ impl fmt::Display for FleetSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} sessions on {} server units{}: MTP p50/p95/p99 {:.1}/{:.1}/{:.1} ms, \
-             FPS floor {:.0}, server util {:.0}%",
+            "{} sessions on {} server units + shared link: MTP p50/p95/p99 \
+             {:.1}/{:.1}/{:.1} ms, FPS floor {:.0}, server util {:.0}%",
             self.sessions.len(),
             self.server_units,
-            if self.shared_network {
-                " + shared link"
-            } else {
-                ""
-            },
             self.mtp_p50_ms,
             self.mtp_p95_ms,
             self.mtp_p99_ms,
@@ -598,7 +583,6 @@ mod tests {
                 frames: 20,
                 seed: 9,
                 server_units: 8,
-                shared_network: true,
                 link_streams: 1,
                 fairness: FairnessPolicy::EqualShare,
                 server_policy: ServerPolicy::default(),
@@ -633,7 +617,6 @@ mod tests {
             frames: 12,
             seed: 5,
             server_units: 4,
-            shared_network: true,
             link_streams: 2,
             fairness: FairnessPolicy::EqualShare,
             server_policy: ServerPolicy::default(),
@@ -733,7 +716,11 @@ mod tests {
     }
 
     #[test]
-    fn solo_fleet_is_dedicated() {
+    fn a_solo_fleet_on_one_unit_is_still_multi_tenant() {
+        // One session on a 1-unit pool has the dedicated single-user
+        // shape, but a fleet still streams it through its cell's link and
+        // renders it as a 1-unit multi-tenant fleet; the contention-free
+        // single-user run is `SchemeKind::run`.
         let f = FleetConfig {
             system: cfg(),
             sessions: vec![SessionSpec::new(
@@ -743,7 +730,6 @@ mod tests {
             frames: 10,
             seed: 1,
             server_units: 1,
-            shared_network: false,
             link_streams: 1,
             fairness: FairnessPolicy::EqualShare,
             server_policy: ServerPolicy::default(),
@@ -751,9 +737,7 @@ mod tests {
             retire_window_ms: None,
             telemetry: TelemetryConfig::default(),
         };
-        assert!(f.is_dedicated());
-        // The fleet runs the dedicated shape as a 1-unit multi-tenant
-        // fleet; the contention-free single-user run is `SchemeKind::run`.
+        assert!(!f.is_dedicated());
         let s = Fleet::run(f);
         assert_eq!(s.server_units, 1);
         assert_ne!(
@@ -834,7 +818,6 @@ mod tests {
             frames: 20,
             seed: 5,
             server_units: 4,
-            shared_network: true,
             link_streams: 1,
             fairness: FairnessPolicy::EqualShare,
             server_policy: ServerPolicy::default(),
@@ -898,7 +881,6 @@ mod tests {
             frames: 1,
             seed: 0,
             server_units: 1,
-            shared_network: true,
             link_streams: 1,
             fairness: FairnessPolicy::EqualShare,
             server_policy: ServerPolicy::default(),
@@ -939,7 +921,6 @@ mod tests {
                 frames: 8,
                 seed: 17,
                 server_units: 8,
-                shared_network: true,
                 link_streams: 1,
                 fairness: FairnessPolicy::Weighted,
                 server_policy: ServerPolicy::default(),
@@ -987,7 +968,6 @@ mod tests {
                 frames: 40,
                 seed: 19,
                 server_units: 2,
-                shared_network: true,
                 link_streams: 2,
                 fairness: FairnessPolicy::Weighted,
                 server_policy: ServerPolicy::default(),

@@ -287,10 +287,9 @@ fn partition_key(display: &DisplayGeometry, e1: f64) -> PartitionKey {
 /// whatever the gaze, so its result depends only on e1, the display and
 /// the MAR. A cell runs one [`crate::schemes::SystemConfig`], so it has one
 /// MAR, and its memo (in [`crate::cell::CellMemo`]) serves every tenant,
-/// whatever its display, resolving each (display, e1) once. Every call
-/// must pass the memo's MAR model (debug builds check it);
-/// [`PartitionMemo::plan`] then equals [`FoveationPlan::resolve`] bit for
-/// bit.
+/// whatever its display, resolving each (display, e1) once, and
+/// [`PartitionMemo::plan`] equals [`FoveationPlan::resolve`] under the
+/// memo's MAR model bit for bit.
 ///
 /// The memo is keyed by the display and the bits of the clamped e1 and
 /// holds one entry per distinct key, in key order, at most
@@ -323,17 +322,16 @@ impl PartitionMemo {
         }
     }
 
-    /// `FoveationPlan::resolve(e1_deg, display, mar, gaze)`, with the
-    /// fovea area read from `rings` where it holds it.
+    /// `FoveationPlan::resolve(e1_deg, display, mar, gaze)` under the
+    /// memo's `mar`, with the fovea area read from `rings` where it holds
+    /// it.
     pub(crate) fn plan(
         &self,
         e1_deg: f64,
         display: &DisplayGeometry,
-        mar: &MarModel,
         gaze: GazePoint,
         rings: &TriangleFractionCache,
     ) -> FoveationPlan {
-        debug_assert_eq!(*mar, self.mar, "a partition memo serves one MAR model");
         let e1 = clamp_e1(e1_deg);
         let key = partition_key(display, e1);
         let held = {
@@ -343,8 +341,8 @@ impl PartitionMemo {
                 .map(|i| entries[i].1)
         };
         let part = held.unwrap_or_else(|_| {
-            let part =
-                LayerPartition::with_optimal_middle(e1, display, mar).expect("clamped e1 is valid");
+            let part = LayerPartition::with_optimal_middle(e1, display, &self.mar)
+                .expect("clamped e1 is valid");
             let mut entries = self.entries.borrow_mut();
             if entries.len() == Self::CAP {
                 entries.clear();
@@ -354,7 +352,7 @@ impl PartitionMemo {
             part
         });
         let fovea_area = rings.fovea_area_fraction(display, e1, gaze);
-        FoveationPlan::from_partition(part, display, mar, gaze, fovea_area)
+        FoveationPlan::from_partition(part, display, &self.mar, gaze, fovea_area)
     }
 
     /// How many partitions the memo holds.
@@ -539,7 +537,7 @@ mod tests {
                 let own = &tables[i][k % gazes.len()];
                 let other = &tables[i][(k + 1) % gazes.len()];
                 for rings in [own, other, &empty] {
-                    let memoized = memo.plan(e1, &display, &mar, gaze, rings);
+                    let memoized = memo.plan(e1, &display, gaze, rings);
                     assert_eq!(
                         plan_bits(&memoized),
                         plan_bits(&resolved),
@@ -563,7 +561,7 @@ mod tests {
         let rings = TriangleFractionCache::new();
         let e1s = (0..PartitionMemo::CAP + 40).map(|i| 5.0 + i as f64 * 0.25);
         for e1 in e1s.clone().chain(e1s) {
-            let memoized = memo.plan(e1, &d, &mar, GazePoint::center(), &rings);
+            let memoized = memo.plan(e1, &d, GazePoint::center(), &rings);
             let resolved = FoveationPlan::resolve(e1, &d, &mar, GazePoint::center());
             assert_eq!(plan_bits(&memoized), plan_bits(&resolved), "e1={e1}");
             assert!(memo.len() <= PartitionMemo::CAP);

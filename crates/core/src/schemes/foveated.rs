@@ -151,7 +151,7 @@ impl FoveatedStepper {
         // will actually ship on, or the equilibrium it finds is for the
         // wrong system, so LIWC's probe and the frame share this one body.
         let plan_and_bytes = |e: f64| {
-            let plan = memo.partitions.plan(e, &display, &config.mar, gaze, rings);
+            let plan = memo.partitions.plan(e, &display, gaze, rings);
             let bytes = match rc_quality {
                 Some(q) => plan.periphery_entropy_bytes(frame.content_detail, motion, q),
                 None => plan.periphery_bytes(

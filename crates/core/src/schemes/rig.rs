@@ -5,11 +5,11 @@
 //! private network channel, and an analytically-accelerated remote server —
 //! exactly the original one-user evaluation. In fleet mode
 //! ([`Rig::in_fleet`]) several rigs submit into one [`SharedEngine`],
-//! contend for one [`ServerPool`] of real GPU units, and (optionally) draw
-//! from one shared [`SharedChannel`] bandwidth budget. Every rig of a
-//! cell holds the cell's memo ([`CellMemo`]) through one handle: the fixed
-//! task labels interned into the cell's engine, the Eq. (1) partitions and
-//! the ring-table area slot; a private rig builds its own.
+//! contend for one [`ServerPool`] of real GPU units, and, when they stream,
+//! draw from their cell's one [`SharedChannel`] bandwidth budget. Every
+//! rig of a cell holds the cell's memo ([`CellMemo`]) through one handle:
+//! the fixed task labels interned into the cell's engine, the Eq. (1)
+//! partitions and the ring-table area slot; a private rig builds its own.
 
 use super::SystemConfig;
 use crate::cell::CellMemo;

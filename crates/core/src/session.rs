@@ -108,9 +108,10 @@ impl Session {
 
     /// Releases this session's claim on a shared link, if it holds one
     /// (called when the session leaves a fleet mid-run, so the remaining
-    /// members' shares renormalize).
+    /// members' shares renormalize). An unbound handle is never an active
+    /// member, so a private channel holds no claim.
     pub(crate) fn release_link(&self) {
-        if self.rig.channel.member().is_some() && self.rig.channel.member_is_active() {
+        if self.rig.channel.member_is_active() {
             self.rig.channel.leave();
         }
     }

@@ -9,10 +9,15 @@
 //!
 //! # Shared links and fairness
 //!
-//! A multi-tenant link arbitrates its budget with a pluggable
-//! [`FairnessPolicy`]. Tenants register a [`LinkShare`] via
-//! [`SharedChannel::join`] and get back a member-bound handle whose
-//! transfers (and ACK observations) resolve through the policy:
+//! A [`NetworkChannel`] holds a link's state, and its only public function
+//! is [`NetworkChannel::new`]: every operation goes through
+//! [`SharedChannel`] handles, the link's one API, so member ids stay inside
+//! this crate. An unbound handle ([`SharedChannel::new`]) transfers
+//! anonymously at the plain equal time-share. A multi-tenant link
+//! arbitrates its budget with a pluggable [`FairnessPolicy`]: tenants
+//! register a [`LinkShare`] via [`SharedChannel::join`] and get back a
+//! member-bound handle whose transfers (and ACK observations) resolve
+//! through the policy:
 //!
 //! * [`FairnessPolicy::EqualShare`] — the classic MAC: every active member
 //!   time-shares identically (`occupancy / concurrent_streams`). The
@@ -338,14 +343,16 @@ struct Member {
     active: bool,
 }
 
-/// A stateful, seeded channel with SNR-derived throughput jitter and
-/// ACK-based throughput observation.
+/// The state of one seeded link: SNR-derived throughput jitter, the ACK
+/// monitor and the member table. Its only public function is
+/// [`NetworkChannel::new`]; every operation on it goes through a
+/// [`SharedChannel`] handle, the link's API.
 #[derive(Debug, Clone)]
 pub struct NetworkChannel {
     preset: NetworkPreset,
-    snr_db: f64,
-    /// `10^(−snr_db/20)`, fixed with the SNR at construction (see
-    /// [`NetworkChannel::jitter_sigma`]).
+    /// Relative throughput jitter (σ of the multiplicative factor):
+    /// noise amplitude is `10^(−SNR/20)` of the signal. Computed once at
+    /// construction from `SNR_DB`.
     jitter_sigma: f64,
     rng: StdRng,
     /// EMA of effective downlink throughput, Mbps (the "ACK monitor").
@@ -369,25 +376,17 @@ pub struct NetworkChannel {
     members: Vec<Member>,
 }
 
+/// The link's signal-to-noise ratio, dB: the paper inserts "white noise
+/// at 20 dB SNR" (Sec. 5).
+const SNR_DB: f64 = 20.0;
+
 impl NetworkChannel {
-    /// Creates a channel at the paper's default 20 dB SNR.
+    /// Creates a channel at the paper's 20 dB SNR.
     #[must_use]
     pub fn new(preset: NetworkPreset, seed: u64) -> Self {
-        Self::with_snr(preset, 20.0, seed)
-    }
-
-    /// Creates a channel with an explicit SNR in dB.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snr_db` is non-finite.
-    #[must_use]
-    pub fn with_snr(preset: NetworkPreset, snr_db: f64, seed: u64) -> Self {
-        assert!(snr_db.is_finite(), "SNR must be finite");
         NetworkChannel {
             preset,
-            snr_db,
-            jitter_sigma: 10f64.powf(-snr_db / 20.0),
+            jitter_sigma: 10f64.powf(-SNR_DB / 20.0),
             rng: StdRng::seed_from_u64(seed),
             observed_mbps: preset.download_mbps(),
             alpha: 0.25,
@@ -399,104 +398,9 @@ impl NetworkChannel {
         }
     }
 
-    /// Sets the fairness policy arbitrating this link's budget.
-    pub fn set_policy(&mut self, policy: FairnessPolicy) {
-        self.policy = policy;
-        self.reanchor();
-    }
-
-    /// The fairness policy in force.
-    #[must_use]
-    pub fn policy(&self) -> FairnessPolicy {
-        self.policy
-    }
-
-    /// Registers a member with the given share and returns its id. The
-    /// link's occupancy becomes the member count, and every member's ACK
-    /// monitor is re-anchored to its new allocated rate (shares shift when
-    /// the membership grows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the share is invalid (see [`LinkShare::validate`]).
-    pub fn join(&mut self, share: LinkShare) -> usize {
-        share.validate();
-        self.members.push(Member {
-            share,
-            observed_mbps: 0.0,
-            allocated_mbps: 0.0,
-            allocated_uncapped_mbps: 0.0,
-            active: true,
-        });
-        self.occupancy = self.active_members();
-        self.reanchor();
-        self.members.len() - 1
-    }
-
-    /// Deregisters member `id` from the link (a session leaving mid-run):
-    /// its [`LinkShare`] drops out of the allocation, occupancy falls, and
-    /// every remaining member's rate renormalizes over the survivors. The
-    /// slot stays reserved so ids remain stable and the member can
-    /// [`NetworkChannel::rejoin`] later.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a registered member or has already left.
-    pub fn leave(&mut self, id: usize) {
-        assert!(id < self.members.len(), "unknown link member {id}");
-        assert!(self.members[id].active, "link member {id} already left");
-        self.members[id].active = false;
-        self.occupancy = self.active_members();
-        self.reanchor();
-    }
-
-    /// Re-registers a departed member with a (possibly new) share.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown, still active, or the share is invalid.
-    pub fn rejoin(&mut self, id: usize, share: LinkShare) {
-        share.validate();
-        assert!(id < self.members.len(), "unknown link member {id}");
-        assert!(!self.members[id].active, "link member {id} is still active");
-        self.members[id].share = share;
-        self.members[id].active = true;
-        self.occupancy = self.active_members();
-        self.reanchor();
-    }
-
-    /// Whether member `id` currently occupies the link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a registered member.
-    #[must_use]
-    pub fn member_active(&self, id: usize) -> bool {
-        self.members[id].active
-    }
-
-    /// Number of registered members (departed slots included).
-    #[must_use]
-    pub fn members(&self) -> usize {
-        self.members.len()
-    }
-
     /// Number of members currently occupying the link.
-    #[must_use]
-    pub fn active_members(&self) -> usize {
+    fn active_members(&self) -> usize {
         self.members.iter().filter(|m| m.active).count()
-    }
-
-    /// Replaces member `id`'s share (admission-control degrade/upgrade) and
-    /// re-anchors every member's ACK monitor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a registered member or the share is invalid.
-    pub fn set_member_share(&mut self, id: usize, share: LinkShare) {
-        share.validate();
-        self.members[id].share = share;
-        self.reanchor();
     }
 
     /// Recomputes the allocation cache and re-anchors the channel-level
@@ -550,68 +454,9 @@ impl NetworkChannel {
         }
     }
 
-    /// The downlink rate (Mbps, pre-jitter) the fairness policy allocates:
-    /// for a registered member, its policy share; anonymously (`None`), the
-    /// plain equal time-share.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `member` is not a registered member id.
-    #[must_use]
-    pub fn allocated_download_mbps(&self, member: Option<usize>) -> f64 {
-        match member {
-            None => self.preset.download_mbps() / self.contention_divisor(),
-            Some(id) => {
-                assert!(id < self.members.len(), "unknown link member {id}");
-                self.members[id].allocated_mbps
-            }
-        }
-    }
-
-    /// Sets the number of concurrent full-rate streams the link serves
-    /// (MU-MIMO/OFDMA spatial capacity). With `k` streams, up to `k`
-    /// sharers see private-rate transfers; beyond that the per-transfer
-    /// rate scales down by `occupancy / k`. The default of 1 degrades with
-    /// the very first extra sharer (classic single-stream MAC).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn set_concurrent_streams(&mut self, k: usize) {
-        assert!(k > 0, "a link needs at least one stream");
-        self.streams = k;
-        self.reanchor();
-    }
-
-    /// Concurrent sessions sharing this channel.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.occupancy
-    }
-
     /// The rate divisor implied by occupancy over stream capacity, `≥ 1`.
-    #[must_use]
-    pub fn contention_divisor(&self) -> f64 {
+    fn contention_divisor(&self) -> f64 {
         (self.occupancy as f64 / self.streams as f64).max(1.0)
-    }
-
-    /// The configured preset.
-    #[must_use]
-    pub fn preset(&self) -> NetworkPreset {
-        self.preset
-    }
-
-    /// Number of downlink transfers performed.
-    #[must_use]
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Relative throughput jitter (σ of the multiplicative factor) implied
-    /// by the SNR: noise amplitude is `10^(−SNR/20)` of the signal.
-    #[must_use]
-    pub fn jitter_sigma(&self) -> f64 {
-        self.jitter_sigma
     }
 
     /// Samples this transfer's effective throughput factor in `(0.5, 1.0]`-
@@ -647,27 +492,18 @@ impl NetworkChannel {
                 mbps
             }
             (_, None) => self.preset.download_mbps() * factor / self.contention_divisor(),
-            (_, Some(id)) => self.allocated_download_mbps(Some(id)) * factor,
+            (_, Some(id)) => self.members[id].allocated_mbps * factor,
         }
     }
 
-    /// Downloads `bytes` over the channel as a registered member (or
-    /// anonymously with `None`); returns latency in ms and updates the
-    /// ACK-observed throughput estimate. The transfer's rate resolves
-    /// through the fairness policy for that member.
-    pub fn download_ms_for(&mut self, member: Option<usize>, bytes: f64) -> f64 {
-        self.preset.base_latency_ms() + self.transfer_only_ms_for(member, bytes)
-    }
-
-    /// Pure transfer time for `bytes` with throughput jitter but **without**
-    /// the base propagation latency — for follow-on chunks of an already
-    /// open stream (the connection pays its RTT once). `member` is a
-    /// registered member, or `None` for an anonymous transfer.
+    /// Pure transfer time for `bytes` as `member` (anonymously for
+    /// `None`), with throughput jitter but without the base propagation
+    /// latency; updates the ACK estimates and the transfer count.
     ///
     /// # Panics
     ///
     /// Panics if `member` names a slot that has left the link.
-    pub fn transfer_only_ms_for(&mut self, member: Option<usize>, bytes: f64) -> f64 {
+    fn transfer_ms(&mut self, member: Option<usize>, bytes: f64) -> f64 {
         if let Some(id) = member {
             assert!(
                 self.members[id].active,
@@ -685,72 +521,20 @@ impl NetworkChannel {
         self.transfers += 1;
         transfer
     }
-
-    /// Uploads `bytes` (pose/input stream); returns latency in ms. As a
-    /// registered member the uplink mirrors the member's downlink share
-    /// *fraction* (weights and MCS shape both directions; caps are
-    /// downlink-only); `None` uploads anonymously.
-    pub fn upload_ms_for(&mut self, member: Option<usize>, bytes: f64) -> f64 {
-        if let Some(id) = member {
-            assert!(
-                self.members[id].active,
-                "link member {id} has left and cannot transfer"
-            );
-        }
-        let factor = self.throughput_factor();
-        let mbps = match (self.policy, member) {
-            (FairnessPolicy::EqualShare, _) | (_, None) => {
-                self.preset.upload_mbps() * factor / self.contention_divisor()
-            }
-            (_, Some(id)) => {
-                // Cap-free basis: a downlink rate cap must not throttle the
-                // (tiny) pose/input uplink.
-                let fraction =
-                    self.members[id].allocated_uncapped_mbps / self.preset.download_mbps();
-                self.preset.upload_mbps() * fraction * factor
-            }
-        };
-        self.preset.base_latency_ms() + bytes.max(0.0) * 8.0 / (mbps * 1_000.0)
-    }
-
-    /// The ACK-monitor's smoothed downlink throughput estimate, Mbps.
-    ///
-    /// This is the "network's ACK packets" channel LIWC taps to assess
-    /// remote latency without waiting for software counters.
-    #[must_use]
-    pub fn observed_download_mbps(&self) -> f64 {
-        self.observed_mbps
-    }
-
-    /// The ACK estimate a member's own monitor sees. Under
-    /// [`FairnessPolicy::EqualShare`] every station observes the common
-    /// time-share, so this is the channel-level estimate (bit-identical to
-    /// the pre-policy engine); under weighted/airtime policies each member
-    /// tracks its own allocated rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `member` is not a registered member id.
-    #[must_use]
-    pub fn observed_download_mbps_for(&self, member: Option<usize>) -> f64 {
-        match (self.policy, member) {
-            (FairnessPolicy::EqualShare, _) | (_, None) => self.observed_mbps,
-            (_, Some(id)) => self.members[id].observed_mbps,
-        }
-    }
 }
 
-/// A cloneable shared handle to one [`NetworkChannel`], so several sessions
-/// can draw from a single bandwidth budget (the multi-tenant shared-link
-/// mode). Mirrors the channel API; all methods take `&self` and borrow
-/// internally. Sampling order across sharers is whatever order they call
-/// in — deterministic under deterministic session scheduling.
+/// A cloneable handle to one [`NetworkChannel`], and the link's only API:
+/// several sessions draw from a single bandwidth budget through handles
+/// on it (the multi-tenant shared-link mode). All methods take `&self`
+/// and borrow the channel internally. Sampling order across sharers is
+/// whatever order they call in — deterministic under deterministic
+/// session scheduling.
 ///
 /// A handle is either **unbound** (anonymous equal time-share, the
 /// [`SharedChannel::new`] default) or **member-bound** (returned by
-/// [`SharedChannel::join`]): a bound handle's transfers, ACK observations,
-/// and predictions all resolve through the link's [`FairnessPolicy`] for
-/// that member. Cloning preserves the binding.
+/// [`SharedChannel::join`]): a bound handle's transfers and ACK
+/// observations resolve through the link's [`FairnessPolicy`] for that
+/// member. Cloning preserves the binding.
 #[derive(Debug, Clone)]
 pub struct SharedChannel {
     channel: Rc<RefCell<NetworkChannel>>,
@@ -767,14 +551,30 @@ impl SharedChannel {
         }
     }
 
-    /// Registers a member with the link (see [`NetworkChannel::join`]) and
-    /// returns a handle bound to it, aliasing the same budget.
+    /// Registers a member with the given share and returns a handle bound
+    /// to it, aliasing the same budget. The link's occupancy becomes the
+    /// active member count, and every member's ACK monitor is re-anchored
+    /// to its new allocated rate (shares shift when the membership grows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the share is invalid (see [`LinkShare::validate`]).
     #[must_use]
     pub fn join(&self, share: LinkShare) -> SharedChannel {
-        let member = self.channel.borrow_mut().join(share);
+        share.validate();
+        let ch = &mut *self.channel.borrow_mut();
+        ch.members.push(Member {
+            share,
+            observed_mbps: 0.0,
+            allocated_mbps: 0.0,
+            allocated_uncapped_mbps: 0.0,
+            active: true,
+        });
+        ch.occupancy = ch.active_members();
+        ch.reanchor();
         SharedChannel {
             channel: Rc::clone(&self.channel),
-            member: Some(member),
+            member: Some(ch.members.len() - 1),
         }
     }
 
@@ -784,28 +584,40 @@ impl SharedChannel {
         self.member
     }
 
-    /// Deregisters this handle's member from the link (see
-    /// [`NetworkChannel::leave`]): the departed share is released and the
-    /// remaining members' allocations renormalize.
+    /// Deregisters this handle's member from the link (a session leaving
+    /// mid-run): its [`LinkShare`] drops out of the allocation, occupancy
+    /// falls, and every remaining member's rate renormalizes over the
+    /// survivors. The slot stays reserved, so ids remain stable and the
+    /// handle can [`SharedChannel::rejoin`] later.
     ///
     /// # Panics
     ///
     /// Panics if the handle is unbound or its member already left.
     pub fn leave(&self) {
-        let member = self.member.expect("cannot leave with an unbound handle");
-        self.channel.borrow_mut().leave(member);
+        let id = self.member.expect("cannot leave with an unbound handle");
+        let ch = &mut *self.channel.borrow_mut();
+        assert!(ch.members[id].active, "link member {id} already left");
+        ch.members[id].active = false;
+        ch.occupancy = ch.active_members();
+        ch.reanchor();
     }
 
-    /// Re-registers this handle's departed member (see
-    /// [`NetworkChannel::rejoin`]).
+    /// Re-registers this handle's departed member with a (possibly new)
+    /// share.
     ///
     /// # Panics
     ///
     /// Panics if the handle is unbound, the member is still active, or the
     /// share is invalid.
     pub fn rejoin(&self, share: LinkShare) {
-        let member = self.member.expect("cannot rejoin with an unbound handle");
-        self.channel.borrow_mut().rejoin(member, share);
+        let id = self.member.expect("cannot rejoin with an unbound handle");
+        share.validate();
+        let ch = &mut *self.channel.borrow_mut();
+        assert!(!ch.members[id].active, "link member {id} is still active");
+        ch.members[id].share = share;
+        ch.members[id].active = true;
+        ch.occupancy = ch.active_members();
+        ch.reanchor();
     }
 
     /// Whether this handle's member currently occupies the link (unbound
@@ -813,120 +625,180 @@ impl SharedChannel {
     #[must_use]
     pub fn member_is_active(&self) -> bool {
         self.member
-            .is_some_and(|id| self.channel.borrow().member_active(id))
+            .is_some_and(|id| self.channel.borrow().members[id].active)
     }
 
-    /// See [`NetworkChannel::active_members`].
+    /// Number of members currently occupying the link.
     #[must_use]
     pub fn active_members(&self) -> usize {
         self.channel.borrow().active_members()
     }
 
-    /// See [`NetworkChannel::set_policy`].
+    /// Sets the fairness policy arbitrating the link's budget.
     pub fn set_policy(&self, policy: FairnessPolicy) {
-        self.channel.borrow_mut().set_policy(policy);
+        let ch = &mut *self.channel.borrow_mut();
+        ch.policy = policy;
+        ch.reanchor();
     }
 
-    /// See [`NetworkChannel::policy`].
+    /// The fairness policy in force.
     #[must_use]
     pub fn policy(&self) -> FairnessPolicy {
-        self.channel.borrow().policy()
+        self.channel.borrow().policy
     }
 
-    /// See [`NetworkChannel::members`].
+    /// Number of registered members (departed slots included).
     #[must_use]
     pub fn members(&self) -> usize {
-        self.channel.borrow().members()
+        self.channel.borrow().members.len()
     }
 
-    /// This handle's allocated downlink rate (Mbps, pre-jitter) under the
-    /// link's fairness policy.
+    /// The downlink rate (Mbps, pre-jitter) the fairness policy allocates
+    /// this handle: its member's policy share, or the plain equal
+    /// time-share when unbound.
     #[must_use]
     pub fn allocated_download_mbps(&self) -> f64 {
-        self.channel.borrow().allocated_download_mbps(self.member)
+        let ch = self.channel.borrow();
+        match self.member {
+            None => ch.preset.download_mbps() / ch.contention_divisor(),
+            Some(id) => ch.members[id].allocated_mbps,
+        }
     }
 
-    /// Replaces this handle's member share (see
-    /// [`NetworkChannel::set_member_share`]).
+    /// Replaces this handle's member share (admission-control degrade or
+    /// upgrade) and re-anchors every member's ACK monitor.
     ///
     /// # Panics
     ///
-    /// Panics if the handle is unbound.
+    /// Panics if the handle is unbound or the share is invalid.
     pub fn set_share(&self, share: LinkShare) {
-        let member = self
+        let id = self
             .member
             .expect("cannot set the share of an unbound handle");
-        self.channel.borrow_mut().set_member_share(member, share);
+        share.validate();
+        let ch = &mut *self.channel.borrow_mut();
+        ch.members[id].share = share;
+        ch.reanchor();
     }
 
-    /// See [`NetworkChannel::occupancy`].
+    /// Concurrent sessions sharing the link.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.channel.borrow().occupancy()
+        self.channel.borrow().occupancy
     }
 
-    /// See [`NetworkChannel::set_concurrent_streams`].
+    /// Sets the number of concurrent full-rate streams the link serves
+    /// (MU-MIMO/OFDMA spatial capacity). With `k` streams, up to `k`
+    /// sharers see private-rate transfers; beyond that the per-transfer
+    /// rate scales down by `occupancy / k`. The default of 1 degrades with
+    /// the very first extra sharer (classic single-stream MAC).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero.
     pub fn set_concurrent_streams(&self, k: usize) {
-        self.channel.borrow_mut().set_concurrent_streams(k);
+        assert!(k > 0, "a link needs at least one stream");
+        let ch = &mut *self.channel.borrow_mut();
+        ch.streams = k;
+        ch.reanchor();
     }
 
-    /// See [`NetworkChannel::preset`].
+    /// The configured preset.
     #[must_use]
     pub fn preset(&self) -> NetworkPreset {
-        self.channel.borrow().preset()
+        self.channel.borrow().preset
     }
 
-    /// See [`NetworkChannel::transfers`].
+    /// Number of downlink transfers performed on the link, through any
+    /// handle.
     #[must_use]
     pub fn transfers(&self) -> u64 {
-        self.channel.borrow().transfers()
+        self.channel.borrow().transfers
     }
 
-    /// See [`NetworkChannel::download_ms_for`] (as this handle's member).
+    /// Downloads `bytes` as this handle's member (anonymously when
+    /// unbound); returns latency in ms, base propagation latency included,
+    /// and updates the ACK-observed throughput estimates. The transfer's
+    /// rate resolves through the fairness policy for the member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle's member has left the link.
     pub fn download_ms(&self, bytes: f64) -> f64 {
-        self.channel
-            .borrow_mut()
-            .download_ms_for(self.member, bytes)
+        let ch = &mut *self.channel.borrow_mut();
+        ch.preset.base_latency_ms() + ch.transfer_ms(self.member, bytes)
     }
 
-    /// See [`NetworkChannel::transfer_only_ms_for`] (as this handle's
-    /// member).
+    /// Pure transfer time for `bytes` with throughput jitter but
+    /// **without** the base propagation latency — for follow-on chunks of
+    /// an already open stream (the connection pays its RTT once).
+    /// Otherwise as [`SharedChannel::download_ms`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle's member has left the link.
     pub fn transfer_only_ms(&self, bytes: f64) -> f64 {
-        self.channel
-            .borrow_mut()
-            .transfer_only_ms_for(self.member, bytes)
+        self.channel.borrow_mut().transfer_ms(self.member, bytes)
     }
 
-    /// See [`NetworkChannel::upload_ms_for`] (as this handle's member).
+    /// Uploads `bytes` (pose/input stream); returns latency in ms. As a
+    /// member the uplink mirrors the member's downlink share *fraction*
+    /// (weights and MCS shape both directions; caps are downlink-only); an
+    /// unbound handle uploads anonymously.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle's member has left the link.
     pub fn upload_ms(&self, bytes: f64) -> f64 {
-        self.channel.borrow_mut().upload_ms_for(self.member, bytes)
+        let ch = &mut *self.channel.borrow_mut();
+        if let Some(id) = self.member {
+            assert!(
+                ch.members[id].active,
+                "link member {id} has left and cannot transfer"
+            );
+        }
+        let factor = ch.throughput_factor();
+        let mbps = match (ch.policy, self.member) {
+            (FairnessPolicy::EqualShare, _) | (_, None) => {
+                ch.preset.upload_mbps() * factor / ch.contention_divisor()
+            }
+            (_, Some(id)) => {
+                // Cap-free basis: a downlink rate cap must not throttle the
+                // (tiny) pose/input uplink.
+                let fraction = ch.members[id].allocated_uncapped_mbps / ch.preset.download_mbps();
+                ch.preset.upload_mbps() * fraction * factor
+            }
+        };
+        ch.preset.base_latency_ms() + bytes.max(0.0) * 8.0 / (mbps * 1_000.0)
     }
 
-    /// See [`NetworkChannel::observed_download_mbps_for`] (as this handle's
-    /// member).
+    /// The smoothed downlink throughput estimate this handle's ACK monitor
+    /// sees, Mbps: the "network's ACK packets" channel LIWC taps to assess
+    /// remote latency without waiting for software counters. Under
+    /// [`FairnessPolicy::EqualShare`], and for an unbound handle, that is
+    /// the link-level estimate (every station observes the common
+    /// time-share, bit-identical to the pre-policy engine); under the
+    /// weighted and airtime policies each member tracks its own allocated
+    /// rate.
     #[must_use]
     pub fn observed_download_mbps(&self) -> f64 {
-        self.channel
-            .borrow()
-            .observed_download_mbps_for(self.member)
+        let ch = self.channel.borrow();
+        match (ch.policy, self.member) {
+            (FairnessPolicy::EqualShare, _) | (_, None) => ch.observed_mbps,
+            (_, Some(id)) => ch.members[id].observed_mbps,
+        }
     }
 }
 
 impl fmt::Display for SharedChannel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.channel.borrow().fmt(f)
-    }
-}
-
-impl fmt::Display for NetworkChannel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ch = self.channel.borrow();
         write!(
             f,
-            "{} ({} Mbps nominal, {:.0} Mbps observed, {:.0} dB SNR)",
-            self.preset,
-            self.preset.download_mbps(),
-            self.observed_mbps,
-            self.snr_db
+            "{} ({} Mbps nominal, {:.0} Mbps observed, {SNR_DB:.0} dB SNR)",
+            ch.preset,
+            ch.preset.download_mbps(),
+            ch.observed_mbps,
         )
     }
 }
@@ -934,6 +806,11 @@ impl fmt::Display for NetworkChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An unbound handle on a fresh channel.
+    fn link(preset: NetworkPreset, seed: u64) -> SharedChannel {
+        SharedChannel::new(NetworkChannel::new(preset, seed))
+    }
 
     #[test]
     fn table2_bandwidths() {
@@ -945,11 +822,11 @@ mod tests {
     #[test]
     fn full_background_latency_matches_table1() {
         // Table 1: ~530-650 KB backgrounds cost ~28-38 ms over Wi-Fi.
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 1);
+        let ch = link(NetworkPreset::WiFi, 1);
         let mut sum = 0.0;
         let n = 100;
         for _ in 0..n {
-            sum += ch.download_ms_for(None, 590.0 * 1024.0);
+            sum += ch.download_ms(590.0 * 1024.0);
         }
         let avg = sum / f64::from(n);
         assert!(
@@ -961,37 +838,31 @@ mod tests {
     #[test]
     fn faster_preset_is_faster() {
         let bytes = 500_000.0;
-        let mut wifi = NetworkChannel::new(NetworkPreset::WiFi, 2);
-        let mut lte = NetworkChannel::new(NetworkPreset::Lte4G, 2);
-        let mut five_g = NetworkChannel::new(NetworkPreset::Early5G, 2);
-        let avg = |ch: &mut NetworkChannel| -> f64 {
-            (0..50)
-                .map(|_| ch.download_ms_for(None, bytes))
-                .sum::<f64>()
-                / 50.0
+        let avg = |preset: NetworkPreset| -> f64 {
+            let ch = link(preset, 2);
+            (0..50).map(|_| ch.download_ms(bytes)).sum::<f64>() / 50.0
         };
-        let (w, l, g) = (avg(&mut wifi), avg(&mut lte), avg(&mut five_g));
+        let (w, l, g) = (
+            avg(NetworkPreset::WiFi),
+            avg(NetworkPreset::Lte4G),
+            avg(NetworkPreset::Early5G),
+        );
         assert!(g < w && w < l, "5G {g} < WiFi {w} < LTE {l}");
     }
 
     #[test]
     fn channel_is_deterministic_per_seed() {
-        let mut a = NetworkChannel::new(NetworkPreset::WiFi, 9);
-        let mut b = NetworkChannel::new(NetworkPreset::WiFi, 9);
+        let a = link(NetworkPreset::WiFi, 9);
+        let b = link(NetworkPreset::WiFi, 9);
         for _ in 0..20 {
-            assert_eq!(
-                a.download_ms_for(None, 123_456.0),
-                b.download_ms_for(None, 123_456.0)
-            );
+            assert_eq!(a.download_ms(123_456.0), b.download_ms(123_456.0));
         }
     }
 
     #[test]
     fn noise_produces_jitter_but_not_chaos() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 3);
-        let times: Vec<f64> = (0..200)
-            .map(|_| ch.download_ms_for(None, 400_000.0))
-            .collect();
+        let ch = link(NetworkPreset::WiFi, 3);
+        let times: Vec<f64> = (0..200).map(|_| ch.download_ms(400_000.0)).collect();
         let mean = times.iter().sum::<f64>() / times.len() as f64;
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = times.iter().cloned().fold(0.0, f64::max);
@@ -1001,38 +872,21 @@ mod tests {
     }
 
     #[test]
-    fn higher_snr_means_less_jitter() {
-        let spread = |snr: f64| -> f64 {
-            let mut ch = NetworkChannel::with_snr(NetworkPreset::WiFi, snr, 4);
-            let times: Vec<f64> = (0..300)
-                .map(|_| ch.download_ms_for(None, 400_000.0))
-                .collect();
-            let mean = times.iter().sum::<f64>() / times.len() as f64;
-            let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
-            var.sqrt() / mean
-        };
-        assert!(spread(40.0) < spread(10.0));
-    }
-
-    #[test]
     fn jitter_sigma_is_the_snr_power_law_bit_for_bit() {
         // σ is computed once at construction; it must be the very value
-        // the per-transfer `powf` used to produce, for any finite SNR.
-        for snr in [20.0, 0.0, -3.0, 7.5, 12.345, -0.25, 60.0] {
-            let ch = NetworkChannel::with_snr(NetworkPreset::WiFi, snr, 1);
-            assert_eq!(
-                ch.jitter_sigma().to_bits(),
-                10f64.powf(-snr / 20.0).to_bits(),
-                "SNR {snr} dB"
-            );
-        }
+        // the per-transfer `powf` used to produce at the paper's 20 dB.
+        let ch = NetworkChannel::new(NetworkPreset::WiFi, 1);
+        assert_eq!(
+            ch.jitter_sigma.to_bits(),
+            10f64.powf(-20.0 / 20.0).to_bits()
+        );
     }
 
     #[test]
     fn observed_throughput_tracks_nominal() {
-        let mut ch = NetworkChannel::new(NetworkPreset::Early5G, 5);
+        let ch = link(NetworkPreset::Early5G, 5);
         for _ in 0..50 {
-            ch.download_ms_for(None, 1_000_000.0);
+            ch.download_ms(1_000_000.0);
         }
         let obs = ch.observed_download_mbps();
         assert!(
@@ -1043,50 +897,52 @@ mod tests {
 
     #[test]
     fn upload_is_cheap_for_pose_data() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 7);
+        let ch = link(NetworkPreset::WiFi, 7);
         // A pose + input packet is well under 2 KB.
-        let t = ch.upload_ms_for(None, 2_048.0);
+        let t = ch.upload_ms(2_048.0);
         assert!(t < 5.0, "pose upload {t} ms");
     }
 
     #[test]
     fn zero_bytes_costs_base_latency() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 8);
-        let t = ch.download_ms_for(None, 0.0);
+        let ch = link(NetworkPreset::WiFi, 8);
+        let t = ch.download_ms(0.0);
         assert!((t - NetworkPreset::WiFi.base_latency_ms()).abs() < 1e-9);
     }
 
     #[test]
     fn transfer_counter_increments() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 10);
-        ch.download_ms_for(None, 1.0);
-        ch.download_ms_for(None, 1.0);
+        let ch = link(NetworkPreset::WiFi, 10);
+        ch.download_ms(1.0);
+        ch.download_ms(1.0);
         assert_eq!(ch.transfers(), 2);
     }
 
     #[test]
     fn display_mentions_preset() {
-        let ch = NetworkChannel::new(NetworkPreset::Lte4G, 11);
-        assert!(ch.to_string().contains("4G LTE"));
+        let shown = link(NetworkPreset::Lte4G, 11).to_string();
+        assert!(shown.contains("4G LTE"));
+        assert!(shown.contains("20 dB SNR"));
     }
 
-    /// A channel with `members` default-share members joined; returns it
-    /// with the first member's id.
-    fn joined(seed: u64, streams: usize, members: usize) -> (NetworkChannel, usize) {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, seed);
-        ch.set_concurrent_streams(streams);
-        let ids: Vec<usize> = (0..members)
-            .map(|_| ch.join(LinkShare::default()))
-            .collect();
-        (ch, ids[0])
+    /// The first of `members` default-share members joined to a link on
+    /// `streams` concurrent streams.
+    fn joined(seed: u64, streams: usize, members: usize) -> SharedChannel {
+        let base = link(NetworkPreset::WiFi, seed);
+        base.set_concurrent_streams(streams);
+        let first = base.join(LinkShare::default());
+        for _ in 1..members {
+            let _ = base.join(LinkShare::default());
+        }
+        first
     }
 
     #[test]
     fn occupancy_divides_effective_bandwidth() {
         let avg = |occ: usize| -> f64 {
-            let (mut ch, id) = joined(12, 1, occ);
+            let ch = joined(12, 1, occ);
             (0..100)
-                .map(|_| ch.transfer_only_ms_for(Some(id), 400_000.0))
+                .map(|_| ch.transfer_only_ms(400_000.0))
                 .sum::<f64>()
                 / 100.0
         };
@@ -1101,11 +957,11 @@ mod tests {
 
     #[test]
     fn ack_monitor_sees_the_shared_rate() {
-        let (mut ch, id) = joined(14, 1, 8);
+        let ch = joined(14, 1, 8);
         for _ in 0..50 {
-            ch.transfer_only_ms_for(Some(id), 400_000.0);
+            ch.transfer_only_ms(400_000.0);
         }
-        let obs = ch.observed_download_mbps_for(Some(id));
+        let obs = ch.observed_download_mbps();
         assert!(
             obs < 200.0 / 8.0 * 1.05,
             "observed {obs} Mbps must reflect the 1/8 share"
@@ -1115,9 +971,9 @@ mod tests {
     #[test]
     fn streams_share_contention_until_oversubscribed() {
         let avg = |occ: usize, streams: usize| -> f64 {
-            let (mut ch, id) = joined(17, streams, occ);
+            let ch = joined(17, streams, occ);
             (0..100)
-                .map(|_| ch.transfer_only_ms_for(Some(id), 400_000.0))
+                .map(|_| ch.transfer_only_ms(400_000.0))
                 .sum::<f64>()
                 / 100.0
         };
@@ -1138,8 +994,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one stream")]
     fn zero_streams_rejected() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 18);
-        ch.set_concurrent_streams(0);
+        link(NetworkPreset::WiFi, 18).set_concurrent_streams(0);
     }
 
     #[test]
@@ -1147,38 +1002,35 @@ mod tests {
         // The golden-compat contract at channel level: a lone EqualShare
         // member with a default share draws the same bits as a private,
         // unbound channel on the same seed.
-        let mut private = NetworkChannel::new(NetworkPreset::WiFi, 21);
-        let (mut member, id) = joined(21, 1, 1);
+        let private = link(NetworkPreset::WiFi, 21);
+        let member = joined(21, 1, 1);
         assert_eq!(member.occupancy(), 1);
         assert_eq!(
             private.observed_download_mbps(),
-            member.observed_download_mbps_for(Some(id))
+            member.observed_download_mbps()
         );
         for _ in 0..30 {
             assert_eq!(
-                private.transfer_only_ms_for(None, 300_000.0),
-                member.transfer_only_ms_for(Some(id), 300_000.0)
+                private.transfer_only_ms(300_000.0),
+                member.transfer_only_ms(300_000.0)
             );
-            assert_eq!(
-                private.upload_ms_for(None, 2_000.0),
-                member.upload_ms_for(Some(id), 2_000.0)
-            );
+            assert_eq!(private.upload_ms(2_000.0), member.upload_ms(2_000.0));
             assert_eq!(
                 private.observed_download_mbps(),
-                member.observed_download_mbps_for(Some(id))
+                member.observed_download_mbps()
             );
         }
     }
 
     #[test]
     fn weighted_rates_are_proportional_to_weights() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 22);
+        let ch = link(NetworkPreset::WiFi, 22);
         ch.set_policy(FairnessPolicy::Weighted);
         let heavy = ch.join(LinkShare::weighted(3.0));
         let light = ch.join(LinkShare::weighted(1.0));
         // 2 members on 1 stream, weights 3:1 over the 200 Mbps budget.
-        let h = ch.allocated_download_mbps(Some(heavy));
-        let l = ch.allocated_download_mbps(Some(light));
+        let h = heavy.allocated_download_mbps();
+        let l = light.allocated_download_mbps();
         assert!((h / l - 3.0).abs() < 1e-9, "3:1 weights, got {h}/{l}");
         assert!((h + l - 200.0).abs() < 1e-9, "shares must fill the budget");
     }
@@ -1186,19 +1038,19 @@ mod tests {
     #[test]
     fn caps_clamp_in_every_mode() {
         for policy in FairnessPolicy::all() {
-            let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 23);
+            let ch = link(NetworkPreset::WiFi, 23);
             ch.set_policy(policy);
             let capped = ch.join(LinkShare::default().with_cap_mbps(10.0));
             let free = ch.join(LinkShare::default());
             assert!(
-                ch.allocated_download_mbps(Some(capped)) <= 10.0 + 1e-12,
+                capped.allocated_download_mbps() <= 10.0 + 1e-12,
                 "{policy}: cap exceeded"
             );
-            assert!(ch.allocated_download_mbps(Some(free)) > 10.0);
+            assert!(free.allocated_download_mbps() > 10.0);
             // Transfer time reflects the cap: ~80x slower than the free
             // member's full share would be at 10 vs ~100 Mbps.
-            let t_capped = ch.transfer_only_ms_for(Some(capped), 100_000.0);
-            let t_free = ch.transfer_only_ms_for(Some(free), 100_000.0);
+            let t_capped = capped.transfer_only_ms(100_000.0);
+            let t_free = free.transfer_only_ms(100_000.0);
             assert!(
                 t_capped > 2.0 * t_free,
                 "{policy}: capped member must run much slower"
@@ -1211,17 +1063,14 @@ mod tests {
         // A hard 5 Mbps downlink cap must leave the (tiny) pose uplink at
         // the member's cap-free share — caps are downlink-only.
         let mean_upload = |cap: Option<f64>| {
-            let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 31);
+            let ch = link(NetworkPreset::WiFi, 31);
             ch.set_policy(FairnessPolicy::Weighted);
             let share = cap.map_or(LinkShare::default(), |c| {
                 LinkShare::default().with_cap_mbps(c)
             });
             let capped = ch.join(share);
             let _other = ch.join(LinkShare::default());
-            (0..50)
-                .map(|_| ch.upload_ms_for(Some(capped), 2_048.0))
-                .sum::<f64>()
-                / 50.0
+            (0..50).map(|_| capped.upload_ms(2_048.0)).sum::<f64>() / 50.0
         };
         let with_cap = mean_upload(Some(5.0));
         let without = mean_upload(None);
@@ -1238,11 +1087,11 @@ mod tests {
         // airtime fairness preserves the fast member's half and halves the
         // slow one's bytes.
         let rate_of_fast = |policy: FairnessPolicy| {
-            let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 24);
+            let ch = link(NetworkPreset::WiFi, 24);
             ch.set_policy(policy);
             let fast = ch.join(LinkShare::default());
             let _slow = ch.join(LinkShare::default().with_mcs_efficiency(0.5));
-            ch.allocated_download_mbps(Some(fast))
+            fast.allocated_download_mbps()
         };
         let fair_half = 100.0;
         assert!(
@@ -1257,16 +1106,16 @@ mod tests {
 
     #[test]
     fn member_ack_monitor_tracks_its_own_share() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 25);
+        let ch = link(NetworkPreset::WiFi, 25);
         ch.set_policy(FairnessPolicy::Weighted);
         let heavy = ch.join(LinkShare::weighted(4.0));
         let light = ch.join(LinkShare::weighted(1.0));
         for _ in 0..40 {
-            ch.transfer_only_ms_for(Some(heavy), 200_000.0);
-            ch.transfer_only_ms_for(Some(light), 200_000.0);
+            heavy.transfer_only_ms(200_000.0);
+            light.transfer_only_ms(200_000.0);
         }
-        let h = ch.observed_download_mbps_for(Some(heavy));
-        let l = ch.observed_download_mbps_for(Some(light));
+        let h = heavy.observed_download_mbps();
+        let l = light.observed_download_mbps();
         assert!(
             h > 2.5 * l,
             "heavy member must observe a much larger share: {h} vs {l} Mbps"
@@ -1274,18 +1123,54 @@ mod tests {
     }
 
     #[test]
+    fn a_cloned_bound_handle_keeps_its_member() {
+        // Cloning preserves the binding: a cell banks and rejoins clones of
+        // bound handles, so a clone must act as its member and no other.
+        let ch = link(NetworkPreset::WiFi, 27);
+        ch.set_policy(FairnessPolicy::Weighted);
+        let heavy = ch.join(LinkShare::weighted(4.0));
+        let light = ch.join(LinkShare::weighted(1.0));
+        let clone = light.clone();
+        assert_eq!(clone.member(), light.member());
+        let (h, l) = (
+            heavy.observed_download_mbps(),
+            light.observed_download_mbps(),
+        );
+        for _ in 0..20 {
+            clone.transfer_only_ms(200_000.0);
+        }
+        assert!(
+            light.observed_download_mbps() < l,
+            "transfers through the clone move the light member's ACK estimate"
+        );
+        assert_eq!(
+            clone.observed_download_mbps(),
+            light.observed_download_mbps()
+        );
+        assert_eq!(
+            heavy.observed_download_mbps(),
+            h,
+            "the heavy member's estimate must not move"
+        );
+        clone.leave();
+        assert!(!light.member_is_active(), "leaving through the clone");
+        assert!(heavy.member_is_active());
+        assert_eq!(ch.active_members(), 1);
+    }
+
+    #[test]
     fn prediction_close_to_measurement_mean() {
         // The ACK-observed throughput predicts the measured transfer time:
         // base latency plus `bytes` at the observed rate.
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 6);
+        let ch = link(NetworkPreset::WiFi, 6);
         for _ in 0..30 {
-            ch.download_ms_for(None, 500_000.0);
+            ch.download_ms(500_000.0);
         }
         let predicted = NetworkPreset::WiFi.base_latency_ms()
             + 500_000.0 * 8.0 / (ch.observed_download_mbps() * 1_000.0);
         let mut sum = 0.0;
         for _ in 0..50 {
-            sum += ch.download_ms_for(None, 500_000.0);
+            sum += ch.download_ms(500_000.0);
         }
         let measured = sum / 50.0;
         assert!(
@@ -1296,25 +1181,25 @@ mod tests {
 
     #[test]
     fn joining_members_drives_occupancy() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 26);
+        let ch = link(NetworkPreset::WiFi, 26);
         assert_eq!(ch.members(), 0);
         let a = ch.join(LinkShare::default());
         let b = ch.join(LinkShare::default());
-        assert_eq!((a, b), (0, 1));
+        assert_eq!((a.member(), b.member()), (Some(0), Some(1)));
         assert_eq!(ch.members(), 2);
         assert_eq!(ch.occupancy(), 2);
     }
 
     #[test]
     fn set_member_share_reanchors_the_allocation() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 28);
+        let ch = link(NetworkPreset::WiFi, 28);
         ch.set_policy(FairnessPolicy::Weighted);
         let a = ch.join(LinkShare::default());
         let _b = ch.join(LinkShare::default());
-        assert!((ch.allocated_download_mbps(Some(a)) - 100.0).abs() < 1e-9);
-        ch.set_member_share(a, LinkShare::weighted(1.0).with_cap_mbps(25.0));
-        assert!((ch.allocated_download_mbps(Some(a)) - 25.0).abs() < 1e-9);
-        assert!((ch.observed_download_mbps_for(Some(a)) - 25.0).abs() < 1e-9);
+        assert!((a.allocated_download_mbps() - 100.0).abs() < 1e-9);
+        a.set_share(LinkShare::weighted(1.0).with_cap_mbps(25.0));
+        assert!((a.allocated_download_mbps() - 25.0).abs() < 1e-9);
+        assert!((a.observed_download_mbps() - 25.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1325,21 +1210,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "weight must be finite and positive")]
     fn invalid_share_rejected_at_join() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 29);
-        ch.join(LinkShare::weighted(1.0));
-        ch.set_member_share(
-            0,
-            LinkShare {
-                weight: 0.0,
-                cap_mbps: None,
-                mcs_efficiency: 1.0,
-            },
-        );
+        let member = link(NetworkPreset::WiFi, 29).join(LinkShare::weighted(1.0));
+        member.set_share(LinkShare {
+            weight: 0.0,
+            cap_mbps: None,
+            mcs_efficiency: 1.0,
+        });
     }
 
     #[test]
     fn bound_handles_resolve_their_member() {
-        let base = SharedChannel::new(NetworkChannel::new(NetworkPreset::WiFi, 30));
+        let base = link(NetworkPreset::WiFi, 30);
         base.set_policy(FairnessPolicy::Weighted);
         assert_eq!(base.policy(), FairnessPolicy::Weighted);
         let heavy = base.join(LinkShare::weighted(3.0));
@@ -1368,22 +1249,22 @@ mod tests {
         // to the full single-stream budget (no stranded share), and
         // occupancy must fall so equal-share transfers speed up.
         for policy in FairnessPolicy::all() {
-            let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 40);
+            let ch = link(NetworkPreset::WiFi, 40);
             ch.set_policy(policy);
             let a = ch.join(LinkShare::weighted(2.0));
             let b = ch.join(LinkShare::default());
             let c = ch.join(LinkShare::default());
             assert_eq!(ch.occupancy(), 3);
-            ch.leave(b);
+            b.leave();
             assert_eq!(ch.occupancy(), 2, "{policy}: occupancy must fall");
             assert_eq!(ch.active_members(), 2);
-            assert!(!ch.member_active(b));
-            assert_eq!(ch.allocated_download_mbps(Some(b)), 0.0);
-            let sum = ch.allocated_download_mbps(Some(a)) + ch.allocated_download_mbps(Some(c));
+            assert!(!b.member_is_active());
+            assert_eq!(b.allocated_download_mbps(), 0.0);
+            let sum = a.allocated_download_mbps() + c.allocated_download_mbps();
             if policy == FairnessPolicy::EqualShare {
                 // Equal share ignores weights; with 2 active on 1 stream
                 // each sees the halved time-share via the divisor.
-                assert!((ch.contention_divisor() - 2.0).abs() < 1e-12);
+                assert!((ch.channel.borrow().contention_divisor() - 2.0).abs() < 1e-12);
             } else {
                 assert!(
                     (sum - 200.0).abs() < 1e-9,
@@ -1395,20 +1276,17 @@ mod tests {
 
     #[test]
     fn leave_and_rejoin_round_trip() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 41);
+        let ch = link(NetworkPreset::WiFi, 41);
         ch.set_policy(FairnessPolicy::Weighted);
         let a = ch.join(LinkShare::default());
         let b = ch.join(LinkShare::default());
-        let before = ch.allocated_download_mbps(Some(a));
-        ch.leave(b);
-        assert!(ch.allocated_download_mbps(Some(a)) > before);
-        ch.rejoin(b, LinkShare::weighted(3.0));
-        assert!(ch.member_active(b));
+        let before = a.allocated_download_mbps();
+        b.leave();
+        assert!(a.allocated_download_mbps() > before);
+        b.rejoin(LinkShare::weighted(3.0));
+        assert!(b.member_is_active());
         assert_eq!(ch.occupancy(), 2);
-        let (ra, rb) = (
-            ch.allocated_download_mbps(Some(a)),
-            ch.allocated_download_mbps(Some(b)),
-        );
+        let (ra, rb) = (a.allocated_download_mbps(), b.allocated_download_mbps());
         assert!(
             (rb / ra - 3.0).abs() < 1e-9,
             "rejoin share applies: {rb}/{ra}"
@@ -1418,25 +1296,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "already left")]
     fn double_leave_rejected() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 42);
-        let a = ch.join(LinkShare::default());
-        ch.leave(a);
-        ch.leave(a);
+        let a = link(NetworkPreset::WiFi, 42).join(LinkShare::default());
+        a.leave();
+        a.leave();
     }
 
     #[test]
     #[should_panic(expected = "cannot transfer")]
     fn departed_member_cannot_transfer() {
-        let mut ch = NetworkChannel::new(NetworkPreset::WiFi, 43);
+        let ch = link(NetworkPreset::WiFi, 43);
         ch.set_policy(FairnessPolicy::Airtime);
         let a = ch.join(LinkShare::default());
-        ch.leave(a);
-        let _ = ch.transfer_only_ms_for(Some(a), 1_000.0);
+        a.leave();
+        let _ = a.transfer_only_ms(1_000.0);
     }
 
     #[test]
     fn bound_handles_leave_through_the_shared_link() {
-        let base = SharedChannel::new(NetworkChannel::new(NetworkPreset::WiFi, 44));
+        let base = link(NetworkPreset::WiFi, 44);
         let a = base.join(LinkShare::default());
         let b = base.join(LinkShare::default());
         assert!(a.member_is_active() && b.member_is_active());
@@ -1461,7 +1338,7 @@ mod tests {
 
     #[test]
     fn shared_handle_aliases_one_budget() {
-        let a = SharedChannel::new(NetworkChannel::new(NetworkPreset::WiFi, 16));
+        let a = link(NetworkPreset::WiFi, 16);
         let b = a.clone();
         let _m = a.join(LinkShare::default());
         let _n = b.join(LinkShare::default());

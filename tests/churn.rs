@@ -193,7 +193,6 @@ fn virtual_time_retires_the_section7_skew_artifact() {
         frames,
         seed: 17,
         server_units: 8,
-        shared_network: true,
         link_streams: 1,
         fairness: FairnessPolicy::Weighted,
         server_policy: ServerPolicy::default(),

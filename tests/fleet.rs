@@ -63,7 +63,6 @@ fn eight_qvr_sessions_on_default_server_and_wifi_complete() {
     let summary = Fleet::run(wifi_fleet(8, 80, 42));
     assert_eq!(summary.len(), 8);
     assert_eq!(summary.server_units, 8);
-    assert!(summary.shared_network);
     for s in &summary.sessions {
         assert_eq!(s.len(), 80, "every session reports every frame");
         assert_eq!(s.scheme, "Q-VR");
