@@ -1,8 +1,9 @@
 //! Ablations beyond the paper's headline results (DESIGN.md §6): the
 //! design choices Q-VR's sections argue for, each toggled in isolation.
 
-use crate::{parallel_map, TextTable, FRAMES, SEED, WARMUP};
+use crate::{TextTable, FRAMES, SEED, WARMUP};
 use qvr::prelude::*;
+use qvr::sim::parallel_map;
 
 /// Regenerates the ablation suite.
 #[must_use]
@@ -19,7 +20,7 @@ pub fn report() -> String {
 /// LIWC reward-rate α: convergence speed vs steady-state stability.
 fn alpha_sweep() -> String {
     let alphas = [0.05, 0.15, 0.3, 0.6, 0.9];
-    let results = parallel_map(alphas.to_vec(), |alpha| {
+    let results = parallel_map(&alphas, |alpha| {
         let config = SystemConfig {
             liwc_reward_alpha: *alpha,
             ..SystemConfig::default()
@@ -76,7 +77,7 @@ fn uca_units() -> String {
         ("2 units (paper)".into(), with_uca_units(2)),
         ("4 units".into(), with_uca_units(4)),
     ];
-    let results = parallel_map(configs, |(name, config)| {
+    let results = parallel_map(&configs, |(name, config)| {
         let scheme = if name.starts_with("no UCA") {
             SchemeKind::Dfr
         } else {
@@ -117,7 +118,7 @@ fn with_uca_units(units: u32) -> SystemConfig {
 /// mispredicts more.
 fn prefetch_lookahead() -> String {
     let lookaheads = [1u32, 3, 5, 8];
-    let results = parallel_map(lookaheads.to_vec(), |l| {
+    let results = parallel_map(&lookaheads, |l| {
         let config = SystemConfig {
             prefetch_lookahead: *l,
             ..SystemConfig::default()

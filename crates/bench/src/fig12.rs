@@ -1,8 +1,9 @@
 //! Fig. 12: normalised end-to-end performance and frame-rate improvement of
 //! every design point over the local-rendering baseline.
 
-use crate::{parallel_map, TextTable, FRAMES, SEED};
+use crate::{TextTable, FRAMES, SEED};
 use qvr::prelude::*;
+use qvr::sim::parallel_map;
 
 /// Regenerates Fig. 12.
 #[must_use]
@@ -24,7 +25,7 @@ pub fn report() -> String {
             jobs.push((bench, s));
         }
     }
-    let results = parallel_map(jobs.clone(), |(bench, scheme)| {
+    let results = parallel_map(&jobs, |(bench, scheme)| {
         scheme.run(&config, bench.profile(), FRAMES, SEED)
     });
     let get = |bench: Benchmark, scheme: SchemeKind| -> &RunSummary {

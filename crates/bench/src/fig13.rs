@@ -1,7 +1,8 @@
 //! Fig. 13: normalised transmitted data size and resolution reduction.
 
-use crate::{parallel_map, TextTable, FRAMES, SEED};
+use crate::{TextTable, FRAMES, SEED};
 use qvr::prelude::*;
+use qvr::sim::parallel_map;
 
 /// Regenerates Fig. 13.
 #[must_use]
@@ -19,7 +20,7 @@ pub fn report() -> String {
             jobs.push((bench, s));
         }
     }
-    let results = parallel_map(jobs.clone(), |(bench, scheme)| {
+    let results = parallel_map(&jobs, |(bench, scheme)| {
         scheme.run(&config, bench.profile(), FRAMES, SEED)
     });
     let get = |bench: Benchmark, scheme: SchemeKind| -> &RunSummary {

@@ -1,7 +1,8 @@
 //! Fig. 14: per-frame local/remote latency ratio and FPS over 300 frames.
 
-use crate::{parallel_map, FRAMES, SEED};
+use crate::{FRAMES, SEED};
 use qvr::prelude::*;
+use qvr::sim::parallel_map;
 use std::fmt::Write as _;
 
 const TRACKED: [Benchmark; 5] = [
@@ -16,7 +17,7 @@ const TRACKED: [Benchmark; 5] = [
 #[must_use]
 pub fn report() -> String {
     let config = SystemConfig::default();
-    let runs = parallel_map(TRACKED.to_vec(), |b| {
+    let runs = parallel_map(&TRACKED, |b| {
         SchemeKind::Qvr.run(&config, b.profile(), FRAMES, SEED)
     });
 

@@ -1,8 +1,9 @@
 //! Fig. 15: normalised system energy of Q-VR across GPU frequencies and
 //! network technologies.
 
-use crate::{parallel_map, TextTable, FRAMES, SEED};
+use crate::{TextTable, FRAMES, SEED};
 use qvr::prelude::*;
+use qvr::sim::parallel_map;
 
 /// Regenerates Fig. 15.
 ///
@@ -14,7 +15,7 @@ pub fn report() -> String {
     let presets = NetworkPreset::all();
 
     // Baselines per frequency.
-    let baselines = parallel_map(freqs.to_vec(), |f| {
+    let baselines = parallel_map(&freqs, |f| {
         let config = SystemConfig::default().with_gpu_frequency_mhz(*f);
         Benchmark::all()
             .map(|b| {
@@ -32,7 +33,7 @@ pub fn report() -> String {
             }
         }
     }
-    let results = parallel_map(jobs.clone(), |(f, p, b)| {
+    let results = parallel_map(&jobs, |(f, p, b)| {
         let config = SystemConfig::default()
             .with_gpu_frequency_mhz(*f)
             .with_network(*p);

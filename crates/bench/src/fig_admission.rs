@@ -51,6 +51,22 @@ fn candidate(i: usize) -> SessionSpec {
     }
 }
 
+/// The cell the sweep admits into: the system's full server array and a
+/// link with one full-rate stream per server GPU, under `fairness`.
+fn cell(system: SystemConfig, fairness: FairnessPolicy) -> FleetConfig {
+    FleetConfig {
+        fairness,
+        ..FleetConfig::uniform(
+            system,
+            SchemeKind::Qvr,
+            Benchmark::Hl2H.profile(),
+            0,
+            PROBE_FRAMES,
+            SEED,
+        )
+    }
+}
+
 /// The per-preset SLO, self-calibrated off a single-tenant probe so one
 /// knob fits all three networks: p95 ≤ 1.5× the solo p95, FPS floor ≥ 0.75×
 /// the solo rate.
@@ -105,7 +121,7 @@ fn report_with(presets: &[NetworkPreset], offered: usize, probe_frames: usize) -
             "pool util",
         ]);
         for fairness in FairnessPolicy::all() {
-            let mut controller = AdmissionController::new(system, fairness, policy.clone(), SEED);
+            let mut controller = AdmissionController::new(cell(system, fairness), policy.clone());
             let mut checkpoint_iter = CHECKPOINTS.iter().filter(|c| **c <= offered).peekable();
             for i in 0..offered {
                 controller.offer(candidate(i));
@@ -166,7 +182,7 @@ mod tests {
         let mut policy = slo_for(&system);
         policy.probe_frames = 8;
         let mut c =
-            AdmissionController::new(system, FairnessPolicy::Weighted, policy.clone(), SEED);
+            AdmissionController::new(cell(system, FairnessPolicy::Weighted), policy.clone());
         for i in 0..12 {
             c.offer(candidate(i));
         }

@@ -40,18 +40,6 @@ pub const WARMUP: usize = 100;
 /// The workspace-wide experiment seed.
 pub const SEED: u64 = 42;
 
-/// Runs `f` over `items` on up to `std::thread::available_parallelism`
-/// workers, preserving order (thin wrapper over [`qvr::sim::parallel_map`],
-/// the workspace's one bounded worker pool).
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    qvr::sim::parallel_map(&items, f)
-}
-
 /// A minimal fixed-width text table.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -115,19 +103,6 @@ impl TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(items, |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty() {
-        let out: Vec<u64> = parallel_map(Vec::<u64>::new(), |x| *x);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn table_renders_aligned() {

@@ -2,8 +2,9 @@
 //! network technology; entries that miss 90 Hz are marked with `*`
 //! (the paper underlines them).
 
-use crate::{parallel_map, TextTable, FRAMES, SEED, WARMUP};
+use crate::{TextTable, FRAMES, SEED, WARMUP};
 use qvr::prelude::*;
+use qvr::sim::parallel_map;
 use std::fmt::Write as _;
 
 /// Paper reference values for 500 MHz (Wi-Fi / LTE / 5G rows).
@@ -27,7 +28,7 @@ pub fn report() -> String {
             }
         }
     }
-    let results = parallel_map(jobs.clone(), |(f, p, b)| {
+    let results = parallel_map(&jobs, |(f, p, b)| {
         let config = SystemConfig::default()
             .with_gpu_frequency_mhz(*f)
             .with_network(*p);

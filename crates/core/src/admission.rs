@@ -7,7 +7,10 @@
 //! short deterministic fleet (the accepted sessions plus the candidate,
 //! same seed every time) and checks the resulting [`FleetSummary`]
 //! aggregates — p95 motion-to-photon latency, the FPS fairness floor, and
-//! server-pool utilization — against an [`AdmissionPolicy`] SLO.
+//! server-pool utilization — against an [`AdmissionPolicy`] SLO. Its one
+//! constructor takes the gated cell's [`FleetConfig`] as a template, so
+//! every probe runs the cell's system, seed, server pool and placement,
+//! link and fairness.
 //!
 //! Admitted tenants come in two classes. **Protected** tenants are the SLO
 //! constituency: every future probe must keep their p95/FPS inside the
@@ -36,11 +39,10 @@
 //! demote its decisions (Admit → Degrade/Reject, Degrade → Reject), never
 //! promote them.
 
+use crate::cell::check_tenancy;
 use crate::fleet::{Fleet, FleetConfig, FleetSummary, SessionSpec, SteppingPolicy};
-use crate::sched::ServerPolicy;
-use crate::schemes::SystemConfig;
 use crate::telemetry::TelemetryConfig;
-use qvr_net::{FairnessPolicy, LinkShare};
+use qvr_net::LinkShare;
 use std::fmt;
 
 /// The SLO an [`AdmissionController`] defends, plus how it probes.
@@ -169,12 +171,11 @@ impl fmt::Display for AdmissionDecision {
 /// keeps the accepted roster (protected + best-effort classes).
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
-    system: SystemConfig,
-    fairness: FairnessPolicy,
-    server_policy: ServerPolicy,
-    server_units: usize,
-    link_streams: usize,
-    seed: u64,
+    /// The tenancy every probe fleet runs (system, seed, server pool and
+    /// placement policy, link streams and fairness), normalised at
+    /// construction: no sessions, round-robin stepping, no retirement,
+    /// default telemetry. Only the sessions and frames vary per probe.
+    template: FleetConfig,
     policy: AdmissionPolicy,
     accepted: Vec<SessionSpec>,
     /// `protected[i]` — whether `accepted[i]` belongs to the SLO
@@ -194,45 +195,29 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// A controller over the system's full server array and a link
-    /// provisioned like [`FleetConfig::uniform`] (one full-rate stream per
-    /// server GPU).
-    #[must_use]
-    pub fn new(
-        system: SystemConfig,
-        fairness: FairnessPolicy,
-        policy: AdmissionPolicy,
-        seed: u64,
-    ) -> Self {
-        let units = system.remote.count() as usize;
-        Self::with_capacity(system, fairness, policy, seed, units, units)
-    }
-
-    /// A controller with explicit server-pool and link-stream capacities.
+    /// A controller gating joins to the cell `template` describes: its
+    /// system, seed, server pool and placement policy, link streams and
+    /// fairness, so probes run the tenancy the cell runs. The template's
+    /// sessions, stepping, retirement window and telemetry are dropped
+    /// (probes are short closed fleets that never retire and stream only
+    /// the default sinks), and each probe sets its own frames.
     ///
     /// # Panics
     ///
-    /// Panics if `server_units`, `link_streams`, or the policy's
-    /// `probe_frames` is zero.
+    /// Panics if the template's tenancy is invalid (as for [`Fleet::new`])
+    /// or the policy's `probe_frames` is zero.
     #[must_use]
-    pub fn with_capacity(
-        system: SystemConfig,
-        fairness: FairnessPolicy,
-        policy: AdmissionPolicy,
-        seed: u64,
-        server_units: usize,
-        link_streams: usize,
-    ) -> Self {
-        assert!(server_units > 0, "the server pool needs at least one unit");
-        assert!(link_streams > 0, "the link needs at least one stream");
+    pub fn new(template: FleetConfig, policy: AdmissionPolicy) -> Self {
+        check_tenancy(&template);
         assert!(policy.probe_frames > 0, "probes need at least one frame");
         AdmissionController {
-            system,
-            fairness,
-            server_policy: ServerPolicy::default(),
-            server_units,
-            link_streams,
-            seed,
+            template: FleetConfig {
+                sessions: Vec::new(),
+                stepping: SteppingPolicy::RoundRobin,
+                retire_window_ms: None,
+                telemetry: TelemetryConfig::default(),
+                ..template
+            },
             policy,
             accepted: Vec::new(),
             protected: Vec::new(),
@@ -244,35 +229,14 @@ impl AdmissionController {
     }
 
     /// The one config shape every controller fleet uses (roster views,
-    /// candidate probes, upgrade probes) — only the session list varies,
-    /// so a future `FleetConfig` field change lands here once.
+    /// candidate probes, upgrade probes): the template with `sessions` for
+    /// `frames` each.
     fn config_for(&self, sessions: Vec<SessionSpec>, frames: usize) -> FleetConfig {
         FleetConfig {
-            system: self.system,
             sessions,
             frames,
-            seed: self.seed,
-            server_units: self.server_units,
-            link_streams: self.link_streams,
-            fairness: self.fairness,
-            server_policy: self.server_policy,
-            stepping: SteppingPolicy::RoundRobin,
-            retire_window_ms: None,
-            telemetry: TelemetryConfig::default(),
+            ..self.template.clone()
         }
-    }
-
-    /// Returns a copy probing under a server scheduling policy (so
-    /// admission decisions reflect the placement the fleet actually runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid for the controller's server pool.
-    #[must_use]
-    pub fn with_server_policy(mut self, policy: ServerPolicy) -> Self {
-        policy.validate(self.server_units);
-        self.server_policy = policy;
-        self
     }
 
     /// The fleet config the controller would run right now with `frames`
@@ -507,7 +471,7 @@ impl fmt::Display for AdmissionController {
             self.policy.mtp_p95_slo_ms,
             self.policy.min_fps_floor,
             self.policy.max_server_utilization * 100.0,
-            self.fairness,
+            self.template.fairness,
         )
     }
 }
@@ -515,11 +479,28 @@ impl fmt::Display for AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::SchemeKind;
+    use crate::schemes::{SchemeKind, SystemConfig};
+    use qvr_net::FairnessPolicy;
     use qvr_scene::Benchmark;
 
     fn spec() -> SessionSpec {
         SessionSpec::new(SchemeKind::Qvr, Benchmark::Hl2H.profile())
+    }
+
+    /// A cell over the default system's full server array and a link with
+    /// one full-rate stream per server GPU, under `fairness`.
+    fn cell(fairness: FairnessPolicy, seed: u64) -> FleetConfig {
+        FleetConfig {
+            fairness,
+            ..FleetConfig::uniform(
+                SystemConfig::default(),
+                SchemeKind::Qvr,
+                Benchmark::Hl2H.profile(),
+                0,
+                1,
+                seed,
+            )
+        }
     }
 
     fn policy(slo_ms: f64) -> AdmissionPolicy {
@@ -534,12 +515,7 @@ mod tests {
 
     #[test]
     fn first_session_admits_under_a_sane_slo() {
-        let mut c = AdmissionController::new(
-            SystemConfig::default(),
-            FairnessPolicy::EqualShare,
-            policy(40.0),
-            42,
-        );
+        let mut c = AdmissionController::new(cell(FairnessPolicy::EqualShare, 42), policy(40.0));
         assert_eq!(c.offer(spec()), AdmissionDecision::Admitted);
         assert_eq!(c.admitted().len(), 1);
         assert_eq!(c.protected(), &[true]);
@@ -554,12 +530,7 @@ mod tests {
 
     #[test]
     fn impossible_slo_rejects_everyone() {
-        let mut c = AdmissionController::new(
-            SystemConfig::default(),
-            FairnessPolicy::Weighted,
-            policy(1.0),
-            42,
-        );
+        let mut c = AdmissionController::new(cell(FairnessPolicy::Weighted, 42), policy(1.0));
         for _ in 0..3 {
             assert_eq!(c.offer(spec()), AdmissionDecision::Rejected);
         }
@@ -579,12 +550,7 @@ mod tests {
         // protected class stays inside the SLO.
         let mut p = policy(25.0);
         p.degraded = Some(LinkShare::weighted(0.25));
-        let mut c = AdmissionController::new(
-            SystemConfig::default(),
-            FairnessPolicy::Airtime,
-            p.clone(),
-            42,
-        );
+        let mut c = AdmissionController::new(cell(FairnessPolicy::Airtime, 42), p.clone());
         // Fill the protected class with full-rate tenants first.
         for _ in 0..3 {
             c.offer(spec());
@@ -626,10 +592,8 @@ mod tests {
     #[test]
     fn rejection_leaves_the_roster_untouched() {
         let mut tight = AdmissionController::new(
-            SystemConfig::default(),
-            FairnessPolicy::EqualShare,
+            cell(FairnessPolicy::EqualShare, 42),
             policy(40.0).reject_only(),
-            42,
         );
         // Admit as many as the SLO allows, then verify the roster stops
         // growing while decisions keep accruing.
@@ -643,16 +607,37 @@ mod tests {
     }
 
     #[test]
+    fn probes_ignore_the_templates_retirement_and_telemetry() {
+        // Probes are short closed fleets: a template that retires history
+        // and streams windowed, metrics and health telemetry must decide
+        // exactly as a plain one, and its cached probe must be the plain
+        // one's (no windows, exposition or incidents ride along).
+        let plain = cell(FairnessPolicy::Weighted, 42);
+        let observed = FleetConfig {
+            retire_window_ms: Some(300.0),
+            telemetry: TelemetryConfig::default()
+                .with_window_ms(50.0)
+                .with_metrics()
+                .with_health(crate::obs::HealthRules::new(50.0).with_mtp_p95_ceiling_ms(20.0)),
+            ..plain.clone()
+        };
+        let mut a = AdmissionController::new(plain, policy(40.0));
+        let mut b = AdmissionController::new(observed, policy(40.0));
+        for _ in 0..4 {
+            assert_eq!(a.offer(spec()), b.offer(spec()));
+        }
+        assert_eq!(a.decisions(), b.decisions());
+        let probe = a.accepted_summary().expect("something admitted");
+        assert_eq!(Some(probe), b.accepted_summary());
+        assert!(probe.exposition.is_none() && probe.windows.is_empty());
+    }
+
+    #[test]
     fn release_reuses_the_cached_probe_when_nothing_can_upgrade() {
         // With no best-effort members, removing one session must cost
         // zero probe fleets, and the leave clears the cached probe, which
         // ran the old roster.
-        let mut c = AdmissionController::new(
-            SystemConfig::default(),
-            FairnessPolicy::EqualShare,
-            policy(40.0),
-            42,
-        );
+        let mut c = AdmissionController::new(cell(FairnessPolicy::EqualShare, 42), policy(40.0));
         c.offer(spec());
         c.offer(spec());
         let probes_before = c.probes_run();
@@ -688,13 +673,13 @@ mod tests {
             .with_min_fps_floor(10.0);
         p.probe_frames = 8;
         p.degraded = Some(LinkShare::weighted(0.25));
-        let mut c = AdmissionController::with_capacity(
-            SystemConfig::default(),
-            FairnessPolicy::Weighted,
+        let mut c = AdmissionController::new(
+            FleetConfig {
+                server_units: 8,
+                link_streams: 2,
+                ..cell(FairnessPolicy::Weighted, 42)
+            },
             p,
-            42,
-            8,
-            2,
         );
         let decisions: Vec<_> = (0..4).map(|_| c.offer(heavy())).collect();
         assert_eq!(
@@ -736,12 +721,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown roster member")]
     fn release_of_unknown_member_rejected() {
-        let mut c = AdmissionController::new(
-            SystemConfig::default(),
-            FairnessPolicy::EqualShare,
-            policy(40.0),
-            1,
-        );
+        let mut c = AdmissionController::new(cell(FairnessPolicy::EqualShare, 1), policy(40.0));
         let _ = c.release(0);
     }
 
@@ -771,6 +751,6 @@ mod tests {
             probe_frames: 0,
             ..AdmissionPolicy::default()
         };
-        let _ = AdmissionController::new(SystemConfig::default(), FairnessPolicy::EqualShare, p, 1);
+        let _ = AdmissionController::new(cell(FairnessPolicy::EqualShare, 1), p);
     }
 }

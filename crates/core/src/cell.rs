@@ -5,24 +5,27 @@
 //! how they step and when tenants come and go, not in what a tenant is
 //! attached to. A [`Cell`] owns that shared part: one engine, one server
 //! pool, the shared link with the banked handles of departed members, the
-//! telemetry fan-out and its load tracker, and the server policy. It is
-//! the only code that opens a tenant ([`Cell::open`]) or closes one
-//! ([`Cell::close`]), so both runners wire sessions identically by
-//! construction.
+//! telemetry fan-out and its load tracker, the server policy and the
+//! retirement window. It is the only code that opens a tenant
+//! ([`Cell::open`]) or closes one ([`Cell::close`]), so both runners wire
+//! sessions identically by construction.
+//!
+//! One [`FleetConfig`] describes a cell's tenancy: [`Cell::new`] is its
+//! one reader and [`check_tenancy`] its one validator.
 //!
 //! A cell also owns what its tenants would otherwise each compute for
 //! themselves: its [`CellMemo`] holds the fixed task labels, the Eq. (1)
 //! partitions and the last ring table's disc areas, each a pure function of
 //! the display, the gaze or the engine rather than of the tenant.
 
-use crate::fleet::SessionSpec;
+use crate::fleet::{FleetConfig, SessionSpec};
 use crate::foveation::PartitionMemo;
 use crate::sched::ServerPolicy;
 use crate::schemes::{Label, Rig, ServerPool, SystemConfig};
 use crate::session::Session;
-use crate::telemetry::{SinkSet, TelemetryConfig};
+use crate::telemetry::SinkSet;
 use qvr_hvs::{DisplayGeometry, GazePoint, MarModel};
-use qvr_net::{FairnessPolicy, NetworkChannel, SharedChannel};
+use qvr_net::{NetworkChannel, SharedChannel};
 use qvr_scene::{ComplexityField, RingAreas, TriangleFractionCache};
 use qvr_sim::SharedEngine;
 use std::cell::RefCell;
@@ -33,6 +36,32 @@ use std::rc::Rc;
 /// single-user run on the fleet seed).
 pub(crate) fn session_seed(seed: u64, ordinal: usize) -> u64 {
     seed ^ (ordinal as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Checks the tenancy `config` describes (every [`Cell`] and admission
+/// controller runs it first).
+///
+/// # Panics
+///
+/// Panics if the server pool has no unit, the link has no stream, the
+/// server policy is invalid for the pool, or a retirement window is set
+/// but not positive and finite.
+pub(crate) fn check_tenancy(config: &FleetConfig) {
+    assert!(
+        config.server_units > 0,
+        "the server pool needs at least one unit"
+    );
+    assert!(
+        config.link_streams > 0,
+        "the link needs at least one stream"
+    );
+    config.server_policy.validate(config.server_units);
+    if let Some(window) = config.retire_window_ms {
+        assert!(
+            window.is_finite() && window > 0.0,
+            "the retirement window must be positive and finite, got {window} ms"
+        );
+    }
 }
 
 /// What every tenant of a cell shares because it depends on the cell, not
@@ -91,6 +120,9 @@ pub(crate) struct Cell {
     system: SystemConfig,
     seed: u64,
     server_policy: ServerPolicy,
+    /// Windowed task retirement (see [`FleetConfig::retire_window_ms`]);
+    /// each runner retires on its own cadence.
+    pub(crate) retire_window_ms: Option<f64>,
     /// The engine every tenant submits into.
     pub(crate) engine: SharedEngine,
     /// The server GPU and encoder pools.
@@ -109,36 +141,31 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    /// Builds the substrate. `(fairness, streams)` are the shared link's
-    /// fairness policy and concurrent full-rate streams; `aggregate`
-    /// switches on the aggregate stream (closed fleets, whose summary is
-    /// that stream's product).
+    /// Builds the substrate of the tenancy `config` describes: its system
+    /// and seed, server pool and policy, link streams and fairness,
+    /// retirement window and telemetry (not the runner's sessions, frames
+    /// or stepping). `aggregate` switches on the aggregate stream (closed
+    /// fleets, whose summary is that stream's product).
     ///
     /// # Panics
     ///
-    /// Panics if the server policy is invalid for `server_units` or
-    /// `streams` is zero.
-    pub(crate) fn new(
-        system: SystemConfig,
-        seed: u64,
-        server_units: usize,
-        server_policy: ServerPolicy,
-        (fairness, streams): (FairnessPolicy, usize),
-        telemetry: &TelemetryConfig,
-        aggregate: bool,
-    ) -> Self {
-        server_policy.validate(server_units);
+    /// Panics if the tenancy is invalid ([`check_tenancy`]).
+    pub(crate) fn new(config: &FleetConfig, aggregate: bool) -> Self {
+        check_tenancy(config);
+        let system = config.system;
         let engine = SharedEngine::new();
-        let server = ServerPool::on(&engine, server_units);
+        let server = ServerPool::on(&engine, config.server_units);
         let memo = Rc::new(CellMemo::new(&engine, system.mar));
-        let sinks = SinkSet::from_config(telemetry, &system, server_units, aggregate);
-        let link = SharedChannel::new(NetworkChannel::new(system.network, seed));
-        link.set_policy(fairness);
-        link.set_concurrent_streams(streams);
+        let sinks =
+            SinkSet::from_config(&config.telemetry, &system, config.server_units, aggregate);
+        let link = SharedChannel::new(NetworkChannel::new(system.network, config.seed));
+        link.set_policy(config.fairness);
+        link.set_concurrent_streams(config.link_streams);
         Cell {
             system,
-            seed,
-            server_policy,
+            seed: config.seed,
+            server_policy: config.server_policy,
+            retire_window_ms: config.retire_window_ms,
             engine,
             server,
             link,
@@ -190,12 +217,12 @@ impl Cell {
             slot,
             &self.sinks.load,
         );
-        let rig = Rig::in_fleet(
+        let rig = Rig::build(
             &system,
             self.engine.clone(),
             channel,
             self.server,
-            slot,
+            Some(slot),
             directive,
             Rc::clone(&self.memo),
         );

@@ -35,7 +35,7 @@
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionPolicy};
 use crate::cell::Cell;
-use crate::fleet::SessionSpec;
+use crate::fleet::{FleetConfig, SessionSpec, SteppingPolicy};
 use crate::metrics::RunSummary;
 use crate::sched::ServerPolicy;
 use crate::schemes::SystemConfig;
@@ -457,7 +457,6 @@ struct Tenant {
 pub struct ChurnFleet {
     cell: Cell,
     horizon_ms: f64,
-    retire_window_ms: Option<f64>,
     /// Runnable sessions keyed on their virtual clock (the join time, then
     /// each frame's display end), so the root is the globally-earliest
     /// session, ties to the lowest slot. A slot holds at most one entry: a
@@ -473,23 +472,21 @@ pub struct ChurnFleet {
     /// tenants' slots are recycled so the engine's resource table — like
     /// the link's member table — stays O(peak concurrency). Per-tenant
     /// accounting survives reuse because each rig baselines its resources'
-    /// busy time at build ([`crate::schemes::Rig`]).
+    /// busy time at build. Every slot is either occupied or free, so the
+    /// live count is the slots less the free ones.
     slots: Vec<Option<usize>>,
     /// Recyclable slots of departed tenants (LIFO, deterministic).
     free_slots: Vec<usize>,
-    /// Current live tenant count (maintained so membership queries don't
-    /// rescan the full arrival history).
-    live_now: usize,
     /// Roster order of the admission controller ↔ live ordinals (kept in
     /// lock-step with the controller's `accepted` list).
     roster_ordinals: Vec<usize>,
+    /// The admission gate; its decision list is the run's record of
+    /// rejected and degraded joins (churn only ever calls `offer`).
     controller: Option<AdmissionController>,
     pending: VecDeque<ChurnEvent>,
     // --- outputs under construction ---
     finished: Vec<TenantRecord>,
     occupancy: Vec<(f64, usize)>,
-    rejected: usize,
-    degraded: usize,
     upgrades: usize,
     dropped_leaves: usize,
     peak_live_per_resource: usize,
@@ -504,41 +501,35 @@ impl ChurnFleet {
     ///
     /// # Panics
     ///
-    /// Panics if the horizon is not positive-finite or a capacity is zero.
+    /// Panics if the horizon is not positive-finite or the tenancy is
+    /// invalid (as for [`crate::fleet::Fleet::new`]).
     #[must_use]
     pub fn new(config: ChurnConfig) -> Self {
         assert!(
             config.horizon_ms.is_finite() && config.horizon_ms > 0.0,
             "a churn run needs a positive horizon"
         );
-        assert!(
-            config.server_units > 0,
-            "the server pool needs at least one unit"
-        );
-        assert!(
-            config.link_streams > 0,
-            "the link needs at least one stream"
-        );
-        let cell = Cell::new(
-            config.system,
-            config.seed,
-            config.server_units,
-            config.server_policy,
-            (config.fairness, config.link_streams),
-            &config.telemetry,
-            false, // churn has its own summary shape; no aggregate stream
-        );
-        let controller = config.admission.map(|policy| {
-            AdmissionController::with_capacity(
-                config.system,
-                config.fairness,
-                policy,
-                config.seed,
-                config.server_units,
-                config.link_streams,
-            )
-            .with_server_policy(config.server_policy)
-        });
+        // The one description of this run's tenancy, read by its cell and
+        // by its admission controller's probes. Churn steps its own clock
+        // and roster, so the config carries no sessions or frames.
+        let tenancy = FleetConfig {
+            system: config.system,
+            sessions: Vec::new(),
+            frames: 0,
+            seed: config.seed,
+            server_units: config.server_units,
+            link_streams: config.link_streams,
+            fairness: config.fairness,
+            server_policy: config.server_policy,
+            stepping: SteppingPolicy::RoundRobin,
+            retire_window_ms: config.retire_window_ms,
+            telemetry: config.telemetry,
+        };
+        // Churn has its own summary shape: no aggregate stream.
+        let cell = Cell::new(&tenancy, false);
+        let controller = config
+            .admission
+            .map(|policy| AdmissionController::new(tenancy, policy));
         let mut pending: VecDeque<ChurnEvent> = config
             .initial
             .into_iter()
@@ -548,19 +539,15 @@ impl ChurnFleet {
         ChurnFleet {
             cell,
             horizon_ms: config.horizon_ms,
-            retire_window_ms: config.retire_window_ms,
             runnable: BinaryHeap::new(),
             live: Vec::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
-            live_now: 0,
             roster_ordinals: Vec::new(),
             controller,
             pending,
             finished: Vec::new(),
             occupancy: Vec::new(),
-            rejected: 0,
-            degraded: 0,
             upgrades: 0,
             dropped_leaves: 0,
             peak_live_per_resource: 0,
@@ -571,7 +558,7 @@ impl ChurnFleet {
     /// Live session count.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.live_now
+        self.slots.len() - self.free_slots.len()
     }
 
     /// The globally-earliest unfinished session's virtual time, if any.
@@ -631,7 +618,7 @@ impl ChurnFleet {
         if t < self.horizon_ms {
             self.runnable.push(Reverse((At(t), slot)));
         }
-        if let Some(window) = self.retire_window_ms {
+        if let Some(window) = self.cell.retire_window_ms {
             if let Some(f) = self.frontier_ms() {
                 // Retire in batches of a quarter-window: per-resource live
                 // state only grows between retirements, so sampling the
@@ -701,12 +688,8 @@ impl ChurnFleet {
             Some(c) => {
                 let decision = c.offer(spec);
                 if decision == AdmissionDecision::Rejected {
-                    self.rejected += 1;
                     self.live.push(None);
                     return;
-                }
-                if decision == AdmissionDecision::Degraded {
-                    self.degraded += 1;
                 }
                 self.roster_ordinals.push(ordinal);
                 (decision, c.admitted().last().expect("just joined").clone())
@@ -738,7 +721,6 @@ impl ChurnFleet {
             decision,
             upgraded: false,
         })));
-        self.live_now += 1;
         self.runnable.push(Reverse((At(at_ms), slot)));
         self.occupancy.push((at_ms, self.live_count()));
     }
@@ -752,7 +734,6 @@ impl ChurnFleet {
             self.dropped_leaves += 1;
             return;
         };
-        self.live_now -= 1;
         self.runnable.retain(|Reverse((_, s))| *s != tenant.slot);
         self.slots[tenant.slot] = None;
         self.free_slots.push(tenant.slot);
@@ -824,6 +805,8 @@ impl ChurnFleet {
         );
         let (windows, peak_open_samples) = cell.sinks.windowed_finish();
         let incidents = cell.sinks.health_finish();
+        let gate = self.controller.as_ref();
+        let count = |decision| gate.map_or(0, |c| c.count(decision));
         ChurnSummary {
             tenants,
             windows,
@@ -831,8 +814,8 @@ impl ChurnFleet {
             incidents,
             energy,
             occupancy: self.occupancy,
-            rejected: self.rejected,
-            degraded: self.degraded,
+            rejected: count(AdmissionDecision::Rejected),
+            degraded: count(AdmissionDecision::Degraded),
             upgrades: self.upgrades,
             dropped_leaves: self.dropped_leaves,
             horizon_ms: self.horizon_ms,
@@ -854,6 +837,7 @@ mod tests {
     use super::*;
     use crate::foveation::PartitionMemo;
     use crate::schemes::SchemeKind;
+    use qvr_net::LinkShare;
     use qvr_scene::Benchmark;
 
     fn spec() -> SessionSpec {
@@ -1036,6 +1020,68 @@ mod tests {
         ));
         assert_eq!(s.dropped_leaves, 2, "double-leave and unknown ordinal");
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "retirement window must be positive and finite")]
+    fn negative_retirement_window_rejected() {
+        let config = ChurnConfig::new(
+            SystemConfig::default(),
+            vec![spec()],
+            ChurnTrace::default(),
+            100.0,
+            1,
+        )
+        .with_retire_window_ms(-1.0);
+        let _ = ChurnFleet::new(config);
+    }
+
+    #[test]
+    fn counts_derived_from_the_slots_and_the_gate_stay_exact() {
+        // Non-adaptive RemoteOnly tenants on a 2-stream weighted link: the
+        // gate admits two, degrades the third and rejects the fourth, and
+        // the scripted leave and joins churn the roster further. The live
+        // count (slots less free slots) must match the occupancy log after
+        // every tick, and the summary's rejected and degraded counts (the
+        // gate's decision list) must match the joins and the tenants.
+        let heavy = || SessionSpec::new(SchemeKind::RemoteOnly, Benchmark::Hl2H.profile());
+        let mut policy = AdmissionPolicy::default()
+            .with_mtp_p95_slo_ms(100.0)
+            .with_min_fps_floor(10.0);
+        policy.probe_frames = 8;
+        policy.degraded = Some(LinkShare::weighted(0.25));
+        let trace = ChurnTrace::script(vec![
+            ChurnEvent::leave(150.0, 0),
+            ChurnEvent::join(200.0, heavy()),
+            ChurnEvent::join(250.0, heavy()),
+            ChurnEvent::leave(300.0, 3),
+        ]);
+        let mut config = ChurnConfig::new(
+            SystemConfig::default(),
+            (0..4).map(|_| heavy()).collect(),
+            trace,
+            400.0,
+            42,
+        )
+        .with_admission(policy)
+        .with_fairness(FairnessPolicy::Weighted);
+        config.link_streams = 2;
+        let mut fleet = ChurnFleet::new(config);
+        while fleet.tick() {
+            let logged = fleet.occupancy.last().map_or(0, |(_, n)| *n);
+            assert_eq!(fleet.live_count(), logged);
+        }
+        let joins = fleet.live.len();
+        assert_eq!(joins, 6, "every scripted join fires before the horizon");
+        let s = fleet.finish();
+        assert!(s.rejected > 0 && s.degraded > 0, "{s}");
+        assert_eq!(s.rejected + s.len(), joins);
+        let degraded = s
+            .tenants
+            .iter()
+            .filter(|t| t.decision == AdmissionDecision::Degraded)
+            .count();
+        assert_eq!(s.degraded, degraded);
     }
 
     #[test]

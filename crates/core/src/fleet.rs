@@ -8,11 +8,11 @@
 //! controller independently grows its fovea to absorb the loss.
 //!
 //! A [`Fleet`] steps its sessions round-robin (one frame per session per
-//! round) against a shared [`qvr_sim::SharedEngine`], a shared
-//! [`crate::schemes::ServerPool`] of per-frame GPU units, and one shared
-//! [`qvr_net::SharedChannel`] bandwidth budget that every streaming
-//! session joins. Independent fleets (across seeds or configs) run in
-//! parallel threads via [`Fleet::run_many`].
+//! round) against a shared [`qvr_sim::SharedEngine`], a shared server pool
+//! of per-frame GPU units, and one shared [`qvr_net::SharedChannel`]
+//! bandwidth budget that every streaming session joins. Independent fleets
+//! (across seeds or configs) run in parallel threads via
+//! [`Fleet::run_many`].
 //!
 //! # Tenancy semantics
 //!
@@ -117,9 +117,10 @@ pub struct FleetConfig {
     /// Windowed task retirement: completed engine history older than this
     /// many ms behind the slowest unfinished session is dropped, so every
     /// resource holds O(window) live state instead of the full task
-    /// history. `None` (the default) keeps everything. The window must
-    /// exceed the longest dependency horizon a stepper keeps (render-ahead
-    /// pacing × frame interval); lookups into retired history panic.
+    /// history. `None` (the default) keeps everything. A window must be
+    /// positive and finite (checked at construction), and must exceed the
+    /// longest dependency horizon a stepper keeps (render-ahead pacing ×
+    /// frame interval); lookups into retired history panic.
     pub retire_window_ms: Option<f64>,
     /// Which built-in telemetry sinks stream this fleet's frame events
     /// (default-on; see [`crate::telemetry`]). Sinks observe the event
@@ -189,7 +190,6 @@ pub struct Fleet {
     sessions: Vec<Session>,
     frames: usize,
     rounds_done: usize,
-    retire_window_ms: Option<f64>,
     /// Reusable buffer for one round's frame events (round-robin batched
     /// fan-out) — cleared and refilled each round, never reallocated in
     /// steady state.
@@ -202,8 +202,10 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if the config has no sessions, zero frames, zero server
-    /// units, or zero link streams.
+    /// Panics if the config has no sessions or zero frames, or if its
+    /// tenancy is invalid: zero server units or link streams, a server
+    /// policy the pool cannot hold, or a retirement window that is set but
+    /// not positive and finite.
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
         assert!(
@@ -211,24 +213,8 @@ impl Fleet {
             "a fleet needs at least one session"
         );
         assert!(config.frames > 0, "a fleet needs at least one frame");
-        assert!(
-            config.server_units > 0,
-            "the server pool needs at least one unit"
-        );
-        assert!(
-            config.link_streams > 0,
-            "the link needs at least one stream"
-        );
         // The aggregate stream always runs: it *is* the summary.
-        let mut cell = Cell::new(
-            config.system,
-            config.seed,
-            config.server_units,
-            config.server_policy,
-            (config.fairness, config.link_streams),
-            &config.telemetry,
-            true,
-        );
+        let mut cell = Cell::new(&config, true);
         let sessions: Vec<Session> = config
             .sessions
             .iter()
@@ -245,7 +231,6 @@ impl Fleet {
             sessions,
             frames: config.frames,
             rounds_done: 0,
-            retire_window_ms: config.retire_window_ms,
             event_buf: Vec::with_capacity(n),
         }
     }
@@ -293,7 +278,7 @@ impl Fleet {
     /// sample can reach). No-op for both once everyone has finished
     /// (finish flushes the sink).
     fn advance_frontier(&mut self) {
-        if self.retire_window_ms.is_none()
+        if self.cell.retire_window_ms.is_none()
             && self.cell.sinks.windowed.is_none()
             && self.cell.sinks.health.is_none()
         {
@@ -308,7 +293,7 @@ impl Fleet {
         if !frontier.is_finite() {
             return;
         }
-        if let Some(window) = self.retire_window_ms {
+        if let Some(window) = self.cell.retire_window_ms {
             if frontier > window {
                 self.cell.engine.retire_before(frontier - window);
             }
@@ -339,7 +324,7 @@ impl Fleet {
     pub fn finish(mut self) -> FleetSummary {
         self.step_to_end();
         let cell = &mut self.cell;
-        let server_utilization = cell.server.utilization(&cell.engine);
+        let server_utilization = cell.engine.pool_utilization(cell.server.rgpu());
         let makespan_ms = cell.engine.makespan();
         let sessions: Vec<RunSummary> = self.sessions.into_iter().map(Session::finish).collect();
         let energy = cell.sinks.energy_finalize(
@@ -897,6 +882,31 @@ mod tests {
             FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 1, 1, 0);
         config.link_streams = 0;
         let _ = Fleet::new(config);
+    }
+
+    fn with_window(window_ms: f64) -> FleetConfig {
+        let mut config =
+            FleetConfig::uniform(cfg(), SchemeKind::Qvr, Benchmark::Grid.profile(), 1, 1, 0);
+        config.retire_window_ms = Some(window_ms);
+        config
+    }
+
+    #[test]
+    #[should_panic(expected = "retirement window must be positive and finite")]
+    fn zero_retirement_window_rejected() {
+        let _ = Fleet::new(with_window(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "retirement window must be positive and finite")]
+    fn nan_retirement_window_rejected() {
+        let _ = Fleet::new(with_window(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "retirement window must be positive and finite")]
+    fn infinite_retirement_window_rejected() {
+        let _ = Fleet::new(with_window(f64::INFINITY));
     }
 
     #[test]

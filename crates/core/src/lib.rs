@@ -93,7 +93,7 @@ pub use schemes::{SchemeKind, SystemConfig};
 pub use session::Session;
 pub use shard::{cell_seed, CellSummary, Shard, ShardConfig, ShardSummary};
 pub use telemetry::{
-    AggregateSink, EnergyMeter, FrameEvent, FrameSpans, LoadTracker, SinkSet, StageSpan,
-    TelemetryConfig, TelemetrySink, WindowedStatsSink,
+    AggregateSink, EnergyMeter, FrameEvent, FrameSpans, LoadTracker, StageSpan, TelemetryConfig,
+    TelemetrySink, WindowedStatsSink,
 };
 pub use uca::Uca;

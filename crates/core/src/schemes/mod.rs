@@ -20,8 +20,7 @@ mod remote;
 mod rig;
 mod static_collab;
 
-pub(crate) use rig::Label;
-pub use rig::{RemoteChain, Rig, ServerPool};
+pub(crate) use rig::{Label, Rig, ServerPool};
 
 use crate::metrics::RunSummary;
 use crate::session::Session;

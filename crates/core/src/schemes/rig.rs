@@ -3,10 +3,11 @@
 //! A [`Rig`] is the per-session view of the simulated machine. In the
 //! classic single-tenant mode ([`Rig::new`]) it owns a private engine, a
 //! private network channel, and an analytically-accelerated remote server —
-//! exactly the original one-user evaluation. In fleet mode
-//! ([`Rig::in_fleet`]) several rigs submit into one [`SharedEngine`],
-//! contend for one [`ServerPool`] of real GPU units, and, when they stream,
-//! draw from their cell's one [`SharedChannel`] bandwidth budget. Every
+//! exactly the original one-user evaluation. In fleet mode (built by
+//! [`crate::cell::Cell::open`] through [`Rig::build`]) several rigs submit
+//! into one [`SharedEngine`], contend for one [`ServerPool`] of real GPU
+//! units, and, when they stream, draw from their cell's one
+//! [`SharedChannel`] bandwidth budget. Every
 //! rig of a cell holds the cell's memo ([`CellMemo`]) through one handle:
 //! the fixed task labels interned into the cell's engine, the Eq. (1)
 //! partitions and the ring-table area slot; a private rig builds its own.
@@ -27,7 +28,7 @@ use std::rc::Rc;
 /// The server-side resources a fleet of sessions contends for: a pool of
 /// remote GPU units and a matching pool of hardware encoders (one per GPU).
 #[derive(Debug, Clone, Copy)]
-pub struct ServerPool {
+pub(crate) struct ServerPool {
     rgpu: PoolId,
     senc: PoolId,
     units: usize,
@@ -40,7 +41,7 @@ impl ServerPool {
     ///
     /// Panics if `units` is zero.
     #[must_use]
-    pub fn on(engine: &SharedEngine, units: usize) -> Self {
+    pub(crate) fn on(engine: &SharedEngine, units: usize) -> Self {
         ServerPool {
             rgpu: engine.resource_pool("RGPU", units),
             senc: engine.resource_pool("SENC", units),
@@ -50,48 +51,42 @@ impl ServerPool {
 
     /// The remote-GPU pool.
     #[must_use]
-    pub fn rgpu(&self) -> PoolId {
+    pub(crate) fn rgpu(&self) -> PoolId {
         self.rgpu
     }
 
     /// Number of GPU (and encoder) units.
     #[must_use]
-    pub fn units(&self) -> usize {
+    pub(crate) fn units(&self) -> usize {
         self.units
-    }
-
-    /// Aggregate GPU-pool utilisation over the engine's makespan, `[0, 1]`.
-    #[must_use]
-    pub fn utilization(&self, engine: &SharedEngine) -> f64 {
-        engine.pool_utilization(self.rgpu)
     }
 }
 
 /// Shared pipeline state for one scheme run.
 #[derive(Debug)]
-pub struct Rig {
+pub(crate) struct Rig {
     /// The discrete-event engine (possibly shared with other sessions).
-    pub engine: SharedEngine,
+    pub(crate) engine: SharedEngine,
     /// CPU resource (CL, LS, software controller).
-    pub cpu: ResourceId,
+    pub(crate) cpu: ResourceId,
     /// Mobile GPU resource.
-    pub gpu: ResourceId,
+    pub(crate) gpu: ResourceId,
     /// Uplink radio.
-    pub net_up: ResourceId,
+    pub(crate) net_up: ResourceId,
     /// Downlink radio.
-    pub net_down: ResourceId,
+    pub(crate) net_down: ResourceId,
     /// Server pools (remote GPUs + encoders).
     server: ServerPool,
     /// Mobile video decoder.
-    pub vdec: ResourceId,
+    pub(crate) vdec: ResourceId,
     /// UCA units.
-    pub uca: ResourceId,
+    pub(crate) uca: ResourceId,
     /// LIWC unit.
-    pub liwc: ResourceId,
+    pub(crate) liwc: ResourceId,
     /// Seeded network channel (possibly shared with other sessions).
-    pub channel: SharedChannel,
+    pub(crate) channel: SharedChannel,
     /// Mobile GPU timing model.
-    pub mobile: GpuTimingModel,
+    pub(crate) mobile: GpuTimingModel,
     config: SystemConfig,
     /// Fleet mode (the rig has a fleet slot): remote renders cost per-GPU
     /// time on a pool unit, and recorded chain latencies include queueing
@@ -228,27 +223,27 @@ impl ChainLabels {
 
 /// Result of one remote render→encode→transmit→decode chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemoteChain {
+pub(crate) struct RemoteChain {
     /// The final decode task; composition depends on it.
-    pub done: TaskId,
+    pub(crate) done: TaskId,
     /// Wall-clock latency from the chain becoming ready (its dependencies
     /// done) to the last decode landing, ms. Includes queueing behind other
     /// frames and other sessions — the number a tenant actually experiences.
-    pub duration_ms: f64,
+    pub(crate) duration_ms: f64,
     /// Contention-free chain duration: the chunked-pipeline completion time
     /// `Σstages/k + max(stage)·(k−1)/k`, ms. This is what one frame costs in
     /// isolation — the quantity the paper's stacked latency bars report and
     /// the quantity LIWC balances against local rendering.
-    pub nominal_ms: f64,
+    pub(crate) nominal_ms: f64,
     /// Bytes that crossed the downlink.
-    pub bytes: f64,
+    pub(crate) bytes: f64,
 }
 
 impl Rig {
     /// Builds a private single-tenant rig for a config and seed (the
     /// original evaluation setup: one user, one server, one channel).
     #[must_use]
-    pub fn new(config: &SystemConfig, seed: u64) -> Self {
+    pub(crate) fn new(config: &SystemConfig, seed: u64) -> Self {
         let engine = SharedEngine::new();
         let channel = SharedChannel::new(NetworkChannel::new(config.network, seed));
         let server = ServerPool::on(&engine, 1);
@@ -257,34 +252,13 @@ impl Rig {
         Self::build(config, engine, channel, server, None, directive, memo)
     }
 
-    /// Builds a rig that joins a fleet: per-session mobile-side resources
-    /// (tagged with the session index), shared server pools, and a shared
-    /// (or per-session) channel on a shared engine. `directive` is the
-    /// fleet policy's placement rule for this tenant's class; `memo` is the
-    /// cell's, built on `engine`.
-    #[must_use]
-    pub(crate) fn in_fleet(
-        config: &SystemConfig,
-        engine: SharedEngine,
-        channel: SharedChannel,
-        server: ServerPool,
-        session_idx: usize,
-        directive: UnitDirective,
-        memo: Rc<CellMemo>,
-    ) -> Self {
-        Self::build(
-            config,
-            engine,
-            channel,
-            server,
-            Some(session_idx),
-            directive,
-            memo,
-        )
-    }
-
     /// The rig of fleet slot `session_idx`, or a private rig for `None`.
-    fn build(
+    /// A fleet tenant's rig tags its mobile-side resources with its slot and
+    /// shares the cell's engine, server pools and memo; `channel` is the
+    /// cell's link (or a private channel for a tenant that does not
+    /// stream), and `directive` the cell policy's placement rule for the
+    /// tenant's class.
+    pub(crate) fn build(
         config: &SystemConfig,
         engine: SharedEngine,
         channel: SharedChannel,
@@ -372,7 +346,7 @@ impl Rig {
     /// `frames` frames, so long-horizon runs don't reallocate
     /// `display_ends`/`records` mid-flight. Growing past the reservation
     /// still works — this is a capacity hint, not a bound.
-    pub fn reserve_frames(&mut self, frames: usize) {
+    pub(crate) fn reserve_frames(&mut self, frames: usize) {
         let extra = frames.saturating_sub(self.records.len());
         self.records.reserve(extra);
         let extra = frames.saturating_sub(self.display_ends.len());
@@ -381,7 +355,7 @@ impl Rig {
 
     /// The config this rig runs under.
     #[must_use]
-    pub fn config(&self) -> &SystemConfig {
+    pub(crate) fn config(&self) -> &SystemConfig {
         &self.config
     }
 
@@ -411,7 +385,7 @@ impl Rig {
     /// [`DepList`] derefs to `&[TaskId]`), so per-frame pacing allocates
     /// nothing.
     #[must_use]
-    pub fn pace_deps(&self) -> DepList {
+    pub(crate) fn pace_deps(&self) -> DepList {
         let mut deps = DepList::new();
         let in_flight = self.config.frames_in_flight as usize;
         if self.display_ends.len() >= in_flight {
@@ -424,7 +398,7 @@ impl Rig {
 
     /// Time for a full-screen GPU pass over both eyes at `cycles_per_px`.
     #[must_use]
-    pub fn stereo_pass_ms(&self, profile: &AppProfile, cycles_per_px: f64) -> f64 {
+    pub(crate) fn stereo_pass_ms(&self, profile: &AppProfile, cycles_per_px: f64) -> f64 {
         let px = f64::from(profile.display.width_px()) * f64::from(profile.display.height_px());
         self.mobile.fullscreen_pass_ms(px * 2.0, cycles_per_px)
     }
@@ -433,7 +407,7 @@ impl Rig {
     /// scheduling: the analytic all-chiplets time when the session owns the
     /// server, the single-GPU time when it shares a pool of per-frame units.
     #[must_use]
-    pub fn remote_render_ms(&self, per_eye: &FrameWorkload) -> f64 {
+    pub(crate) fn remote_render_ms(&self, per_eye: &FrameWorkload) -> f64 {
         if self.contended {
             self.config.remote.per_gpu_stereo_render_ms(per_eye)
         } else {
@@ -446,7 +420,7 @@ impl Rig {
     /// (the paper's per-stage bars), experienced queueing-inclusive latency
     /// in fleet mode (where waiting behind other tenants is the point).
     #[must_use]
-    pub fn chain_latency_ms(&self, chain: &RemoteChain) -> f64 {
+    pub(crate) fn chain_latency_ms(&self, chain: &RemoteChain) -> f64 {
         if self.contended {
             chain.duration_ms
         } else {
@@ -518,7 +492,7 @@ impl Rig {
     /// * `decode_px` — total pixels the mobile decoder reconstructs;
     /// * `deps` — tasks that must complete before the chain starts (pose
     ///   upload, setup).
-    pub fn remote_chain(
+    pub(crate) fn remote_chain(
         &mut self,
         label: &str,
         render_ms: f64,
@@ -667,14 +641,14 @@ impl Rig {
     /// End time of the most recent display task (0 before any frame) —
     /// the session's virtual clock.
     #[must_use]
-    pub fn last_display_end(&self) -> f64 {
+    pub(crate) fn last_display_end(&self) -> f64 {
         self.display_ends.last().copied().unwrap_or(0.0)
     }
 
     /// The most recent display task, if any (for fully serialised control
     /// loops that block on present).
     #[must_use]
-    pub fn last_display_task(&self) -> Option<TaskId> {
+    pub(crate) fn last_display_task(&self) -> Option<TaskId> {
         self.recent_displays.back().copied()
     }
 
@@ -685,7 +659,7 @@ impl Rig {
     }
 
     /// Records a completed frame.
-    pub fn record(&mut self, record: FrameRecord) {
+    pub(crate) fn record(&mut self, record: FrameRecord) {
         self.records.push(record);
     }
 
@@ -701,7 +675,7 @@ impl Rig {
     /// and behind this session's own in-flight frames alike (a contended
     /// pool can't attribute waiting to one or the other).
     #[must_use]
-    pub fn path_mtp_ms(&self, cpu_ms: f64, branch_ms: f64, compose_ms: f64) -> f64 {
+    pub(crate) fn path_mtp_ms(&self, cpu_ms: f64, branch_ms: f64, compose_ms: f64) -> f64 {
         self.config.tracking_ms + cpu_ms + branch_ms + compose_ms + self.config.display_ms
     }
 
@@ -711,7 +685,7 @@ impl Rig {
     /// energy budget (the headset pays for its own GPU, radio, decoder and
     /// accelerators — not for the shared server).
     #[must_use]
-    pub fn finish(mut self, scheme: &str, app: &str, liwc_always_on: bool) -> RunSummary {
+    pub(crate) fn finish(mut self, scheme: &str, app: &str, liwc_always_on: bool) -> RunSummary {
         // In a fleet the engine's makespan belongs to the whole schedule —
         // a slow tenant must not dilute a fast one's FPS or energy span, so
         // contended sessions close their span at their own last scanout.

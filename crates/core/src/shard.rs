@@ -42,10 +42,12 @@
 //! holding the minimum is `k mod cells`, and it is open while
 //! `k < cells × cell_capacity`. Join `k` therefore goes to cell
 //! `k mod cells` until every cell is full, and the router computes that
-//! instead of scanning cells. With a
-//! per-cell [`crate::admission::AdmissionController`], cells are tried in
-//! ascending (occupancy, last-probe utilisation, cell id) order for *full*
-//! admission first ([`crate::admission::AdmissionController::offer_protected`]);
+//! instead of scanning cells. With a per-cell
+//! [`crate::admission::AdmissionController`] (built over the template at
+//! the cell's seed, the tenancy that cell's fleet runs), cells are tried
+//! in ascending (occupancy, last-probe utilisation, cell id) order for
+//! *full* admission first
+//! ([`crate::admission::AdmissionController::offer_protected`]);
 //! a join every cell declines falls back to one degraded offer at the
 //! least-loaded cell. A placement anywhere but the first-choice cell
 //! counts as *spilled*. Every cell builds its own
@@ -205,15 +207,11 @@ fn route(config: &ShardConfig) -> Routing {
     };
     let mut controllers: Vec<AdmissionController> = (0..config.cells)
         .map(|c| {
-            AdmissionController::with_capacity(
-                config.template.system,
-                config.template.fairness,
-                policy.clone(),
-                cell_seed(config.template.seed, c),
-                config.template.server_units,
-                config.template.link_streams,
-            )
-            .with_server_policy(config.template.server_policy)
+            let cell = FleetConfig {
+                seed: cell_seed(config.template.seed, c),
+                ..config.template.clone()
+            };
+            AdmissionController::new(cell, policy.clone())
         })
         .collect();
     let mut routing = Routing {

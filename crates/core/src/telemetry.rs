@@ -14,10 +14,11 @@
 //! frame, carrying the session slot, frame index, virtual-time span,
 //! motion-to-photon latency, transmitted bytes, per-stage server busy time,
 //! the GPU unit the frame's remote chain landed on, and the tenant class. A
-//! [`TelemetrySink`] consumes events online; a [`SinkSet`] fans each event
-//! out to the built-in sinks (default-on, configured by
-//! [`TelemetryConfig`] on `FleetConfig`/`ChurnConfig`) plus any custom
-//! sinks attached for tests or tooling:
+//! [`TelemetrySink`] consumes events online; each fleet cell's sink set
+//! (the crate-private `SinkSet`) fans each event out to the built-in sinks
+//! (default-on, configured by [`TelemetryConfig`] on
+//! `FleetConfig`/`ChurnConfig`) plus any custom sinks attached for tests or
+//! tooling:
 //!
 //! * [`AggregateSink`] — MTP percentile samples and per-slot FPS spans:
 //!   the one derivation of every fleet and shard summary's percentiles,
@@ -757,7 +758,7 @@ impl TelemetrySink for LoadTracker {
 /// The fan-out a fleet drives: every built-in sink the configuration
 /// enabled, plus any custom sinks attached for tests or tooling.
 #[derive(Debug, Default)]
-pub struct SinkSet {
+pub(crate) struct SinkSet {
     /// The aggregate stream (fleets always run it; churn has its own
     /// summary shape and leaves it off).
     pub(crate) aggregate: Option<AggregateSink>,
@@ -777,12 +778,6 @@ pub struct SinkSet {
 }
 
 impl SinkSet {
-    /// An empty set with only the load tracker live.
-    #[must_use]
-    pub fn new() -> Self {
-        SinkSet::default()
-    }
-
     /// Builds the fan-out a [`TelemetryConfig`] describes — the one wiring
     /// point fleets *and* churn share, so a new built-in sink cannot land
     /// in one and silently miss the other: the energy meter (unless
@@ -791,13 +786,13 @@ impl SinkSet {
     /// fleets, whose `FleetSummary` is the stream's product; churn has its
     /// own summary shape) — the aggregate sink.
     #[must_use]
-    pub fn from_config(
+    pub(crate) fn from_config(
         telemetry: &TelemetryConfig,
         system: &crate::schemes::SystemConfig,
         units: usize,
         aggregate: bool,
     ) -> Self {
-        let mut sinks = SinkSet::new();
+        let mut sinks = SinkSet::default();
         if aggregate {
             sinks.aggregate = Some(AggregateSink::new());
         }
@@ -825,7 +820,7 @@ impl SinkSet {
     }
 
     /// Fans one event out to every sink.
-    pub fn emit(&mut self, event: &FrameEvent) {
+    pub(crate) fn emit(&mut self, event: &FrameEvent) {
         self.emit_batch(std::slice::from_ref(event));
     }
 
@@ -834,7 +829,7 @@ impl SinkSet {
     /// [`TelemetrySink::on_batch`], so per-step fan-out walks the sink set
     /// once instead of once per event. Event order — and therefore every
     /// sink's result — is identical to emitting one by one.
-    pub fn emit_batch(&mut self, events: &[FrameEvent]) {
+    pub(crate) fn emit_batch(&mut self, events: &[FrameEvent]) {
         if events.is_empty() {
             return;
         }
@@ -863,14 +858,14 @@ impl SinkSet {
     }
 
     /// Attaches a custom sink (receives every event from now on).
-    pub fn attach(&mut self, sink: Box<dyn TelemetrySink>) {
+    pub(crate) fn attach(&mut self, sink: Box<dyn TelemetrySink>) {
         self.custom.push(sink);
     }
 
     /// Advances the windowed sink's and the health monitor's closing
     /// frontiers, if either is running (both evaluate time buckets no
     /// future sample can precede).
-    pub fn close_windows_before(&mut self, t_ms: f64) {
+    pub(crate) fn close_windows_before(&mut self, t_ms: f64) {
         if let Some(w) = &mut self.windowed {
             w.close_before(t_ms);
         }
@@ -879,15 +874,9 @@ impl SinkSet {
         }
     }
 
-    /// A handle to the measured-load tracker.
-    #[must_use]
-    pub fn load(&self) -> LoadTracker {
-        self.load.clone()
-    }
-
     /// Finalises the energy meter (identity-zero when disabled).
     #[must_use]
-    pub fn energy_finalize(&self, span_ms: f64, client_mj: f64) -> FleetEnergy {
+    pub(crate) fn energy_finalize(&self, span_ms: f64, client_mj: f64) -> FleetEnergy {
         self.energy
             .as_ref()
             .map(|m| m.finalize(span_ms, client_mj))
@@ -897,7 +886,7 @@ impl SinkSet {
     /// Finishes the windowed sink and returns its timeline plus peak live
     /// sample count (`(vec![], 0)` when it never ran).
     #[must_use]
-    pub fn windowed_finish(&mut self) -> (Vec<(f64, usize, f64)>, usize) {
+    pub(crate) fn windowed_finish(&mut self) -> (Vec<(f64, usize, f64)>, usize) {
         match self.windowed.take() {
             Some(w) => {
                 let peak = w.peak_open_samples();
@@ -910,7 +899,7 @@ impl SinkSet {
     /// The metrics sink's Prometheus-style text exposition (`None` when
     /// metrics are off).
     #[must_use]
-    pub fn metrics_exposition(&self) -> Option<String> {
+    pub(crate) fn metrics_exposition(&self) -> Option<String> {
         self.metrics
             .as_ref()
             .map(crate::obs::MetricsSink::exposition)
@@ -919,7 +908,7 @@ impl SinkSet {
     /// Finishes the health monitor and returns its incident timeline
     /// (empty when no monitor ran).
     #[must_use]
-    pub fn health_finish(&mut self) -> Vec<crate::obs::Incident> {
+    pub(crate) fn health_finish(&mut self) -> Vec<crate::obs::Incident> {
         self.health
             .take()
             .map(crate::obs::HealthMonitor::finish)
@@ -1261,14 +1250,16 @@ mod tests {
                 self.0 += 1;
             }
         }
-        let mut set = SinkSet::new();
-        set.aggregate = Some(AggregateSink::new());
+        let mut set = SinkSet {
+            aggregate: Some(AggregateSink::new()),
+            ..SinkSet::default()
+        };
         set.attach(Box::<Counter>::default());
         for i in 0..5 {
             set.emit(&ev(0, i, 0.0, 10.0, 12.0));
         }
         assert_eq!(set.aggregate.as_ref().unwrap().frames(), 5);
-        assert!(set.load().ewma(0).is_some());
+        assert!(set.load.ewma(0).is_some());
         assert_eq!(set.energy_finalize(10.0, 0.0), FleetEnergy::default());
         assert_eq!(set.windowed_finish(), (Vec::new(), 0));
     }

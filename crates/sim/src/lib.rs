@@ -1598,4 +1598,28 @@ mod tests {
         let span = sim.makespan();
         assert!((400.0..420.0).contains(&span), "makespan {span}");
     }
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        let items: Vec<u64> = (0..100).collect();
+        let out = parallel_map(&items, |x| x * 2);
+        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn parallel_map_empty() {
+        let out: Vec<u64> = parallel_map(&[], |x: &u64| *x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn parallel_map_with_clamps_its_worker_count() {
+        // Zero workers still runs one thread, and more workers than items
+        // run one per item; either way every result lands in input order.
+        let items = [3u64, 1, 2];
+        for workers in [0, 64] {
+            let out = parallel_map_with(workers, &items, |x| x * 10);
+            assert_eq!(out, vec![30, 10, 20], "{workers} workers");
+        }
+    }
 }

@@ -16,6 +16,12 @@ For each of the eight library crates (`crates/<name>/src`) and the facade
   (not `pub(crate)`), as `scripts/unused_pub.py` rewrites them;
 * tests: the lines from that `#[cfg(test)] mod` to the end of the file.
 
+Below the library total it prints, with the same counts and not summed
+into that total, the figure harness (`crates/bench/src`), the integration
+tests (`tests`) and the examples (`examples`), so a change's line report
+covers those too. Integration tests and examples have no `#[cfg(test)]`
+module, so all their lines count as prod.
+
 `--base REV` adds the same counts at a git revision, read with `git show`
 so nothing is checked out, and prints each cell as `base → now (delta)`.
 """
@@ -29,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CRATES = ["codec", "core", "energy", "gpu", "hvs", "net", "scene", "sim"]
 DIRS = [f"crates/{c}/src" for c in CRATES] + ["src"]
+EXTRA_DIRS = ["crates/bench/src", "tests", "examples"]
 METRICS = ["prod", "code", "pub fn", "tests"]
 PUB_FN = re.compile(r"^[ \t]*pub (const )?fn ", re.MULTILINE)
 TEST_MOD = re.compile(r"^[ \t]*#\[cfg\(test\)\]\s*(pub(\(\w+\))? )?mod ", re.MULTILINE)
@@ -76,15 +83,16 @@ def main():
     parser.add_argument("--base", metavar="REV", help="also count at this revision")
     args = parser.parse_args()
 
-    rows = []
-    for directory in DIRS:
-        now = tree_counts(directory)
+    def row(directory):
         base = rev_counts(args.base, directory) if args.base else None
-        rows.append((directory, base, now))
+        return (directory, base, tree_counts(directory))
+
+    rows = [row(directory) for directory in DIRS]
     total_base = None
     if args.base:
         total_base = [sum(col) for col in zip(*(base for _, base, _ in rows))]
     rows.append(("total", total_base, [sum(col) for col in zip(*(now for _, _, now in rows))]))
+    rows += [row(directory) for directory in EXTRA_DIRS]
 
     def cell(base, now, i):
         if base is None:

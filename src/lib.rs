@@ -99,7 +99,7 @@ pub mod prelude {
     pub use qvr_core::session::Session;
     pub use qvr_core::shard::{cell_seed, CellSummary, Shard, ShardConfig, ShardSummary};
     pub use qvr_core::telemetry::{
-        AggregateSink, EnergyMeter, FrameEvent, FrameSpans, LoadTracker, SinkSet, StageSpan,
+        AggregateSink, EnergyMeter, FrameEvent, FrameSpans, LoadTracker, StageSpan,
         TelemetryConfig, TelemetrySink, WindowedStatsSink,
     };
     pub use qvr_core::{FoveationPlan, Liwc, Uca, VrsRate};

@@ -37,7 +37,20 @@ fn run_controller(
     seed: u64,
     offers: usize,
 ) -> AdmissionController {
-    let mut c = AdmissionController::new(SystemConfig::default(), fairness, policy, seed);
+    // The default system's full server array, and a link with one
+    // full-rate stream per server GPU.
+    let cell = FleetConfig {
+        fairness,
+        ..FleetConfig::uniform(
+            SystemConfig::default(),
+            SchemeKind::Qvr,
+            Benchmark::Hl2H.profile(),
+            0,
+            1,
+            seed,
+        )
+    };
+    let mut c = AdmissionController::new(cell, policy);
     for i in 0..offers {
         c.offer(candidate(i));
     }

@@ -220,15 +220,11 @@ fn admission_cell_runs_its_controllers_roster_degraded_shares_included() {
     t.fairness = FairnessPolicy::Weighted;
     let roster: Vec<SessionSpec> = (0..6).map(mixed_spec).collect();
 
-    let mut controller = AdmissionController::with_capacity(
-        t.system,
-        t.fairness,
-        policy.clone(),
-        cell_seed(t.seed, 0),
-        t.server_units,
-        t.link_streams,
-    )
-    .with_server_policy(t.server_policy);
+    let cell = FleetConfig {
+        seed: cell_seed(t.seed, 0),
+        ..t.clone()
+    };
+    let mut controller = AdmissionController::new(cell, policy.clone());
     for spec in &roster {
         controller.offer(spec.clone());
     }
