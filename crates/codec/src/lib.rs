@@ -48,7 +48,7 @@ pub mod transform;
 pub use latency::CodecLatencyModel;
 pub use rc::{RateControlConfig, RateController};
 pub use size_model::SizeModel;
-pub use stats::{BlockStats, EntropyModel};
+pub use stats::{Attenuation, BlockStats, EntropyModel, Plane, QuantSteps};
 pub use transform::{CodecError, EncodedFrame, TransformCodec};
 
 /// Shared synthetic content for tests: game-like frames (smooth regions,

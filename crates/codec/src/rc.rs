@@ -63,6 +63,40 @@ impl RateControlConfig {
             ..RateControlConfig::default()
         }
     }
+
+    /// Checks the config, whether or not it is enabled. Every
+    /// [`RateController`] is built through this check, so a bad config
+    /// is rejected before a stepper runs its first frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if a quality bound is NaN, `min_quality`
+    /// exceeds `max_quality`, or `gain`, `max_step_ratio` or `deadband` is
+    /// NaN, infinite or negative.
+    pub fn validate(&self) {
+        for (field, bound) in [
+            ("min_quality", self.min_quality),
+            ("max_quality", self.max_quality),
+        ] {
+            assert!(!bound.is_nan(), "rate control: {field} is NaN");
+        }
+        assert!(
+            self.min_quality <= self.max_quality,
+            "rate control: min_quality {} exceeds max_quality {}",
+            self.min_quality,
+            self.max_quality
+        );
+        for (field, value) in [
+            ("gain", self.gain),
+            ("max_step_ratio", self.max_step_ratio),
+            ("deadband", self.deadband),
+        ] {
+            assert!(
+                value.is_finite() && value >= 0.0,
+                "rate control: {field} must be finite and non-negative, got {value}"
+            );
+        }
+    }
 }
 
 /// One tenant's closed-loop rate controller (see module docs).
@@ -85,8 +119,13 @@ fn quality_for_step(step: f64) -> f64 {
 
 impl RateController {
     /// A fresh controller at the configured initial quality.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid ([`RateControlConfig::validate`]).
     #[must_use]
     pub fn new(config: RateControlConfig) -> Self {
+        config.validate();
         RateController {
             config,
             quality: config
@@ -219,6 +258,101 @@ mod tests {
         assert_eq!(rc.quality().to_bits(), q.to_bits());
         assert_eq!(RateController::target_bytes(8.0, 0.0), 0.0);
         assert_eq!(RateController::target_bytes(8.0, 50.0), 20_000.0);
+    }
+
+    /// Asserts that validating `config` panics with a message naming
+    /// `field`.
+    fn assert_rejected(config: RateControlConfig, field: &str) {
+        let err = std::panic::catch_unwind(|| config.validate())
+            .expect_err(&format!("{config:?} passed validation"));
+        let message = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default();
+        assert!(
+            message.contains(field),
+            "{config:?}: the message {message:?} does not name {field}"
+        );
+    }
+
+    #[test]
+    fn nan_quality_bounds_are_rejected() {
+        let on = RateControlConfig::on();
+        let min_quality = f64::NAN;
+        assert_rejected(RateControlConfig { min_quality, ..on }, "min_quality");
+        let max_quality = f64::NAN;
+        assert_rejected(RateControlConfig { max_quality, ..on }, "max_quality");
+    }
+
+    #[test]
+    fn inverted_quality_bounds_are_rejected() {
+        // Unchecked, `RateController::new` would panic inside
+        // `f64::clamp` ("min > max, or either was NaN"), naming no field.
+        for enabled in [false, true] {
+            let config = RateControlConfig {
+                enabled,
+                min_quality: 0.9,
+                max_quality: 0.2,
+                ..RateControlConfig::default()
+            };
+            assert_rejected(config, "min_quality");
+        }
+    }
+
+    const NON_FINITE_OR_NEGATIVE: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1];
+
+    #[test]
+    fn bad_gains_are_rejected() {
+        // Unchecked, a NaN gain would make a frame at twice its target
+        // raise quality from 0.6 to the 0.95 ceiling.
+        for gain in NON_FINITE_OR_NEGATIVE {
+            assert_rejected(
+                RateControlConfig {
+                    gain,
+                    ..RateControlConfig::on()
+                },
+                "gain",
+            );
+        }
+    }
+
+    #[test]
+    fn bad_step_ratios_are_rejected() {
+        for max_step_ratio in NON_FINITE_OR_NEGATIVE {
+            let config = RateControlConfig {
+                max_step_ratio,
+                ..RateControlConfig::on()
+            };
+            assert_rejected(config, "max_step_ratio");
+        }
+    }
+
+    #[test]
+    fn bad_deadbands_are_rejected() {
+        for deadband in NON_FINITE_OR_NEGATIVE {
+            let config = RateControlConfig {
+                deadband,
+                ..RateControlConfig::on()
+            };
+            assert_rejected(config, "deadband");
+        }
+    }
+
+    #[test]
+    fn shipped_configs_and_their_edges_pass() {
+        RateControlConfig::default().validate();
+        RateControlConfig::on().validate();
+        // Equal bounds and zero gain, ratio and deadband are legal.
+        RateControlConfig {
+            min_quality: 0.5,
+            max_quality: 0.5,
+            gain: 0.0,
+            max_step_ratio: 0.0,
+            deadband: 0.0,
+            ..RateControlConfig::on()
+        }
+        .validate();
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! [`crate::TransformCodec`] on synthetic game frames; the property test
 //! `entropy_model_tracks_real_codec` pins the estimate within ~15% of the
 //! actual encoded size across a detail × quality grid.
+//!
+//! A caller that prices many layers can keep what repeats between them:
+//! an eccentricity's [`Attenuation`], a quantiser scale's [`QuantSteps`]
+//! and each plane's [`Plane::block_cost`], which
+//! [`EntropyModel::vrs_layer_bytes`] assembles into a layer's bytes.
+//! [`BlockStats::layer`] and [`EntropyModel::bytes_at_step`] are built
+//! from the same steps, so those pieces give their bits exactly.
 
 use crate::transform::QUANT_BASE;
 
@@ -284,19 +291,79 @@ impl BlockStats {
     ///   periphery is blurred, so its high-frequency tail decays faster.
     #[must_use]
     pub fn layer(detail: f64, motion: f64, linear_scale: f64, eccentricity_deg: f64) -> Self {
-        let detail = detail.clamp(0.0, 1.0);
-        let motion_factor = MOTION_FLOOR + (1.0 - MOTION_FLOOR) * motion.clamp(0.0, 1.0);
-        let boost = linear_scale.clamp(0.05, 1.0).powf(-SCALE_BOOST_EXP);
-        let ecc = eccentricity_deg.max(0.0) / ECC_REF_DEG;
-        let mut luma = [0.0f64; 64];
-        let mut chroma = [0.0f64; 64];
-        for zi in 0..64 {
-            let attenuation = (-(zi as f64 / 63.0) * ecc).exp();
-            let factor = motion_factor * boost * attenuation;
-            luma[zi] = (LUMA_BASE[zi] + DETAIL_GAIN * detail * LUMA_SLOPE[zi]) * factor;
-            chroma[zi] = CHROMA_BASE[zi] * factor;
+        let factors = factors(motion, linear_scale, &Attenuation::at(eccentricity_deg));
+        BlockStats {
+            luma: luma_scales(detail, &factors),
+            chroma: chroma_scales(&factors),
         }
-        BlockStats { luma, chroma }
+    }
+}
+
+/// The high-frequency attenuation of a layer at one retinal eccentricity:
+/// one factor per zigzag index, `exp(−(i/63)·ecc/ECC_REF_DEG)`. It depends
+/// on nothing else, so a caller that prices many layers at a few
+/// eccentricities computes each table once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Attenuation([f64; 64]);
+
+impl Attenuation {
+    /// The table at `eccentricity_deg` (negative values read as 0).
+    #[must_use]
+    pub fn at(eccentricity_deg: f64) -> Self {
+        let ecc = eccentricity_deg.max(0.0) / ECC_REF_DEG;
+        Attenuation(std::array::from_fn(|zi| (-(zi as f64 / 63.0) * ecc).exp()))
+    }
+}
+
+/// The per-index amplitude factor `motion_factor · boost · attenuation`
+/// shared by both planes.
+fn factors(motion: f64, linear_scale: f64, attenuation: &Attenuation) -> [f64; 64] {
+    let motion_factor = MOTION_FLOOR + (1.0 - MOTION_FLOOR) * motion.clamp(0.0, 1.0);
+    let boost = linear_scale.clamp(0.05, 1.0).powf(-SCALE_BOOST_EXP);
+    std::array::from_fn(|zi| motion_factor * boost * attenuation.0[zi])
+}
+
+/// Luma Laplacian scales: base plus detail-driven texture, times `factors`.
+fn luma_scales(detail: f64, factors: &[f64; 64]) -> [f64; 64] {
+    let detail = detail.clamp(0.0, 1.0);
+    std::array::from_fn(|zi| (LUMA_BASE[zi] + DETAIL_GAIN * detail * LUMA_SLOPE[zi]) * factors[zi])
+}
+
+/// Chroma Laplacian scales (detail-independent), times `factors`.
+fn chroma_scales(factors: &[f64; 64]) -> [f64; 64] {
+    std::array::from_fn(|zi| CHROMA_BASE[zi] * factors[zi])
+}
+
+/// One coded plane of a 4:2:0 frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plane {
+    /// The full-resolution luma plane; its statistics read content detail.
+    Luma,
+    /// Each quarter-resolution chroma plane; its statistics ignore detail.
+    Chroma,
+}
+
+impl Plane {
+    /// Expected payload bytes of one coded 8×8 block of this plane: the
+    /// per-block cost [`EntropyModel::bytes_at_step`] charges for a layer
+    /// built by [`BlockStats::layer`] from the same inputs, with the
+    /// eccentricity's `attenuation` and the quantiser `steps` precomputed.
+    /// [`Plane::Chroma`] ignores `detail`.
+    #[must_use]
+    pub fn block_cost(
+        self,
+        detail: f64,
+        motion: f64,
+        linear_scale: f64,
+        attenuation: &Attenuation,
+        steps: &QuantSteps,
+    ) -> f64 {
+        let factors = factors(motion, linear_scale, attenuation);
+        let scales = match self {
+            Plane::Luma => luma_scales(detail, &factors),
+            Plane::Chroma => chroma_scales(&factors),
+        };
+        block_cost(&scales, &steps.0)
     }
 }
 
@@ -312,13 +379,26 @@ const P_BIG_INERT: f64 = -37.0;
 /// and adding the term leaves every bit unchanged.
 const P_NZ_INERT: f64 = 261.0;
 
-/// The quantiser step Δᵢ of every zigzag index at `quant_scale`.
-fn quant_steps(quant_scale: f64) -> [f64; 64] {
-    std::array::from_fn(|zi| f64::from(QUANT_BASE[zi]) * quant_scale / 255.0)
+/// The quantiser step Δᵢ of every zigzag index at one quantiser scale.
+/// They depend on nothing else, so both planes of a layer, and every
+/// layer priced at the same scale, can share one table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QuantSteps([f64; 64]);
+
+impl QuantSteps {
+    /// The steps at `quant_scale` (floored at 1e-6, as
+    /// [`EntropyModel::bytes_at_step`] floors it).
+    #[must_use]
+    pub fn at(quant_scale: f64) -> Self {
+        let quant_scale = quant_scale.max(1e-6);
+        QuantSteps(std::array::from_fn(|zi| {
+            f64::from(QUANT_BASE[zi]) * quant_scale / 255.0
+        }))
+    }
 }
 
 /// Expected payload bytes of one coded 8×8 block with coefficient scales
-/// `b` at quantiser steps `delta` (from [`quant_steps`]), mirroring the
+/// `b` at quantiser steps `delta` (from [`QuantSteps`]), mirroring the
 /// real coder's cost structure: `BLOCK_CODED` + `RLE_END` markers, and per
 /// surviving coefficient a run byte plus VLC bytes.
 ///
@@ -440,14 +520,33 @@ impl EntropyModel {
     /// Predicted encoded size in bytes at an explicit quantiser scale.
     #[must_use]
     pub fn bytes_at_step(&self, quant_scale: f64) -> f64 {
-        let delta = quant_steps(quant_scale.max(1e-6));
-        // 4:2:0 → one full-resolution luma plane and two quarter-resolution
-        // chroma planes, all in 8×8 blocks.
-        let luma_blocks = self.pixels / 64.0;
-        let chroma_blocks = self.pixels / 256.0;
-        16.0 + luma_blocks * block_cost(&self.stats.luma, &delta)
-            + 2.0 * chroma_blocks * block_cost(&self.stats.chroma, &delta)
+        let QuantSteps(delta) = QuantSteps::at(quant_scale);
+        coded_bytes(
+            self.pixels,
+            block_cost(&self.stats.luma, &delta),
+            block_cost(&self.stats.chroma, &delta),
+        )
     }
+
+    /// What `EntropyModel::vrs_layer(native_pixels, .., linear_scale, ..)`
+    /// predicts at a quantiser step where one luma block costs `luma` bytes
+    /// and one chroma block `chroma` bytes (each from [`Plane::block_cost`]
+    /// on the layer's inputs at that step).
+    #[must_use]
+    pub fn vrs_layer_bytes(native_pixels: f64, linear_scale: f64, luma: f64, chroma: f64) -> f64 {
+        let s = linear_scale.clamp(0.05, 1.0);
+        coded_bytes((native_pixels * s * s).max(0.0), luma, chroma)
+    }
+}
+
+/// Bytes of a frame of `pixels` (≥ 0) encoded luma pixels whose luma and
+/// chroma blocks cost `luma` and `chroma` bytes each: 4:2:0 gives one
+/// full-resolution luma plane and two quarter-resolution chroma planes,
+/// all in 8×8 blocks, after the 16-byte header.
+fn coded_bytes(pixels: f64, luma: f64, chroma: f64) -> f64 {
+    let luma_blocks = pixels / 64.0;
+    let chroma_blocks = pixels / 256.0;
+    16.0 + luma_blocks * luma + 2.0 * chroma_blocks * chroma
 }
 
 #[cfg(test)]
@@ -565,6 +664,41 @@ mod tests {
         }
     }
 
+    /// The model against the real coder at the VRS scales the periphery
+    /// streams use: 0.25 (a 256 → 64 box-down) and 0.5 (128 → 64), at two
+    /// details and three qualities. The model over-predicts there; this
+    /// pins the gap, a known model error (DESIGN §15), so that neither the
+    /// model nor the coder drifts unseen. It does not recalibrate.
+    #[test]
+    fn vrs_scale_gap_to_the_real_codec_is_pinned() {
+        // (linear scale, box-down factor, and the signed error band
+        // measured on seed-11 content: +33.5% to +62.0% at 0.25, +8.7% to
+        // +32.0% at 0.5), each band widened by MARGIN on both sides.
+        const MARGIN: f64 = 0.05;
+        let rows = [(0.25, 4, 0.33, 0.62), (0.5, 2, 0.08, 0.32)];
+        for (scale, factor, lo, hi) in rows {
+            let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+            for detail in [0.3, 0.7] {
+                let master = crate::test_content::game_frame(64 * factor, detail, 11);
+                let down = crate::test_content::box_down(&master, factor);
+                let model = EntropyModel::layer(64.0 * 64.0, detail, 1.0, scale, 0.0);
+                for quality in [0.35, 0.6, 0.8] {
+                    let actual = TransformCodec::new(quality)
+                        .encode_intra(&down)
+                        .size_bytes() as f64;
+                    let err = model.frame_bytes(quality) / actual - 1.0;
+                    assert!(
+                        (lo - MARGIN..=hi + MARGIN).contains(&err),
+                        "scale {scale} detail {detail} quality {quality}: error {err:+.3} \
+                         outside [{lo:+.2}, {hi:+.2}] ± {MARGIN}"
+                    );
+                    (min, max) = (min.min(err), max.max(err));
+                }
+            }
+            eprintln!("scale {scale}: {min:+.3} .. {max:+.3}");
+        }
+    }
+
     /// `block_cost` as it was before the inert-term skips and the hoisted
     /// quantiser steps: every term computed and added. The oracle of
     /// [`bytes_at_step_matches_the_unskipped_model_bit_for_bit`].
@@ -634,7 +768,7 @@ mod tests {
     /// How many AC terms of `b` at `quant_scale` each skip drops: the
     /// whole term, and the `exp` of `p_big` alone.
     fn skips(b: &[f64; 64], quant_scale: f64) -> (usize, usize) {
-        let delta = quant_steps(quant_scale.max(1e-6));
+        let QuantSteps(delta) = QuantSteps::at(quant_scale);
         let (mut terms, mut exps) = (0, 0);
         for zi in 1..64 {
             if b[zi] > 0.0 {
@@ -679,7 +813,7 @@ mod tests {
         // on a cutoff, k = −4..=4: luma on θΔ/2b = 261, chroma on
         // −63Δ/b = −37.
         for quant_scale in [0.04, 0.3, 1.0, 3.5] {
-            let delta = quant_steps(quant_scale);
+            let QuantSteps(delta) = QuantSteps::at(quant_scale);
             let mut stats = BlockStats {
                 luma: [1.0; 64],
                 chroma: [1.0; 64],

@@ -15,11 +15,12 @@
 //!
 //! A cell also owns what its tenants would otherwise each compute for
 //! themselves: its [`CellMemo`] holds the fixed task labels, the Eq. (1)
-//! partitions and the last ring table's disc areas, each a pure function of
-//! the display, the gaze or the engine rather than of the tenant.
+//! partitions, the last ring table's disc areas and the entropy model's
+//! layer prices, each a pure function of the display, the gaze, the
+//! engine or the priced inputs rather than of the tenant.
 
 use crate::fleet::{FleetConfig, SessionSpec};
-use crate::foveation::PartitionMemo;
+use crate::foveation::{EntropyMemo, PartitionMemo};
 use crate::sched::ServerPolicy;
 use crate::schemes::{Label, Rig, ServerPool, SystemConfig};
 use crate::session::Session;
@@ -80,6 +81,8 @@ pub(crate) struct CellMemo {
     /// The disc areas of the last ring table any tenant recorded, keyed by
     /// field of view and gaze.
     areas: RefCell<RingAreas>,
+    /// Entropy-model block costs and attenuation tables, per priced input.
+    pub(crate) entropy: EntropyMemo,
 }
 
 impl CellMemo {
@@ -89,6 +92,7 @@ impl CellMemo {
             labels: Label::intern_all(engine),
             partitions: PartitionMemo::new(mar),
             areas: RefCell::new(RingAreas::new()),
+            entropy: EntropyMemo::new(),
         }
     }
 

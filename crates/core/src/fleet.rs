@@ -552,6 +552,113 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rate control: min_quality 0.9 exceeds max_quality 0.2")]
+    fn inverted_quality_bounds_fail_before_the_first_frame() {
+        // Rate control off: the controller every foveated stepper builds
+        // still checks its config, naming the field.
+        let rate_control = qvr_codec::RateControlConfig {
+            min_quality: 0.9,
+            max_quality: 0.2,
+            ..qvr_codec::RateControlConfig::default()
+        };
+        let system = cfg().with_rate_control(rate_control);
+        let _ = Fleet::new(FleetConfig::uniform(
+            system,
+            SchemeKind::Qvr,
+            Benchmark::Hl2H.profile(),
+            2,
+            10,
+            1,
+        ));
+    }
+
+    #[test]
+    fn rate_controlled_cell_keeps_the_entropy_memo_bounded() {
+        // A rate-controlled cell of Q-VR, DFR and RemoteOnly tenants prices
+        // new luma keys every frame (detail and motion move from frame to
+        // frame), so its entropy memo overflows its cap. The memo must
+        // clear, hold at most its cap after every round, and every byte
+        // count a frame shipped must equal the unmemoized entropy model's.
+        use crate::cell::session_seed;
+        use crate::foveation::{EntropyMemo, FoveationPlan};
+        use qvr_codec::{EntropyModel, RateControlConfig};
+        use qvr_scene::AppSession;
+        let apps = [
+            Benchmark::Grid,
+            Benchmark::Doom3L,
+            Benchmark::Hl2H,
+            Benchmark::Hl2L,
+        ];
+        let schemes = [
+            SchemeKind::Qvr,
+            SchemeKind::Dfr,
+            SchemeKind::Qvr,
+            SchemeKind::RemoteOnly,
+        ];
+        let (frames, seed) = (120, 23);
+        let system = cfg().with_rate_control(RateControlConfig::on());
+        let mut config = FleetConfig::uniform(
+            system,
+            SchemeKind::Qvr,
+            Benchmark::Hl2H.profile(),
+            1,
+            frames,
+            seed,
+        );
+        config.sessions = (0..8)
+            .map(|i| SessionSpec::new(schemes[i % 4], apps[i % 4].profile()))
+            .collect();
+        let mut fleet = Fleet::new(config.clone());
+        let (mut clears, mut last) = (0, [0; 3]);
+        for _ in 0..frames {
+            fleet.step_round();
+            let held = fleet.cell.memo.entropy.len();
+            assert!(
+                held.iter().all(|&n| n <= EntropyMemo::CAP),
+                "{held:?} entries held"
+            );
+            clears += (0..3).filter(|&t| held[t] < last[t]).count();
+            last = held;
+        }
+        assert!(clears > 0, "the memo never overflowed (last {last:?})");
+
+        // Replay each tenant's frames and price them unmemoized.
+        let summary = fleet.finish();
+        let mut priced = 0;
+        for (i, (spec, run)) in config.sessions.iter().zip(&summary.sessions).enumerate() {
+            let display = spec.profile.display;
+            let native = f64::from(display.width_px()) * f64::from(display.height_px());
+            let mut app = AppSession::start(spec.profile.clone(), session_seed(seed, i));
+            for record in &run.frames {
+                let frame = app.advance();
+                assert_eq!(frame.frame_id, record.frame_id);
+                let q = record.quality.expect("rate control is on");
+                let (detail, motion) = (
+                    frame.content_detail,
+                    crate::schemes::motion_index(&frame.delta),
+                );
+                let bytes = match record.e1_deg {
+                    Some(e1) => {
+                        FoveationPlan::resolve(e1, &display, &system.mar, frame.sample.gaze)
+                            .periphery_entropy_bytes(detail, motion, q)
+                    }
+                    None => EntropyModel::layer(native, detail, motion, 1.0, 0.0).frame_bytes(q),
+                } * system.stereo_stream_factor;
+                assert_eq!(
+                    record.tx_bytes.to_bits(),
+                    bytes.to_bits(),
+                    "{} frame {}: {} shipped, {bytes} priced",
+                    spec.scheme,
+                    record.frame_id,
+                    record.tx_bytes
+                );
+                priced += 1;
+            }
+        }
+        assert_eq!(priced, 8 * frames);
+    }
+
+    #[test]
     fn local_only_neighbours_do_not_debit_the_link() {
         // Shared-channel occupancy counts only tenants that stream: a Q-VR
         // session surrounded by 7 LocalOnly users (who never touch the

@@ -7,7 +7,7 @@
 //! (eccentricities, VRS-quantised layer scales, per-layer pixel and byte
 //! volumes) that both the scheme pipelines and the benchmarks consume.
 
-use qvr_codec::{EntropyModel, SizeModel};
+use qvr_codec::{Attenuation, EntropyModel, Plane, QuantSteps, SizeModel};
 use qvr_hvs::{DisplayGeometry, GazePoint, LayerKind, LayerPartition, MarModel};
 use qvr_scene::TriangleFractionCache;
 use std::cell::RefCell;
@@ -266,18 +266,80 @@ fn clamp_e1(e1_deg: f64) -> f64 {
     e1_deg.clamp(LayerPartition::MIN_E1, LayerPartition::MAX_E1)
 }
 
-/// A memo key: the display's pixel counts and raw field-of-view bits, and
-/// the raw bits of the clamped e1.
-type PartitionKey = (u32, u32, u64, u64, u64);
+/// A memo of at most `N` values (`N` a power of two), one per distinct
+/// key of `W` words: an open-addressed table of `2N` slots, probed
+/// linearly from the key's hash, holds each key and one plus the index of
+/// its value (0 marks an empty slot), and the values sit in insertion
+/// order. Every buffer is sized at the first lookup, so a cell that never
+/// asks allocates nothing, and an insert that would pass `N` entries
+/// clears the memo first (emptying the slots clears only their marks), so
+/// it never allocates after its first lookup and its slots are never more
+/// than half full.
+#[derive(Debug)]
+struct Capped<const W: usize, V, const N: usize> {
+    keys: Vec<[u64; W]>,
+    marks: Vec<u32>,
+    values: Vec<V>,
+}
+
+impl<const W: usize, V, const N: usize> Capped<W, V, N> {
+    fn new() -> Self {
+        Capped {
+            keys: Vec::new(),
+            marks: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// The slot `key`'s probe starts at: the top bits of a
+    /// multiply-rotate hash of its words.
+    fn home(key: &[u64; W]) -> usize {
+        let hash = key.iter().fold(0u64, |h, &word| {
+            (h.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        });
+        (hash >> (64 - (2 * N).trailing_zeros())) as usize
+    }
+
+    /// The value held for `key`, computed by `value` and inserted if the
+    /// memo does not hold it.
+    fn get_or_insert_with(&mut self, key: [u64; W], value: impl FnOnce() -> V) -> &V {
+        if self.marks.is_empty() {
+            self.keys = vec![[0; W]; 2 * N];
+            self.marks = vec![0; 2 * N];
+            self.values.reserve_exact(N);
+        }
+        let mask = 2 * N - 1;
+        let mut slot = Self::home(&key);
+        while self.marks[slot] != 0 {
+            if self.keys[slot] == key {
+                return &self.values[self.marks[slot] as usize - 1];
+            }
+            slot = (slot + 1) & mask;
+        }
+        let value = value();
+        if self.values.len() == N {
+            self.marks.fill(0);
+            self.values.clear();
+            slot = Self::home(&key);
+        }
+        self.values.push(value);
+        self.keys[slot] = key;
+        self.marks[slot] = self.values.len() as u32;
+        &self.values[self.values.len() - 1]
+    }
+}
+
+/// A memo key: the display's pixel counts, its raw field-of-view bits
+/// and the raw bits of the clamped e1.
+type PartitionKey = [u64; 4];
 
 fn partition_key(display: &DisplayGeometry, e1: f64) -> PartitionKey {
-    (
-        display.width_px(),
-        display.height_px(),
+    [
+        u64::from(display.width_px()) << 32 | u64::from(display.height_px()),
         display.fov_h().0.to_bits(),
         display.fov_v().0.to_bits(),
         e1.to_bits(),
-    )
+    ]
 }
 
 /// Eq. (1) partitions for one MAR model, kept per display and clamped e1.
@@ -292,11 +354,12 @@ fn partition_key(display: &DisplayGeometry, e1: f64) -> PartitionKey {
 /// memo's MAR model bit for bit.
 ///
 /// The memo is keyed by the display and the bits of the clamped e1 and
-/// holds one entry per distinct key, in key order, at most
-/// [`PartitionMemo::CAP`] of them. A warm-started churn joiner walks from
-/// an off-grid e1 in whole degrees, so each can add keys no other tenant
-/// shares; when an insert would pass the cap the memo is cleared. Entries
-/// are pure functions of their keys, so a cleared memo changes no bit.
+/// holds one entry per distinct key, at most [`PartitionMemo::CAP`] of
+/// them, in a table sized at its first plan. A warm-started churn joiner
+/// walks from an off-grid e1 in whole degrees, so each can add keys no
+/// other tenant shares; when an insert would pass the cap the memo is
+/// cleared. Entries are pure functions of their keys, so a cleared memo
+/// changes no bit.
 ///
 /// The plan's fovea area comes from a ring table of the gaze
 /// ([`TriangleFractionCache::fovea_area_fraction`]): a table that holds
@@ -305,7 +368,7 @@ fn partition_key(display: &DisplayGeometry, e1: f64) -> PartitionKey {
 #[derive(Debug)]
 pub(crate) struct PartitionMemo {
     mar: MarModel,
-    entries: RefCell<Vec<(PartitionKey, LayerPartition)>>,
+    partitions: RefCell<Capped<4, LayerPartition, { PartitionMemo::CAP }>>,
 }
 
 impl PartitionMemo {
@@ -314,11 +377,11 @@ impl PartitionMemo {
     /// sixteen fleets).
     pub(crate) const CAP: usize = 256;
 
-    /// An empty memo for `mar`. It allocates nothing until its first entry.
+    /// An empty memo for `mar`. It allocates nothing until its first plan.
     pub(crate) fn new(mar: MarModel) -> Self {
         PartitionMemo {
             mar,
-            entries: RefCell::new(Vec::new()),
+            partitions: RefCell::new(Capped::new()),
         }
     }
 
@@ -333,24 +396,14 @@ impl PartitionMemo {
         rings: &TriangleFractionCache,
     ) -> FoveationPlan {
         let e1 = clamp_e1(e1_deg);
-        let key = partition_key(display, e1);
-        let held = {
-            let entries = self.entries.borrow();
-            entries
-                .binary_search_by_key(&key, |&(k, _)| k)
-                .map(|i| entries[i].1)
-        };
-        let part = held.unwrap_or_else(|_| {
-            let part = LayerPartition::with_optimal_middle(e1, display, &self.mar)
-                .expect("clamped e1 is valid");
-            let mut entries = self.entries.borrow_mut();
-            if entries.len() == Self::CAP {
-                entries.clear();
-            }
-            let at = entries.partition_point(|&(k, _)| k < key);
-            entries.insert(at, (key, part));
-            part
-        });
+        let part =
+            *self
+                .partitions
+                .borrow_mut()
+                .get_or_insert_with(partition_key(display, e1), || {
+                    LayerPartition::with_optimal_middle(e1, display, &self.mar)
+                        .expect("clamped e1 is valid")
+                });
         let fovea_area = rings.fovea_area_fraction(display, e1, gaze);
         FoveationPlan::from_partition(part, display, &self.mar, gaze, fovea_area)
     }
@@ -358,7 +411,137 @@ impl PartitionMemo {
     /// How many partitions the memo holds.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.entries.borrow().len()
+        self.partitions.borrow().values.len()
+    }
+}
+
+/// Entropy-model prices ([`qvr_codec::stats`]) for the layers a cell's
+/// tenants stream, each computed once per distinct input.
+///
+/// A layer's price is two block costs, one per plane
+/// ([`Plane::block_cost`]), and each plane's cost reads only some of the
+/// layer's inputs: chroma reads the motion, the VRS scale, the
+/// eccentricity and the quantiser scale; luma reads those and the content
+/// detail. LIWC's probe and the plan a frame ships often share the outer
+/// layer's eccentricity and VRS rate, and head motion saturates the motion
+/// index, so a cell's tenants repeat plane inputs, and they repeat an
+/// eccentricity far more often. The memo keeps each plane's cost keyed by
+/// the raw bits of exactly the inputs that plane reads, and each
+/// eccentricity's [`Attenuation`] table keyed by its bits.
+///
+/// Every entry is a pure function of its key, so
+/// [`EntropyMemo::periphery_bytes`] equals
+/// [`FoveationPlan::periphery_entropy_bytes`], and
+/// [`EntropyMemo::layer_bytes`] equals
+/// [`EntropyModel::vrs_layer`]`(..).frame_bytes(quality)`, bit for bit:
+/// those unmemoized calls are its oracle. Each table holds at most
+/// [`EntropyMemo::CAP`] entries, in buffers sized at the memo's first
+/// price (a cell that never prices allocates nothing), and is cleared
+/// when an insert would pass the cap, so pricing allocates only once. A
+/// cell keeps one memo for all its tenants (a fleet cell is stepped on
+/// one thread).
+#[derive(Debug)]
+pub struct EntropyMemo {
+    attenuations: RefCell<Capped<1, Attenuation, { EntropyMemo::CAP }>>,
+    luma: RefCell<Capped<5, f64, { EntropyMemo::CAP }>>,
+    chroma: RefCell<Capped<4, f64, { EntropyMemo::CAP }>>,
+}
+
+impl EntropyMemo {
+    /// The most entries each of the memo's three tables holds.
+    pub const CAP: usize = 256;
+
+    /// An empty memo. It allocates nothing until its first price.
+    #[must_use]
+    pub fn new() -> Self {
+        EntropyMemo {
+            attenuations: RefCell::new(Capped::new()),
+            luma: RefCell::new(Capped::new()),
+            chroma: RefCell::new(Capped::new()),
+        }
+    }
+
+    /// [`FoveationPlan::periphery_entropy_bytes`]`(content_detail, motion,
+    /// quality)` of `plan`, from the memo.
+    #[must_use]
+    pub fn periphery_bytes(
+        &self,
+        plan: &FoveationPlan,
+        content_detail: f64,
+        motion: f64,
+        quality: f64,
+    ) -> f64 {
+        let mid = self.layer_bytes(
+            plan.middle_region_px,
+            content_detail,
+            motion,
+            plan.middle_rate.linear_scale(),
+            plan.e1_deg,
+            quality,
+        );
+        let out = self.layer_bytes(
+            plan.outer_region_px,
+            content_detail,
+            motion,
+            plan.outer_rate.linear_scale(),
+            plan.e2_deg,
+            quality,
+        );
+        mid + out
+    }
+
+    /// [`EntropyModel::vrs_layer`]`(native_pixels, detail, motion,
+    /// linear_scale, eccentricity_deg).frame_bytes(quality)`, from the memo.
+    #[must_use]
+    pub fn layer_bytes(
+        &self,
+        native_pixels: f64,
+        detail: f64,
+        motion: f64,
+        linear_scale: f64,
+        eccentricity_deg: f64,
+        quality: f64,
+    ) -> f64 {
+        let quant_scale = EntropyModel::quant_scale_for_quality(quality);
+        // The quantiser steps, computed on the layer's first miss.
+        let mut steps = None;
+        let mut cost = |plane: Plane| {
+            let steps = steps.get_or_insert_with(|| QuantSteps::at(quant_scale));
+            let mut attenuations = self.attenuations.borrow_mut();
+            let attenuation = attenuations.get_or_insert_with([eccentricity_deg.to_bits()], || {
+                Attenuation::at(eccentricity_deg)
+            });
+            plane.block_cost(detail, motion, linear_scale, attenuation, steps)
+        };
+        let chroma_key = [motion, linear_scale, eccentricity_deg, quant_scale].map(f64::to_bits);
+        let luma_key =
+            [detail, motion, linear_scale, eccentricity_deg, quant_scale].map(f64::to_bits);
+        let luma = *self
+            .luma
+            .borrow_mut()
+            .get_or_insert_with(luma_key, || cost(Plane::Luma));
+        let chroma = *self
+            .chroma
+            .borrow_mut()
+            .get_or_insert_with(chroma_key, || cost(Plane::Chroma));
+        EntropyModel::vrs_layer_bytes(native_pixels, linear_scale, luma, chroma)
+    }
+
+    /// How many attenuation tables, luma costs and chroma costs the memo
+    /// holds.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> [usize; 3] {
+        [
+            self.attenuations.borrow().values.len(),
+            self.luma.borrow().values.len(),
+            self.chroma.borrow().values.len(),
+        ]
+    }
+}
+
+impl Default for EntropyMemo {
+    fn default() -> Self {
+        EntropyMemo::new()
     }
 }
 
@@ -511,7 +694,7 @@ mod tests {
         ];
         let memo = PartitionMemo::new(mar);
         assert_eq!(
-            memo.entries.borrow().capacity(),
+            memo.partitions.borrow().marks.capacity(),
             0,
             "allocates nothing when built"
         );
@@ -546,9 +729,8 @@ mod tests {
                 }
             }
         }
-        // One entry per distinct (display, clamped e1), in key order.
-        let held: Vec<PartitionKey> = memo.entries.borrow().iter().map(|&(key, _)| key).collect();
-        assert_eq!(held, keys.into_iter().collect::<Vec<_>>());
+        // One entry per distinct (display, clamped e1).
+        assert_eq!(memo.len(), keys.len());
     }
 
     #[test]
@@ -567,6 +749,104 @@ mod tests {
             assert!(memo.len() <= PartitionMemo::CAP);
         }
         assert!(memo.len() < PartitionMemo::CAP, "the memo never cleared");
+    }
+
+    /// Asserts a memoized price equals its oracle bit for bit, or is NaN
+    /// where the oracle is (Rust leaves a NaN's sign and payload to the
+    /// codegen, so two NaNs from the same operations may differ).
+    fn assert_same_price(memoized: f64, oracle: f64, what: &dyn Fn() -> String) {
+        if oracle.is_nan() {
+            assert!(memoized.is_nan(), "{}: {memoized} vs NaN", what());
+        } else {
+            assert_eq!(
+                memoized.to_bits(),
+                oracle.to_bits(),
+                "{}: {memoized} vs {oracle}",
+                what()
+            );
+        }
+    }
+
+    #[test]
+    fn memoized_prices_equal_the_entropy_model_bit_for_bit() {
+        use qvr_codec::EntropyModel;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xe47_2091);
+        // Values at and past every clamp edge, and the non-finite ones.
+        let special = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            0.05,
+            0.049,
+            1.0,
+            1.0000000000000002,
+            -1.0,
+            f64::MIN_POSITIVE,
+        ];
+        // Each input is special, reused from a small pool (so keys
+        // repeat and the memo hits), or a fresh draw around its range.
+        let mut draw = |pool: &[f64], lo: f64, hi: f64| match rng.gen_range(0..10u32) {
+            0 => special[rng.gen_range(0..special.len())],
+            1..=5 => pool[rng.gen_range(0..pool.len())],
+            _ => rng.gen_range(lo..hi),
+        };
+        let details = [0.0, 0.3, 0.55, 1.0];
+        let motions = [0.0, 0.42, 1.0];
+        let scales = VrsRate::all().map(|r| r.linear_scale());
+        let eccentricities = [0.0, 5.0, 17.0, 33.25, 90.0];
+        let qualities = [0.05, 0.35, 0.6, 0.95];
+        let memo = EntropyMemo::new();
+        let mut peak = [0; 3];
+        let mut clears = 0;
+        for i in 0..6_000 {
+            let pixels = if i % 7 == 0 {
+                special[i % special.len()]
+            } else {
+                1.0e6 * (i % 13) as f64
+            };
+            let (detail, motion) = (draw(&details, -0.2, 1.2), draw(&motions, -0.2, 1.2));
+            let scale = draw(&scales, 0.0, 1.2);
+            let eccentricity = draw(&eccentricities, -10.0, 130.0);
+            let quality = draw(&qualities, -0.1, 1.1);
+            let before = memo.len();
+            let memoized = memo.layer_bytes(pixels, detail, motion, scale, eccentricity, quality);
+            let oracle = EntropyModel::vrs_layer(pixels, detail, motion, scale, eccentricity)
+                .frame_bytes(quality);
+            let inputs = || format!("{pixels} {detail} {motion} {scale} {eccentricity} {quality}");
+            assert_same_price(memoized, oracle, &inputs);
+            // The full-frame layer a remote stream prices.
+            let memoized = memo.layer_bytes(pixels, detail, motion, 1.0, 0.0, quality);
+            let oracle = EntropyModel::layer(pixels, detail, motion, 1.0, 0.0).frame_bytes(quality);
+            assert_same_price(memoized, oracle, &inputs);
+            let held = memo.len();
+            for t in 0..3 {
+                assert!(held[t] <= EntropyMemo::CAP, "table {t} holds {}", held[t]);
+                peak[t] = peak[t].max(held[t]);
+                clears += usize::from(held[t] < before[t]);
+            }
+        }
+        assert!(clears > 0, "the memo never overflowed (peak {peak:?})");
+        assert_eq!(peak[1], EntropyMemo::CAP, "luma keys fill the memo");
+    }
+
+    #[test]
+    fn memoized_periphery_bytes_equal_the_plan_bit_for_bit() {
+        let (display, mar) = setup();
+        let memo = EntropyMemo::new();
+        for e1 in [5.0, 12.0, 12.0, 33.3, 90.0] {
+            let plan = FoveationPlan::resolve(e1, &display, &mar, GazePoint::clamped(0.2, -0.1));
+            for (detail, motion, quality) in [(0.4, 1.0, 0.6), (0.4, 1.0, 0.6), (0.9, 0.1, 0.2)] {
+                let memoized = memo.periphery_bytes(&plan, detail, motion, quality);
+                let oracle = plan.periphery_entropy_bytes(detail, motion, quality);
+                assert_same_price(memoized, oracle, &|| {
+                    format!("{plan} {detail} {motion} {quality}")
+                });
+            }
+        }
     }
 
     #[test]

@@ -92,10 +92,18 @@ impl Default for MotionCodec {
 }
 
 /// The 2¹⁵-entry f16 gradient table (64 KB SRAM in hardware).
+///
+/// A controller writes one entry per frame at most, and only where its
+/// eccentricity moved, so a session touches a small share of the table.
+/// The table stores only the entries whose value differs from the initial
+/// gradient, sorted by index; every other entry reads the initial gradient
+/// through the same f16 round-trip, so a fresh table allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MappingTable {
-    entries: Vec<F16>,
-    bucket_count: usize,
+    /// What every entry holds until it is written.
+    initial: F16,
+    /// The entries that differ from `initial`, by index.
+    written: Vec<(u16, F16)>,
 }
 
 impl MappingTable {
@@ -108,18 +116,15 @@ impl MappingTable {
     #[must_use]
     pub fn new(initial_gradient: f64) -> Self {
         MappingTable {
-            entries: vec![
-                F16::from_f32(initial_gradient as f32);
-                MotionCodec::CODES * Self::BUCKETS
-            ],
-            bucket_count: Self::BUCKETS,
+            initial: F16::from_f32(initial_gradient as f32),
+            written: Vec::new(),
         }
     }
 
-    /// Total entries (2¹⁵).
+    /// Total entries (2¹⁵), the depth of the modelled SRAM.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.entries.len()
+        MotionCodec::CODES * Self::BUCKETS
     }
 
     /// Bucket for an eccentricity in `[MIN_E1, MAX_E1]`.
@@ -127,23 +132,37 @@ impl MappingTable {
     pub fn bucket(&self, e1_deg: f64) -> usize {
         let span = LayerPartition::MAX_E1 - LayerPartition::MIN_E1;
         let t = ((e1_deg - LayerPartition::MIN_E1) / span).clamp(0.0, 1.0);
-        ((t * self.bucket_count as f64) as usize).min(self.bucket_count - 1)
+        ((t * Self::BUCKETS as f64) as usize).min(Self::BUCKETS - 1)
     }
 
-    fn index(&self, motion_code: u16, e1_deg: f64) -> usize {
-        (motion_code as usize % MotionCodec::CODES) * self.bucket_count + self.bucket(e1_deg)
+    /// The entry's index: below 2¹⁵, so it fits a `u16`.
+    fn index(&self, motion_code: u16, e1_deg: f64) -> u16 {
+        ((motion_code as usize % MotionCodec::CODES) * Self::BUCKETS + self.bucket(e1_deg)) as u16
     }
 
     /// Reads the gradient for a state (f16 precision).
     #[must_use]
     pub fn gradient(&self, motion_code: u16, e1_deg: f64) -> f64 {
-        f64::from(self.entries[self.index(motion_code, e1_deg)].to_f32())
+        let idx = self.index(motion_code, e1_deg);
+        let entry = match self.written.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(at) => self.written[at].1,
+            Err(_) => self.initial,
+        };
+        f64::from(entry.to_f32())
     }
 
     /// Writes a gradient (stored through an f16 round-trip).
     pub fn set_gradient(&mut self, motion_code: u16, e1_deg: f64, gradient: f64) {
         let idx = self.index(motion_code, e1_deg);
-        self.entries[idx] = F16::from_f32(gradient as f32);
+        let value = F16::from_f32(gradient as f32);
+        match self.written.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(at) if value == self.initial => {
+                self.written.remove(at);
+            }
+            Ok(at) => self.written[at].1 = value,
+            Err(_) if value == self.initial => {}
+            Err(at) => self.written.insert(at, (idx, value)),
+        }
     }
 }
 
@@ -530,6 +549,96 @@ mod tests {
         assert_eq!(t.bucket(LayerPartition::MIN_E1), 0);
         assert_eq!(t.bucket(LayerPartition::MAX_E1), MappingTable::BUCKETS - 1);
         assert!(t.bucket(45.0) > 0 && t.bucket(45.0) < MappingTable::BUCKETS - 1);
+    }
+
+    /// The table stored densely, all 2¹⁵ entries as the modelled SRAM
+    /// holds them: the oracle of [`MappingTable`].
+    struct DenseTable(Vec<F16>);
+
+    impl DenseTable {
+        fn new(initial_gradient: f64) -> Self {
+            DenseTable(vec![
+                F16::from_f32(initial_gradient as f32);
+                MotionCodec::CODES * MappingTable::BUCKETS
+            ])
+        }
+
+        fn index(motion_code: u16, e1_deg: f64) -> usize {
+            let t = MappingTable::new(0.0);
+            (motion_code as usize % MotionCodec::CODES) * MappingTable::BUCKETS + t.bucket(e1_deg)
+        }
+
+        fn gradient(&self, motion_code: u16, e1_deg: f64) -> f64 {
+            f64::from(self.0[Self::index(motion_code, e1_deg)].to_f32())
+        }
+
+        fn set_gradient(&mut self, motion_code: u16, e1_deg: f64, gradient: f64) {
+            self.0[Self::index(motion_code, e1_deg)] = F16::from_f32(gradient as f32);
+        }
+    }
+
+    #[test]
+    fn sparse_table_reads_equal_the_dense_table() {
+        // LIWC's use of the table, at random: each select reads the entry
+        // of a (motion code, e1) state, and each observe reads the entry of
+        // the previous decision and writes it back updated. A few codes
+        // and e1s repeat, so writes land on written entries too, some of
+        // them back to the initial value.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7ab1e);
+        for initial in [-0.5, -1.0, 0.0, -3.7] {
+            let mut sparse = MappingTable::new(initial);
+            let mut dense = DenseTable::new(initial);
+            let mut state = (0u16, 5.0);
+            for step in 0..20_000 {
+                let code = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..8u16)
+                } else {
+                    rng.gen_range(0..u16::MAX)
+                };
+                let e1 = if rng.gen_bool(0.5) {
+                    f64::from(rng.gen_range(5..91u32))
+                } else {
+                    rng.gen_range(-20.0..120.0)
+                };
+                // select
+                let read = sparse.gradient(code, e1);
+                assert_eq!(
+                    read.to_bits(),
+                    dense.gradient(code, e1).to_bits(),
+                    "step {step}"
+                );
+                // observe, on the previous decision's state
+                if rng.gen_bool(0.6) {
+                    let (code, e1) = state;
+                    let old = sparse.gradient(code, e1);
+                    assert_eq!(old.to_bits(), dense.gradient(code, e1).to_bits());
+                    let updated = if rng.gen_bool(0.2) {
+                        initial
+                    } else {
+                        0.7 * old + 0.3 * rng.gen_range(-50.0..-0.01)
+                    };
+                    sparse.set_gradient(code, e1, updated);
+                    dense.set_gradient(code, e1, updated);
+                }
+                state = (code, e1);
+            }
+            // Every entry, written or not, reads the same from both.
+            for code in 0..MotionCodec::CODES as u16 {
+                for bucket in 0..MappingTable::BUCKETS {
+                    let e1 = LayerPartition::MIN_E1
+                        + (bucket as f64 + 0.5) / MappingTable::BUCKETS as f64
+                            * (LayerPartition::MAX_E1 - LayerPartition::MIN_E1);
+                    assert_eq!(
+                        sparse.gradient(code, e1).to_bits(),
+                        dense.gradient(code, e1).to_bits(),
+                        "code {code} bucket {bucket}"
+                    );
+                }
+            }
+            assert!(!sparse.written.is_empty());
+            assert!(sparse.written.iter().all(|&(_, v)| v != sparse.initial));
+        }
     }
 
     #[test]

@@ -153,7 +153,9 @@ impl FoveatedStepper {
         let plan_and_bytes = |e: f64| {
             let plan = memo.partitions.plan(e, &display, gaze, rings);
             let bytes = match rc_quality {
-                Some(q) => plan.periphery_entropy_bytes(frame.content_detail, motion, q),
+                Some(q) => memo
+                    .entropy
+                    .periphery_bytes(&plan, frame.content_detail, motion, q),
                 None => plan.periphery_bytes(
                     &config.size_model,
                     frame.content_detail,

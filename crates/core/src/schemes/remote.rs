@@ -9,7 +9,7 @@
 use super::rig::{Label, Rig};
 use super::SystemConfig;
 use crate::metrics::FrameRecord;
-use qvr_codec::{EntropyModel, RateController};
+use qvr_codec::RateController;
 use qvr_scene::{AppProfile, AppSession};
 
 /// Per-frame stepper for remote-only streaming.
@@ -48,14 +48,14 @@ impl RemoteStepper {
         let bytes = match rc_quality {
             // Full-frame stream: native resolution (no VRS), fovea-grade
             // statistics (eccentricity 0 — the whole frame may be looked at).
-            Some(q) => EntropyModel::layer(
+            Some(q) => rig.memo().entropy.layer_bytes(
                 self.native_px,
                 frame.content_detail,
                 super::motion_index(&frame.delta),
                 1.0,
                 0.0,
-            )
-            .frame_bytes(q),
+                q,
+            ),
             None => config.size_model.frame_bytes(
                 self.native_px.round() as u64,
                 frame.content_detail,

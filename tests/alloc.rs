@@ -12,8 +12,8 @@
 //! wall-clock numbers. The app-session test pins a whole session, from
 //! profile to last frame, at zero, the triangle-fraction test pins the
 //! foveal ring table's new-gaze path at zero, alone and through a shared
-//! area slot, and two more pin the entropy model's periphery bytes and the
-//! ring table's disc-area read at zero.
+//! area slot, and three more pin the entropy model's periphery bytes, the
+//! cell's memo of them and the ring table's disc-area read at zero.
 //!
 //! This lives in the root integration-test crate on purpose: every library
 //! crate in the workspace is `#![forbid(unsafe_code)]`, and a
@@ -25,6 +25,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use qvr::core::foveation::EntropyMemo;
 use qvr::hvs::{DisplayGeometry, GazePoint};
 use qvr::prelude::*;
 use qvr::scene::{AppSession, Benchmark, ComplexityField, RingAreas, TriangleFractionCache};
@@ -336,6 +337,46 @@ fn periphery_entropy_bytes_never_allocates() {
     assert_eq!(
         allocs, 0,
         "1,000 periphery byte estimates allocated {allocs} times"
+    );
+}
+
+#[test]
+fn memoized_entropy_pricing_never_allocates() {
+    // The memo's tables are sized at its first price: after it, hits,
+    // misses and the clears of a full table all reuse them.
+    let _serial = serial();
+    let display = DisplayGeometry::vive_pro_class();
+    let mar = MarModel::default();
+    let plans: Vec<FoveationPlan> = [5.0, 17.0, 42.0, 90.0]
+        .into_iter()
+        .map(|e1| FoveationPlan::resolve(e1, &display, &mar, GazePoint::center()))
+        .collect();
+    let memo = EntropyMemo::new();
+    std::hint::black_box(memo.periphery_bytes(&plans[0], 0.5, 0.5, 0.5));
+    let cap = EntropyMemo::CAP as u32;
+    ALLOCS.store(0, Ordering::Relaxed);
+    ARMED.set(true);
+    // Each round prices 2,048 distinct luma keys (two layers per plan, a
+    // detail per call) through a table of `cap`, so it clears several
+    // times; each price is asked twice, and at a saturated motion the
+    // chroma costs repeat across details, so both tables also hit.
+    for _round in 0..2 {
+        for plan in &plans {
+            for i in 0..cap {
+                let detail = f64::from(i) / f64::from(cap);
+                for _ in 0..2 {
+                    std::hint::black_box(memo.periphery_bytes(plan, detail, 1.0, 0.6));
+                }
+            }
+        }
+    }
+    ARMED.set(false);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        allocs,
+        0,
+        "{} memoized periphery prices allocated {allocs} times",
+        2 * 2 * plans.len() as u32 * cap
     );
 }
 
